@@ -5,22 +5,23 @@ Certification happens on the singular locus of the surface: the quotient by
 The Milnor number is the length of the origin-local factor of the Jacobian
 quotient; when the Jacobian ideal is itself supported only at the origin
 (the usual case) that is just the global quotient dimension, and otherwise
-the local factor is split off exactly with multiplication matrices.  The
-deformed fibers of the shipped family need this: they acquire critical
-points away from the surface.
+it is the number of standard monomials of a local standard basis, computed
+by Lazard's homogenisation method (Lazard 1983; Greuel-Pfister, A Singular
+Introduction to Commutative Algebra, 1.7).  The deformed fibers of the
+shipped family need this: they acquire critical points away from the
+surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from . import kernel
 from .errors import (NotIsolatedError, NotQuasiHomogeneousError,
                      SingularLocusNotAtOriginError, SmoothInput)
-from .groebner import (MonomialOrder, buchberger, graded_staircase_count,
-                       quotient_dimension, staircase, supported_only_at_origin)
+from .groebner import (MonomialOrder, _staircase_cap, buchberger,
+                       graded_staircase_count, quotient_dimension,
+                       supported_only_at_origin)
 from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
                           find_weights, partial_derivative)
 
@@ -77,13 +78,20 @@ def milnor_number(f, order=None):
     """Milnor number at the origin.
 
     Computed as the dimension of the Jacobian quotient when that quotient is
-    supported only at the origin; otherwise as the dimension of its
-    origin-local factor (extra critical points of f away from {f=0} do not
-    contribute).
+    supported only at the origin; otherwise as the length of its origin-local
+    factor, from a local standard basis (Lazard's method, see
+    _local_length_at_origin).  Extra critical points of f away from {f=0}
+    do not contribute.
     """
     order = order or MonomialOrder.grevlex()
     _certify_tjurina(f, order)
-    basis = buchberger(jacobian_ideal(f), order)
+    return _certified_milnor_number(f, order)
+
+
+def _certified_milnor_number(f, order):
+    """milnor_number once the Tjurina ideal of f is certified."""
+    partials = jacobian_ideal(f)
+    basis = buchberger(partials, order)
     dim = quotient_dimension(basis)
     if dim is None:
         raise NotIsolatedError(
@@ -91,106 +99,44 @@ def milnor_number(f, order=None):
             "the surface; the Milnor number is not available")
     if supported_only_at_origin(basis):
         return dim
-    return _local_dimension_at_origin(basis)
+    return _local_length_at_origin(partials)
 
 
-# -- origin-local factor of an artinian quotient ------------------------------
+# -- origin-local length ------------------------------------------------------
 
-def _multiplication_matrix(basis, monomials, index, var):
-    """Matrix of multiplication by x_var on the staircase basis (Fractions)."""
-    impl = kernel.active()
-    code, weights = basis.order.codes()
-    size = len(monomials)
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for j, e in enumerate(monomials):
-        ne = e[:var] + (e[var] + 1,) + e[var + 1:]
-        reduced, num, den = impl.reduce_full([(ne, 1)], basis._raw, code, weights)
-        for ee, c in reduced:
-            mat[index[ee]][j] = Fraction(num * c, den)
-    return mat
+def _local_length_at_origin(generators):
+    """dim_Q of Q[x]_(x) / (generators): the origin-local factor's length.
 
-
-def _integerize(mat):
-    den = 1
-    for row in mat:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    out = [[int(x * den) for x in row] for row in mat]
-    return _strip_content(out)
-
-
-def _strip_content(mat):
-    g = 0
-    for row in mat:
-        for x in row:
-            g = gcd(g, x)
-    if g > 1:
-        return [[x // g for x in row] for row in mat]
-    return mat
-
-
-def _matmul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row_a = a[i]
-        row_out = out[i]
-        for k in range(n):
-            v = row_a[k]
-            if v:
-                row_b = b[k]
-                for j in range(n):
-                    row_out[j] += v * row_b[j]
-    return out
-
-
-def _rank(rows):
-    """Exact rank over Q of an integer matrix."""
-    rows = [list(map(Fraction, r)) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _local_dimension_at_origin(basis):
-    """Length of the origin-local factor of a finite quotient ring.
-
-    The quotient splits over the support points; multiplication by x_i acts
-    nilpotently exactly on the factors where the i-th coordinate vanishes, so
-    the origin factor is the joint kernel of the D-th powers of the three
-    multiplication operators (D bounds every nilpotency index).
+    Lazard's method (Lazard 1983; Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra, 1.7): dropping t from the leads of _lazard_basis
+    gives the leads of a standard basis for the local degree order ds, whose
+    standard monomials count the length.  The caller guarantees the length
+    is finite; past the BASSINV_MAX_STAIRCASE cap StaircaseLimitError is
+    raised.
     """
-    s = staircase(basis)
-    monomials = list(s.monomials)
-    size = len(monomials)
-    if size == 0:
-        return 0
-    index = {e: i for i, e in enumerate(monomials)}
-    stacked = []
-    for var in range(len(basis.variables)):
-        mat = _integerize(_multiplication_matrix(basis, monomials, index, var))
-        power = 1
-        while power < size:
-            mat = _strip_content(_matmul(mat, mat))
-            power *= 2
-        stacked.extend(mat)
-    return size - _rank(stacked)
+    leads = [e[1:] for e in _lazard_basis(generators).leading_exponents()]
+    nvars = len(generators[0].variables)
+    code, weights = MonomialOrder.grevlex().codes()
+    return len(kernel.active().enumerate_staircase(
+        leads, nvars, _staircase_cap(), code, weights))
+
+
+def _lazard_basis(generators):
+    """Basis of the generators homogenised with a fresh first variable t.
+
+    The order puts, on each total degree, more t first and breaks ties by
+    grevlex: weights (2, 1, ..., 1) do that, and since the basis is
+    homogeneous only that restriction matters.
+    """
+    variables = generators[0].variables
+    ring = ("_h",) + variables  # "_h" only names the t slot
+    homogenised = []
+    for g in generators:
+        top = g.total_degree()
+        homogenised.append(Polynomial(
+            {(top - sum(e),) + e: c for e, c in g.term_map().items()}, ring))
+    order = MonomialOrder.weighted((2,) + (1,) * len(variables))
+    return buchberger(homogenised, order, ring)
 
 
 # -- geometric genus and the full profile -------------------------------------
@@ -219,8 +165,8 @@ def analyze(f, order=None):
     reported from it directly.
     """
     order = order or MonomialOrder.grevlex()
-    mu = milnor_number(f, order)
     tau = tjurina_number(f, order)
+    mu = _certified_milnor_number(f, order)
     g = f.drop_parameter()
     ws = find_weights(g)
     if ws is not None and not euler_identity_check(g, ws):

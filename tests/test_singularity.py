@@ -2,17 +2,44 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bassinv.errors import (NotIsolatedError, NotQuasiHomogeneousError,
-                            SingularLocusNotAtOriginError, SmoothInput)
-from bassinv.groebner import MonomialOrder, buchberger, staircase
+                            SingularLocusNotAtOriginError, SmoothInput,
+                            StaircaseLimitError)
+from bassinv.groebner import (MonomialOrder, buchberger, quotient_dimension,
+                              staircase, supported_only_at_origin)
 from bassinv.polynomials import (Polynomial, WeightSystem, find_weights, parse,
                                  substitute_parameter)
-from bassinv.singularity import (_local_dimension_at_origin, analyze,
+from bassinv.singularity import (_local_length_at_origin, analyze,
                                  geometric_genus_qh, jacobian_ideal,
                                  milnor_number, tjurina_number)
 
 from conftest import VARS, poly
+
+
+def truncated_dimension(gens, n):
+    """dim Q[x,y,z]/(gens + m^n), m = (x, y, z).
+
+    m is nilpotent on the origin-local factor and a unit on the others, so
+    this equals the origin-local length once n reaches the nilpotency index
+    at the origin; the global quotient dimension bounds that index.
+    """
+    extra = [Polynomial({(a, b, n - a - b): Fraction(1)}, VARS)
+             for a in range(n + 1) for b in range(n + 1 - a)]
+    return staircase(buchberger(gens + extra)).size
+
+
+# x^a+y^b+z^c + q*x^i*y^j*z^k with i/a+j/b+k/c > 1: mu is the principal
+# part's (a-1)(b-1)(c-1), but the Jacobian quotient has points away from the
+# origin, so milnor_number takes the local-length path
+NONQH_LADDER = (
+    ("x^6+y^5+z^3+3/7*x^4*y^2", (6, 5, 3)),
+    ("x^4+y^5+z^6-5*x^2*y^2*z", (4, 5, 6)),
+    ("x^7+y^8+z^3+x^5*y^3", (7, 8, 3)),
+    ("x^9+y^10+z^3+2*x^6*y^4", (9, 10, 3)),
+    ("x^12+y^13+z^3-1/2*x^9*y^4", (12, 13, 3)),
+)
 
 
 class TestJacobianIdeal:
@@ -49,26 +76,52 @@ class TestMilnor:
     def test_truncation_oracle_for_local_factor(self):
         # independent route: dim Q[x,y,z]/(J + m^N) stabilizes at the local
         # dimension once N exceeds the nilpotency index at the origin
-        f = poly("z^2+y^3+x^10+x^7*y")
-        gens = jacobian_ideal(f)
-
-        def truncated_dimension(n):
-            extra = [Polynomial({(a, b, n - a - b): Fraction(1)}, VARS)
-                     for a in range(n + 1) for b in range(n + 1 - a)]
-            return staircase(buchberger(gens + extra)).size
-
-        assert truncated_dimension(19) == truncated_dimension(20) == 18
+        gens = jacobian_ideal(poly("z^2+y^3+x^10+x^7*y"))
+        assert truncated_dimension(gens, 19) == \
+            truncated_dimension(gens, 20) == 18
 
     def test_local_factor_splits_translated_point(self):
         # ideal (x^2 - x, y, z) sits at the origin and at (1,0,0); the local
         # factor at the origin is one-dimensional
-        gb = buchberger([poly("x^2-x"), poly("y"), poly("z")])
-        assert staircase(gb).size == 2
-        assert _local_dimension_at_origin(gb) == 1
+        gens = [poly("x^2-x"), poly("y"), poly("z")]
+        assert staircase(buchberger(gens)).size == 2
+        assert _local_length_at_origin(gens) == 1
 
     def test_local_factor_equals_global_when_origin_only(self):
-        gb = buchberger([poly("2z"), poly("3y^2"), poly("10x^9")])
-        assert _local_dimension_at_origin(gb) == 18
+        gens = [poly("2z"), poly("3y^2"), poly("10x^9")]
+        assert _local_length_at_origin(gens) == 18
+
+    @pytest.mark.parametrize("order", [MonomialOrder.grevlex(),
+                                       MonomialOrder.lex()],
+                             ids=["grevlex", "lex"])
+    @pytest.mark.parametrize("text,shape", NONQH_LADDER)
+    def test_nonqh_ladder_closed_form(self, text, shape, order):
+        f = poly(text)
+        assert not supported_only_at_origin(buchberger(jacobian_ideal(f)))
+        a, b, c = shape
+        assert milnor_number(f, order) == (a - 1) * (b - 1) * (c - 1)
+
+    @given(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3),
+           st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+           st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    @settings(max_examples=25, deadline=None)
+    def test_local_length_matches_truncation_oracle(self, a, b, c, i, j, k,
+                                                    q):
+        assume(q != 0)
+        f = poly(f"x^{a}+y^{b}+z^{c}") + Polynomial({(i, j, k): q}, VARS)
+        gens = jacobian_ideal(f)
+        basis = buchberger(gens)
+        dim = quotient_dimension(basis)
+        assume(dim is not None and not supported_only_at_origin(basis))
+        assert _local_length_at_origin(gens) == truncated_dimension(gens, dim)
+
+    def test_local_staircase_honours_cap(self, monkeypatch):
+        gens = jacobian_ideal(poly("z^2+y^3+x^10+x^7*y"))
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
+        with pytest.raises(StaircaseLimitError):
+            _local_length_at_origin(gens)
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "18")
+        assert _local_length_at_origin(gens) == 18
 
 
 class TestTjurina:
