@@ -1,8 +1,10 @@
 """Selects the term-arithmetic kernel at import time.
 
-The compiled extension (`bassinv._core_cy`) is preferred; the pure-Python
-kernel is the fallback.  Set BASSINV_KERNEL=py or =cy to force one, or use
-`use()` / `set_backend()` from tests and benchmarks.
+The compiled extension (`bassinv._core_cy`) is used when it imports; the
+pure-Python kernel is the fallback.  `use()` switches temporarily, for
+parity tests and benchmarks.  BASSINV_KERNEL=py or =cy pins the backend of
+a whole process; the benchmark's cross-backend counter test runs its
+subprocesses that way.
 """
 
 import os
@@ -10,27 +12,16 @@ from contextlib import contextmanager
 
 from . import _core_py
 
-
-def _load_compiled():
+try:
     from . import _core_cy
-    return _core_cy
+except ImportError:
+    _core_cy = None
 
-
-def _initial():
-    forced = os.environ.get("BASSINV_KERNEL", "")
-    if forced == "py":
-        return _core_py
-    if forced == "cy":
-        return _load_compiled()
-    if forced:
-        raise RuntimeError(f"BASSINV_KERNEL={forced!r}: expected 'py' or 'cy'")
-    try:
-        return _load_compiled()
-    except ImportError:
-        return _core_py
-
-
-_impl = _initial()
+_BACKENDS = {m.BACKEND: m for m in (_core_py, _core_cy) if m is not None}
+_impl = _BACKENDS.get("cython", _core_py)
+if os.environ.get("BASSINV_KERNEL"):
+    _impl = _BACKENDS[{"py": "python", "cy": "cython"}[
+        os.environ["BASSINV_KERNEL"]]]
 
 
 def active():
@@ -42,31 +33,14 @@ def backend_name():
 
 
 def available_backends():
-    names = ["python"]
-    try:
-        _load_compiled()
-        names.append("cython")
-    except ImportError:
-        pass
-    return names
-
-
-def set_backend(name):
-    global _impl
-    if name in ("py", "python"):
-        _impl = _core_py
-    elif name in ("cy", "cython"):
-        _impl = _load_compiled()
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    return _impl
+    return list(_BACKENDS)
 
 
 @contextmanager
 def use(name):
+    """Run the body on the backend `name`, one of available_backends()."""
     global _impl
-    previous = _impl
-    set_backend(name)
+    previous, _impl = _impl, _BACKENDS[name]
     try:
         yield _impl
     finally:

@@ -147,7 +147,12 @@ def intersection_matrix(graph):
 
 
 def is_negative_definite(matrix):
-    """Sylvester test in exact arithmetic: (-1)^k det(M_k) > 0 for all k."""
+    """Sylvester's test in exact arithmetic: (-1)^k det(M_k) > 0 for all k.
+
+    One Gaussian elimination without row swaps: pivot k is D_k / D_(k-1)
+    for the leading minors D_k, so the test holds exactly when every pivot
+    is negative, and a pivot >= 0 ends it.
+    """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
@@ -156,30 +161,13 @@ def is_negative_definite(matrix):
         for j in range(i):
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    sign = 1
-    for k in range(1, n + 1):
-        sign = -sign
-        det = _det_fraction([row[:k] for row in matrix[:k]])
-        if sign * det <= 0:
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot >= 0:
             return False
+        for i in range(k + 1, n):
+            factor = rows[i][k] / pivot
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
     return True
-
-
-def _det_fraction(rows):
-    rows = [[Fraction(x) for x in row] for row in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = rows[i][c] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-    return det

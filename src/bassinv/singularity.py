@@ -3,13 +3,10 @@
 Certification happens on the singular locus of the surface: the quotient by
 (f) + Jacobian ideal must be finite-dimensional and supported at the origin.
 The Milnor number is the length of the origin-local factor of the Jacobian
-quotient; when the Jacobian ideal is itself supported only at the origin
-(the usual case) that is just the global quotient dimension, and otherwise
-it is the number of standard monomials of a local standard basis, computed
-by Lazard's homogenisation method (Lazard 1983; Greuel-Pfister, A Singular
-Introduction to Commutative Algebra, 1.7).  The deformed fibers of the
-shipped family need this: they acquire critical points away from the
-surface.
+quotient, always read off a local standard basis computed by Lazard's
+homogenisation method (Lazard 1983; Greuel-Pfister, A Singular Introduction
+to Commutative Algebra, 1.7).  Critical points of f away from the surface,
+which the deformed fibers of the shipped family have, do not contribute.
 """
 
 from __future__ import annotations
@@ -77,29 +74,14 @@ def tjurina_number(f, order=None):
 def milnor_number(f, order=None):
     """Milnor number at the origin.
 
-    Computed as the dimension of the Jacobian quotient when that quotient is
-    supported only at the origin; otherwise as the length of its origin-local
-    factor, from a local standard basis (Lazard's method, see
-    _local_length_at_origin).  Extra critical points of f away from {f=0}
-    do not contribute.
+    The length of the origin-local factor of the Jacobian quotient, from a
+    local standard basis (Lazard's method, see _local_length_at_origin), so
+    it does not depend on `order`, which only the certification uses.
+    Critical points of f away from {f=0} do not contribute.
     """
     order = order or MonomialOrder.grevlex()
     _certify_tjurina(f, order)
-    return _certified_milnor_number(f, order)
-
-
-def _certified_milnor_number(f, order):
-    """milnor_number once the Tjurina ideal of f is certified."""
-    partials = jacobian_ideal(f)
-    basis = buchberger(partials, order)
-    dim = quotient_dimension(basis)
-    if dim is None:
-        raise NotIsolatedError(
-            "the critical locus of f is positive-dimensional away from "
-            "the surface; the Milnor number is not available")
-    if supported_only_at_origin(basis):
-        return dim
-    return _local_length_at_origin(partials)
+    return _local_length_at_origin(jacobian_ideal(f))
 
 
 # -- origin-local length ------------------------------------------------------
@@ -110,9 +92,16 @@ def _local_length_at_origin(generators):
     Lazard's method (Lazard 1983; Greuel-Pfister, A Singular Introduction to
     Commutative Algebra, 1.7): dropping t from the leads of _lazard_basis
     gives the leads of a standard basis for the local degree order ds, whose
-    standard monomials count the length.  The caller guarantees the length
-    is finite; past the BASSINV_MAX_STAIRCASE cap StaircaseLimitError is
-    raised.
+    standard monomials count the length.  Past the BASSINV_MAX_STAIRCASE
+    cap StaircaseLimitError is raised.
+
+    The caller guarantees the length is finite.  For the Jacobian ideal of
+    f that follows from the Tjurina certification: f is constant on each
+    component of its critical locus, so a component through 0 lies in
+    {f=0} and hence in the singular locus of the surface, which the
+    certification showed to be the point 0.  The other components, where f
+    is a nonzero constant, may be positive-dimensional; they miss the
+    origin and do not count.
     """
     leads = [e[1:] for e in _lazard_basis(generators).leading_exponents()]
     nvars = len(generators[0].variables)
@@ -166,7 +155,7 @@ def analyze(f, order=None):
     """
     order = order or MonomialOrder.grevlex()
     tau = tjurina_number(f, order)
-    mu = _certified_milnor_number(f, order)
+    mu = _local_length_at_origin(jacobian_ideal(f))
     g = f.drop_parameter()
     ws = find_weights(g)
     if ws is not None and not euler_identity_check(g, ws):

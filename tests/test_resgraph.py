@@ -186,7 +186,7 @@ class TestNegativeDefinite:
         with pytest.raises(ValueError):
             is_negative_definite([[-1, 0], [0, -1], [0, 0]])
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agrees_with_lattice_sampling(self, n):
         rng = random.Random(1234 + n)
         for _ in range(40):

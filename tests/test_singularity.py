@@ -124,6 +124,36 @@ class TestMilnor:
         assert _local_length_at_origin(gens) == 18
 
 
+class TestMilnorOrlikOracle:
+    """Closed forms that share no code with the local standard basis."""
+
+    def test_quasi_homogeneous_corpus(self, corpus_polys):
+        graded = [(f, ws) for f in corpus_polys
+                  if (ws := find_weights(f)) is not None]
+        assert len(graded) == len(corpus_polys) - 1  # all but the deformed
+        for f, ws in graded:
+            expected = Fraction(1)
+            for w in ws.weights:
+                expected *= Fraction(ws.degree, w) - 1
+            assert milnor_number(f) == expected
+
+    @given(st.sampled_from([(2, 3, 5), (3, 3, 3), (2, 3, 4)]),
+           st.lists(st.integers(-1, 1), min_size=9, max_size=9))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_brieskorn_pham_after_linear_change(self, shape, entries):
+        m = [entries[0:3], entries[3:6], entries[6:9]]
+        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        assume(det != 0)
+        coords = [Polynomial.variable(v, VARS) for v in VARS]
+        new = [sum((c * x for c, x in zip(row, coords)),
+                   Polynomial.zero(VARS)) for row in m]
+        a, b, c = shape
+        f = new[0] ** a + new[1] ** b + new[2] ** c
+        assert milnor_number(f) == (a - 1) * (b - 1) * (c - 1)
+
+
 class TestTjurina:
     def test_graded_fiber(self):
         assert tjurina_number(poly("z^2+y^3+x^10")) == 18
@@ -241,6 +271,12 @@ class TestDegenerate:
     def test_not_isolated(self):
         with pytest.raises(NotIsolatedError):
             analyze(poly("x*y"))
+
+    def test_critical_circle_off_the_surface(self):
+        # A1 point at the origin; f = -1 on the critical circle
+        # x^2+y^2 = 1, z = 0, so the circle does not meet the surface
+        p = analyze(poly("z^2+(x^2+y^2-1)^2-1"))
+        assert (p.milnor, p.tjurina) == (1, 1)
 
     def test_translated_singularity_rejected(self):
         with pytest.raises(SingularLocusNotAtOriginError):
