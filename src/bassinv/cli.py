@@ -9,7 +9,9 @@ Subcommands:
   bass    <poly> [--values ... --parameter NAME] --graph FILE
                  [--assume-chi-invariant] [--json]
 
-Polynomials live in Q[x,y,z]; family values are rationals like 1/2 or -3.
+Polynomials live in Q[x,y,z]; a family polynomial lives in Q[x,y,z,NAME],
+NAME being the --parameter (default t), and its fibers come from
+substituting the rationals given in --values, like 1/2 or -3.
 Identical invocations produce byte-identical output.  Exit codes: 0 success
 (including the Smooth report), 2 input rejected (not isolated at the
 origin), 3 parse error, 4 usage error, 5 deduction/consistency error.
@@ -28,7 +30,7 @@ from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
 from .groebner import MonomialOrder
 from .invariants import (FamilyReport, Fiber, bass_verdict, build_table,
                          deduce_family)
-from .polynomials import parse, substitute_parameter
+from .polynomials import NAME, parse, substitute_parameter
 
 VARIABLES = ("x", "y", "z")
 
@@ -194,11 +196,15 @@ def cmd_graph(args):
 
 
 def _analyze_family(args, need_graph):
-    f = parse(args.polynomial, VARIABLES, parameter=args.parameter)
-    if f.is_parameter_free():
+    name = args.parameter
+    if name in VARIABLES or not NAME.fullmatch(name):
+        raise UsageError(f"--parameter must be a variable name other than "
+                         f"{', '.join(VARIABLES)}; got {name!r}")
+    f = parse(args.polynomial, VARIABLES + (name,))
+    if not any(exp[-1] for exp in f.term_map()):
         raise UsageError(
             f"the polynomial does not involve the parameter "
-            f"{args.parameter!r}; the family command needs a family")
+            f"{name!r}; the family command needs a family")
     if not args.values:
         raise UsageError("--values is required")
     if not args.assume_chi_invariant:
@@ -216,7 +222,7 @@ def _analyze_family(args, need_graph):
                          "(it supplies g and l)")
     profiles = []
     for v in values:
-        fiber_poly = substitute_parameter(f, v)
+        fiber_poly = substitute_parameter(f, name, v)
         try:
             profiles.append(singularity.analyze(fiber_poly, order))
         except SmoothInput:

@@ -129,9 +129,6 @@ def _to_raw(p, code, weights):
 
     The polynomial equals scale * term_list exactly.
     """
-    if not p.is_parameter_free():
-        raise ValueError("Groebner computations need parameter-free input")
-    p = p.drop_parameter()
     terms = p.term_map()
     if not terms:
         return [], Fraction(0)
@@ -307,13 +304,12 @@ def quotient_dimension(basis):
     return s.size
 
 
-def supported_only_at_origin(basis):
+def supported_only_at_origin(basis, dim):
     """True iff every variable is nilpotent modulo the ideal.
 
     For a finite-dimensional quotient this says the ideal's zero set is the
-    origin alone.  Precondition: quotient_dimension(basis) is finite.
+    origin alone.  `dim` is quotient_dimension(basis), which must be finite.
     """
-    dim = quotient_dimension(basis)
     if dim is None:
         raise ValueError("support test needs a finite-dimensional quotient")
     if dim == 0:

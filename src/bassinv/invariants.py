@@ -238,7 +238,7 @@ class Fiber:
 
 @dataclass(frozen=True)
 class FamilyReport:
-    family: object  # the parameterized Polynomial
+    family: object  # the Polynomial in Q[x,y,z,<parameter>]
     fibers: tuple
     graded_fiber_index: int
     chi_assumed_invariant: bool

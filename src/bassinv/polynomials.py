@@ -1,10 +1,8 @@
-"""Sparse multivariate polynomials over Q with one optional deformation parameter.
+"""Sparse multivariate polynomials over Q.
 
 Coefficients are `fractions.Fraction` throughout (arbitrary-precision, always
 reduced, positive denominator), so every computation downstream is exact.  A
-polynomial lives in Q[vars] or, when a parameter name is declared, in
-Q[param][vars]; internally the parameter is one extra exponent slot at the end
-of each exponent vector.
+polynomial lives in Q[vars]; each exponent vector has one entry per variable.
 """
 
 from __future__ import annotations
@@ -49,18 +47,15 @@ class WeightSystem:
 class Polynomial:
     """Immutable sparse polynomial.
 
-    `variables` are the ring variables; `parameter`, when not None, is the
-    deformation parameter's name.  Exponent tuples have one entry per variable
-    plus, when a parameter is declared, a final entry for it.
+    `variables` are the ring variables; exponent tuples have one entry per
+    variable.
     """
 
-    __slots__ = ("variables", "parameter", "_terms", "_hash")
+    __slots__ = ("variables", "_terms", "_hash")
 
-    def __init__(self, terms, variables, parameter=None):
+    def __init__(self, terms, variables):
         variables = tuple(variables)
-        if parameter is not None and parameter in variables:
-            raise ValueError("parameter name clashes with a variable")
-        width = len(variables) + (1 if parameter is not None else 0)
+        width = len(variables)
         clean = {}
         for exp, coeff in (terms.items() if isinstance(terms, dict) else terms):
             exp = tuple(exp)
@@ -76,28 +71,24 @@ class Polynomial:
                 else:
                     del clean[exp]
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "parameter", parameter)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls, variables, parameter=None):
-        return cls({}, variables, parameter)
+    def zero(cls, variables):
+        return cls({}, variables)
 
     @classmethod
-    def constant(cls, value, variables, parameter=None):
-        width = len(variables) + (1 if parameter is not None else 0)
-        return cls({(0,) * width: Fraction(value)}, variables, parameter)
+    def constant(cls, value, variables):
+        return cls({(0,) * len(variables): Fraction(value)}, variables)
 
     @classmethod
-    def variable(cls, name, variables, parameter=None):
-        width = len(variables) + (1 if parameter is not None else 0)
-        names = list(variables) + ([parameter] if parameter is not None else [])
-        i = names.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(width))
-        return cls({exp: Fraction(1)}, variables, parameter)
+    def variable(cls, name, variables):
+        i = list(variables).index(name)
+        exp = tuple(1 if j == i else 0 for j in range(len(variables)))
+        return cls({exp: Fraction(1)}, variables)
 
     # -- views ---------------------------------------------------------------
 
@@ -112,40 +103,23 @@ class Polynomial:
     def is_zero(self):
         return not self._terms
 
-    def is_parameter_free(self):
-        if self.parameter is None:
-            return True
-        return all(exp[-1] == 0 for exp in self._terms)
-
     def exponents(self):
-        """Exponent vectors restricted to the ring variables (parameter slot dropped)."""
-        n = len(self.variables)
-        return sorted(exp[:n] for exp in self._terms)
+        """Exponent vectors, sorted."""
+        return sorted(self._terms)
 
     def total_degree(self):
         if not self._terms:
             return 0
-        n = len(self.variables)
-        return max(sum(exp[:n]) for exp in self._terms)
-
-    def drop_parameter(self):
-        """Forget an unused parameter slot; requires parameter-free terms."""
-        if self.parameter is None:
-            return self
-        if not self.is_parameter_free():
-            raise ValueError("polynomial still involves the parameter")
-        return Polynomial({exp[:-1]: c for exp, c in self._terms.items()},
-                          self.variables)
+        return max(sum(exp) for exp in self._terms)
 
     # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if (other.variables != self.variables
-                    or other.parameter != self.parameter):
+            if other.variables != self.variables:
                 raise ValueError("mixed polynomial rings")
             return other
-        return Polynomial.constant(other, self.variables, self.parameter)
+        return Polynomial.constant(other, self.variables)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -156,13 +130,13 @@ class Polynomial:
                 acc[exp] = v
             else:
                 acc.pop(exp, None)
-        return Polynomial(acc, self.variables, self.parameter)
+        return Polynomial(acc, self.variables)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Polynomial({e: -c for e, c in self._terms.items()},
-                          self.variables, self.parameter)
+                          self.variables)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -174,7 +148,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             c = Fraction(other)
             return Polynomial({e: c * v for e, v in self._terms.items()},
-                              self.variables, self.parameter)
+                              self.variables)
         other = self._coerce(other)
         acc = {}
         for e1, c1 in self._terms.items():
@@ -185,14 +159,14 @@ class Polynomial:
                     acc[e] = v
                 else:
                     del acc[e]
-        return Polynomial(acc, self.variables, self.parameter)
+        return Polynomial(acc, self.variables)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(1, self.variables, self.parameter)
+        result = Polynomial.constant(1, self.variables)
         base = self
         while n:
             if n & 1:
@@ -204,18 +178,15 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             try:
-                other = Polynomial.constant(other, self.variables,
-                                            self.parameter)
+                other = Polynomial.constant(other, self.variables)
             except (TypeError, ValueError):
                 return NotImplemented
         return (self.variables == other.variables
-                and self.parameter == other.parameter
                 and self._terms == other._terms)
 
     def __hash__(self):
         if self._hash is None:
-            h = hash((self.variables, self.parameter,
-                      frozenset(self._terms.items())))
+            h = hash((self.variables, frozenset(self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return self._hash
 
@@ -224,13 +195,10 @@ class Polynomial:
     def __str__(self):
         if not self._terms:
             return "0"
-        names = list(self.variables)
-        if self.parameter is not None:
-            names.append(self.parameter)
         parts = []
         for exp, coeff in self.terms():
             factors = []
-            for name, e in zip(names, exp):
+            for name, e in zip(self.variables, exp):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -254,7 +222,8 @@ class Polynomial:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a name the grammar can spell
+_TOKEN = re.compile(r"\s*(?:(\d+)|(" + NAME.pattern + r")|([-+*/^()]))")
 
 
 def _tokenize(text):
@@ -285,11 +254,10 @@ class _Parser:
             | '(' expr ')' ['^' int]      number := int ['/' int]
     """
 
-    def __init__(self, text, variables, parameter):
+    def __init__(self, text, variables):
         self.tokens = _tokenize(text)
         self.i = 0
         self.variables = tuple(variables)
-        self.parameter = parameter
 
     def peek(self):
         return self.tokens[self.i]
@@ -312,20 +280,18 @@ class _Parser:
         return poly
 
     def expr(self):
-        sign = 1
+        acc = {}  # summed here: adding term by term rebuilds all terms so far
         kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        poly = self.term() * sign
         while True:
-            kind, val, _ = self.peek()
+            sign = 1
             if kind == "op" and val in "+-":
                 self.next()
-                nxt = self.term()
-                poly = poly + nxt if val == "+" else poly - nxt
-            else:
-                return poly
+                sign = -1 if val == "-" else 1
+            for exp, c in self.term()._terms.items():
+                acc[exp] = acc.get(exp, 0) + sign * c
+            kind, val, _ = self.peek()
+            if not (kind == "op" and val in "+-"):
+                return Polynomial(acc, self.variables)
 
     def term(self):
         poly = self.factor()
@@ -351,17 +317,13 @@ class _Parser:
                     raise PolynomialSyntaxError("expected integer denominator", p2)
                 if v2 == 0:
                     raise PolynomialSyntaxError("zero denominator", p2)
-                return Polynomial.constant(Fraction(num, v2), self.variables,
-                                           self.parameter)
-            return self.maybe_power(
-                Polynomial.constant(num, self.variables, self.parameter))
+                return Polynomial.constant(Fraction(num, v2), self.variables)
+            return self.maybe_power(Polynomial.constant(num, self.variables))
         if kind == "name":
-            if val not in self.variables and val != self.parameter:
+            if val not in self.variables:
                 raise UnknownVariableError(
-                    f"unknown variable {val!r} at position {pos}"
-                    + ("" if self.parameter else " (no parameter declared)"))
-            return self.maybe_power(
-                Polynomial.variable(val, self.variables, self.parameter))
+                    f"unknown variable {val!r} at position {pos}")
+            return self.maybe_power(Polynomial.variable(val, self.variables))
         if kind == "op" and val == "(":
             poly = self.expr()
             self.expect_op(")")
@@ -379,14 +341,15 @@ class _Parser:
         return poly
 
 
-def parse(text, variables, parameter=None):
+def parse(text, variables):
     """Parse `text` into a Polynomial in the given variables.
 
-    Occurrences of the parameter name are only legal when `parameter` is
-    supplied.  Raises PolynomialSyntaxError (with position) or
-    UnknownVariableError.
+    Raises PolynomialSyntaxError (with position) or UnknownVariableError,
+    and ValueError when a variable name is repeated.
     """
-    return _Parser(text, variables, parameter).parse()
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"repeated variable name in {tuple(variables)}")
+    return _Parser(text, variables).parse()
 
 
 # -- calculus and weights ----------------------------------------------------
@@ -401,23 +364,21 @@ def partial_derivative(f, var):
         if e:
             nexp = exp[:var] + (e - 1,) + exp[var + 1:]
             acc[nexp] = acc.get(nexp, 0) + c * e
-    return Polynomial(acc, f.variables, f.parameter)
+    return Polynomial(acc, f.variables)
 
 
-def substitute_parameter(f, value):
-    """Evaluate the deformation parameter at a rational value."""
-    if f.parameter is None:
-        return f
+def substitute_parameter(f, name, value):
+    """Evaluate the variable `name` at a rational value.
+
+    The result lives in the ring of the other variables.
+    """
+    i = f.variables.index(name)
     value = Fraction(value)
     acc = {}
     for exp, c in f.term_map().items():
-        base, k = exp[:-1], exp[-1]
-        v = acc.get(base, 0) + c * value ** k
-        if v:
-            acc[base] = v
-        else:
-            acc.pop(base, None)
-    return Polynomial(acc, f.variables)
+        rest = exp[:i] + exp[i + 1:]
+        acc[rest] = acc.get(rest, 0) + c * value ** exp[i]
+    return Polynomial(acc, f.variables[:i] + f.variables[i + 1:])
 
 
 def _rref(rows, ncols):
@@ -523,8 +484,6 @@ def find_weights(f):
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no weight system")
-    if not f.is_parameter_free():
-        raise ValueError("weight detection needs a parameter-free polynomial")
     exps = f.exponents()
     n = len(f.variables)
     base = exps[0]
@@ -565,13 +524,11 @@ def find_weights(f):
 
 def euler_identity_check(f, ws):
     """Verify sum_i w_i x_i df/dx_i == d*f exactly."""
-    if not f.is_parameter_free():
-        raise ValueError("Euler check needs a parameter-free polynomial")
     n = len(f.variables)
     if len(ws.weights) != n:
         raise ValueError("weight count does not match the variable count")
-    lhs = Polynomial.zero(f.variables, f.parameter)
+    lhs = Polynomial.zero(f.variables)
     for i, w in enumerate(ws.weights):
-        xi = Polynomial.variable(f.variables[i], f.variables, f.parameter)
+        xi = Polynomial.variable(f.variables[i], f.variables)
         lhs = lhs + xi * partial_derivative(f, i) * w
     return lhs == f * ws.degree

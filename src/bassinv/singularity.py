@@ -38,9 +38,6 @@ def jacobian_ideal(f):
     """The three partial derivatives of f."""
     if len(f.variables) != 3:
         raise ValueError("expected a polynomial in 3 variables")
-    if not f.is_parameter_free():
-        raise ValueError("substitute the parameter before analysis")
-    f = f.drop_parameter()
     return [partial_derivative(f, i) for i in range(3)]
 
 
@@ -51,14 +48,14 @@ def _certify_tjurina(f, order):
     SingularLocusNotAtOriginError.
     """
     partials = jacobian_ideal(f)
-    basis = buchberger([f.drop_parameter()] + partials, order)
+    basis = buchberger([f] + partials, order)
     dim = quotient_dimension(basis)
     if dim is None:
         raise NotIsolatedError(
             "the singular locus of {f=0} is positive-dimensional")
     if dim == 0:
         raise SmoothInput("the hypersurface {f=0} is smooth")
-    if not supported_only_at_origin(basis):
+    if not supported_only_at_origin(basis, dim):
         raise SingularLocusNotAtOriginError(
             "the singular locus of {f=0} is not the origin")
     return basis, dim
@@ -136,7 +133,6 @@ def geometric_genus_qh(f, ws, cutoff=None):
     Counts standard monomials of the Jacobian ideal with weighted degree at
     most d - (w1+w2+w3); the cutoff can be overridden explicitly.
     """
-    f = f.drop_parameter()
     if not euler_identity_check(f, ws):
         raise NotQuasiHomogeneousError(
             "the weight system does not satisfy the Euler identity for f")
@@ -156,15 +152,12 @@ def analyze(f, order=None):
     order = order or MonomialOrder.grevlex()
     tau = tjurina_number(f, order)
     mu = _local_length_at_origin(jacobian_ideal(f))
-    g = f.drop_parameter()
-    ws = find_weights(g)
-    if ws is not None and not euler_identity_check(g, ws):
-        ws = None
-    p_g = geometric_genus_qh(g, ws) if ws is not None else None
+    ws = find_weights(f)
+    p_g = geometric_genus_qh(f, ws) if ws is not None else None
     if ws is not None and tau != mu:
         raise AssertionError(
             f"internal inconsistency: quasi-homogeneous input with "
             f"tau={tau} != mu={mu}")
     return SingularityProfile(
-        f=g, milnor=mu, tjurina=tau, weights=ws, p_g=p_g,
+        f=f, milnor=mu, tjurina=tau, weights=ws, p_g=p_g,
         torsion_omega2_length=tau, omega3_length=tau)

@@ -21,8 +21,8 @@ CORPUS_TEXTS = (
 )
 
 
-def poly(text, parameter=None):
-    return parse(text, VARS, parameter=parameter)
+def poly(text):
+    return parse(text, VARS)
 
 
 def jacobian(f):

@@ -116,6 +116,17 @@ class TestFamily:
                           "--assume-chi-invariant")
         assert code == 4
 
+    def test_parameter_naming_a_variable_exit_4(self, capsys):
+        code, err = run_err(capsys, "family", "z^2+y^3+x^10+x^7*y",
+                            "--values", "0,1", "--parameter", "x",
+                            "--assume-chi-invariant")
+        assert code == 4 and "--parameter" in err
+
+    def test_empty_parameter_exit_4(self, capsys):
+        code, err = run_err(capsys, "family", WAHL_FAMILY, "--values", "0,1",
+                            "--parameter", "", "--assume-chi-invariant")
+        assert code == 4 and "--parameter" in err
+
     def test_no_graded_fiber_exit_5(self, capsys):
         code, err = run_err(capsys, "family", WAHL_FAMILY, "--values", "1,2",
                             "--graph", GRAPH, "--assume-chi-invariant")

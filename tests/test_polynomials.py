@@ -21,10 +21,15 @@ class TestParse:
         assert poly("0").is_zero()
 
     def test_family_with_parameter(self):
-        f = parse("z^2+y^3+x^10+t*x^7*y", VARS, parameter="t")
+        f = parse("z^2+y^3+x^10+t*x^7*y", VARS + ("t",))
+        assert f.variables == ("x", "y", "z", "t")
         assert len(f.term_map()) == 4
         assert f.term_map()[(7, 1, 0, 1)] == 1
-        assert not f.is_parameter_free()
+        assert str(f) == "x^10 + x^7*y*t + y^3 + z^2"
+
+    def test_repeated_variable_rejected(self):
+        with pytest.raises(ValueError):
+            parse("x+y", ("x", "y", "x"))
 
     def test_rational_coefficient(self):
         f = poly("1/2*x^7*y")
@@ -126,25 +131,34 @@ class TestDerivative:
 
 class TestSubstituteParameter:
     def setup_method(self):
-        self.family = parse("z^2+y^3+x^10+t*x^7*y", VARS, parameter="t")
+        self.family = parse("z^2+y^3+x^10+t*x^7*y", VARS + ("t",))
 
     def test_at_one(self):
-        assert substitute_parameter(self.family, 1) == poly("z^2+y^3+x^10+x^7*y")
+        assert substitute_parameter(self.family, "t", 1) == \
+            poly("z^2+y^3+x^10+x^7*y")
 
     def test_at_zero(self):
-        assert substitute_parameter(self.family, 0) == poly("z^2+y^3+x^10")
+        assert substitute_parameter(self.family, "t", 0) == poly("z^2+y^3+x^10")
 
     def test_at_half(self):
-        assert substitute_parameter(self.family, Fraction(1, 2)) == \
+        assert substitute_parameter(self.family, "t", Fraction(1, 2)) == \
             poly("z^2+y^3+x^10+1/2*x^7*y")
 
     def test_parameter_free_unchanged(self):
-        f = poly("x^2")
-        assert substitute_parameter(f, 7) is f
+        f = parse("x^2", VARS + ("t",))
+        assert substitute_parameter(f, "t", 7) == poly("x^2")
 
     def test_higher_power_of_parameter(self):
-        f = parse("t^2*x + t*y + z", VARS, parameter="t")
-        assert substitute_parameter(f, 3) == poly("9x + 3y + z")
+        f = parse("t^2*x + t*y + z", VARS + ("t",))
+        assert substitute_parameter(f, "t", 3) == poly("9x + 3y + z")
+
+    def test_middle_variable(self):
+        f = parse("x*s^2 + s*z - y^3", ("x", "s", "y", "z"))
+        assert substitute_parameter(f, "s", -2) == poly("4x - 2z - y^3")
+
+    def test_cancelling_terms_vanish(self):
+        f = parse("t*x - x + y", VARS + ("t",))
+        assert substitute_parameter(f, "t", 1) == poly("y")
 
 
 class TestWeights:
