@@ -13,8 +13,8 @@ from .errors import (BassinvError, GraphFormatError, InconsistentDeductionError,
                      SmoothInput, StaircaseLimitError, UnknownVariableError,
                      UsageError)
 from .groebner import (GroebnerBasis, MonomialOrder, Staircase, buchberger,
-                       graded_staircase_count, normal_form, quotient_dimension,
-                       staircase, supported_only_at_origin)
+                       normal_form, quotient_dimension, staircase,
+                       supported_only_at_origin)
 from .invariants import (BassVerdict, Bound, DuBoisTable, FamilyReport, Fiber,
                          bass_verdict, build_table, deduce_family)
 from .polynomials import (Polynomial, WeightSystem, euler_identity_check,

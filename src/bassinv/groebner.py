@@ -16,9 +16,8 @@ from heapq import heappush, heappop
 from math import gcd
 
 from . import kernel
-from ._core_py import GREVLEX, LEX, WGREVLEX, WLEX  # order codes are shared
-from .errors import NotQuasiHomogeneousError
-from .polynomials import Polynomial, WeightSystem
+from ._core_py import GREVLEX, LEX, WGREVLEX  # order codes are shared
+from .polynomials import Polynomial
 
 _EXPONENT_CAP = 2 ** 31  # compiled kernel stores exponents in C integers
 
@@ -35,12 +34,11 @@ class MonomialOrder:
     """Total multiplicative well-order on monomials.
 
     kind is one of "grevlex", "lex", "weighted"; weighted orders compare the
-    weighted degree first and break ties by grevlex (default) or lex.
+    weighted degree first and break ties by grevlex.
     """
 
     kind: str
     weights: tuple = None
-    tiebreak: str = "grevlex"
 
     @classmethod
     def grevlex(cls):
@@ -51,13 +49,11 @@ class MonomialOrder:
         return cls("lex")
 
     @classmethod
-    def weighted(cls, weights, tiebreak="grevlex"):
+    def weighted(cls, weights):
         weights = tuple(int(w) for w in weights)
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        if tiebreak not in ("grevlex", "lex"):
-            raise ValueError("tiebreak must be 'grevlex' or 'lex'")
-        return cls("weighted", weights, tiebreak)
+        return cls("weighted", weights)
 
     def codes(self):
         if self.kind == "grevlex":
@@ -65,8 +61,7 @@ class MonomialOrder:
         if self.kind == "lex":
             return LEX, ()
         if self.kind == "weighted":
-            code = WGREVLEX if self.tiebreak == "grevlex" else WLEX
-            return code, self.weights
+            return WGREVLEX, self.weights
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     def key(self, exp):
@@ -94,9 +89,6 @@ class GroebnerBasis:
 
     def is_zero_ideal(self):
         return not self.generators
-
-    def is_unit_ideal(self):
-        return len(self._raw) == 1 and all(e == 0 for e in self._raw[0][0][0])
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
@@ -282,20 +274,24 @@ def normal_form(p, basis):
 
 def staircase(basis):
     """Standard monomials under the basis' staircase, or the infinite marker."""
-    if basis.is_zero_ideal():
-        return Staircase(None) if basis.variables else Staircase(((),))
-    leads = basis.leading_exponents()
-    nvars = len(basis.variables)
-    if basis.is_unit_ideal():
-        return Staircase(())
+    return _standard_monomials(basis.leading_exponents(), len(basis.variables),
+                              basis.order)
+
+
+def _standard_monomials(leads, nvars, order):
+    """Monomials in nvars variables that no lead divides, sorted by order.
+
+    Infinite (the marker) unless, for each variable, some lead divides a
+    power of it; past the BASSINV_MAX_STAIRCASE cap StaircaseLimitError is
+    raised.
+    """
     for i in range(nvars):
-        if not any(le[i] > 0 and all(le[j] == 0 for j in range(nvars) if j != i)
+        if not any(all(le[j] == 0 for j in range(nvars) if j != i)
                    for le in leads):
-            return Staircase(None)  # no pure power of variable i: infinite
-    code, weights = basis.order.codes()
-    monomials = kernel.active().enumerate_staircase(
-        leads, nvars, _staircase_cap(), code, weights)
-    return Staircase(tuple(monomials))
+            return Staircase(None)
+    code, weights = order.codes()
+    return Staircase(tuple(kernel.active().enumerate_staircase(
+        leads, nvars, _staircase_cap(), code, weights)))
 
 
 def quotient_dimension(basis):
@@ -323,26 +319,3 @@ def supported_only_at_origin(basis, dim):
         if reduced:
             return False
     return True
-
-
-def graded_staircase_count(basis, ws, cutoff):
-    """Number of standard monomials of weighted degree <= cutoff.
-
-    The generators must be weighted-homogeneous for ws and the basis must be
-    computed in a weight-compatible order, so the staircase is a graded basis
-    of the quotient and the count is the partial sum of its Hilbert function.
-    """
-    if not isinstance(ws, WeightSystem):
-        raise TypeError("ws must be a WeightSystem")
-    if basis.order.kind != "weighted" or basis.order.weights != ws.weights:
-        raise ValueError("basis order is not compatible with the weights")
-    for g in basis.generators:
-        degrees = {ws.weighted_degree(e) for e, _ in g.term_map().items()}
-        if len(degrees) > 1:
-            raise NotQuasiHomogeneousError(
-                f"generator {g} is not weighted-homogeneous for weights "
-                f"{ws.weights}")
-    s = staircase(basis)
-    if not s.is_finite:
-        raise ValueError("graded count needs a finite staircase")
-    return sum(1 for m in s.monomials if ws.weighted_degree(m) <= cutoff)

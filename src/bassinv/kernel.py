@@ -3,7 +3,8 @@
 The compiled extension (`bassinv._core_cy`) is used when it imports; the
 pure-Python kernel is the fallback.  `use()` switches temporarily, for
 parity tests and benchmarks.  BASSINV_KERNEL=py or =cy pins the backend of
-a whole process; the benchmark's cross-backend counter test runs its
+a whole process (any other value, or a backend that is not built, raises
+ImportError); the benchmark's cross-backend counter test runs its
 subprocesses that way.
 """
 
@@ -19,9 +20,13 @@ except ImportError:
 
 _BACKENDS = {m.BACKEND: m for m in (_core_py, _core_cy) if m is not None}
 _impl = _BACKENDS.get("cython", _core_py)
-if os.environ.get("BASSINV_KERNEL"):
-    _impl = _BACKENDS[{"py": "python", "cy": "cython"}[
-        os.environ["BASSINV_KERNEL"]]]
+_pinned = os.environ.get("BASSINV_KERNEL")
+if _pinned:
+    _impl = _BACKENDS.get({"py": "python", "cy": "cython"}.get(_pinned))
+    if _impl is None:
+        raise ImportError(
+            f"BASSINV_KERNEL={_pinned!r} selects no available backend; "
+            f"use py or cy, available_backends() = {list(_BACKENDS)}")
 
 
 def active():

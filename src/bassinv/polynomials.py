@@ -523,12 +523,11 @@ def find_weights(f):
 
 
 def euler_identity_check(f, ws):
-    """Verify sum_i w_i x_i df/dx_i == d*f exactly."""
-    n = len(f.variables)
-    if len(ws.weights) != n:
+    """True iff sum_i w_i x_i df/dx_i == d*f.
+
+    The left side scales each term by its weighted degree, so over Q this
+    holds exactly when every term of f has weighted degree d.
+    """
+    if len(ws.weights) != len(f.variables):
         raise ValueError("weight count does not match the variable count")
-    lhs = Polynomial.zero(f.variables)
-    for i, w in enumerate(ws.weights):
-        xi = Polynomial.variable(f.variables[i], f.variables)
-        lhs = lhs + xi * partial_derivative(f, i) * w
-    return lhs == f * ws.degree
+    return all(ws.weighted_degree(e) == ws.degree for e in f.exponents())

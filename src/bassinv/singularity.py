@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kernel
 from .errors import (NotIsolatedError, NotQuasiHomogeneousError,
                      SingularLocusNotAtOriginError, SmoothInput)
-from .groebner import (MonomialOrder, _staircase_cap, buchberger,
-                       graded_staircase_count, quotient_dimension,
-                       supported_only_at_origin)
+from .groebner import (MonomialOrder, _standard_monomials, buchberger,
+                       quotient_dimension, supported_only_at_origin)
 from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
                           find_weights, partial_derivative)
 
@@ -72,39 +70,36 @@ def milnor_number(f, order=None):
     """Milnor number at the origin.
 
     The length of the origin-local factor of the Jacobian quotient, from a
-    local standard basis (Lazard's method, see _local_length_at_origin), so
-    it does not depend on `order`, which only the certification uses.
+    local standard basis (Lazard's method, see _local_staircase), so it
+    does not depend on `order`, which only the certification uses.
     Critical points of f away from {f=0} do not contribute.
     """
     order = order or MonomialOrder.grevlex()
     _certify_tjurina(f, order)
-    return _local_length_at_origin(jacobian_ideal(f))
+    return _local_staircase(jacobian_ideal(f)).size
 
 
-# -- origin-local length ------------------------------------------------------
+# -- origin-local staircase ---------------------------------------------------
 
-def _local_length_at_origin(generators):
-    """dim_Q of Q[x]_(x) / (generators): the origin-local factor's length.
+def _local_staircase(generators):
+    """Standard monomials of Q[x]_(x) / (generators), the origin-local factor.
 
     Lazard's method (Lazard 1983; Greuel-Pfister, A Singular Introduction to
     Commutative Algebra, 1.7): dropping t from the leads of _lazard_basis
     gives the leads of a standard basis for the local degree order ds, whose
-    standard monomials count the length.  Past the BASSINV_MAX_STAIRCASE
-    cap StaircaseLimitError is raised.
+    standard monomials span the local factor; their number is its length.
+    The staircase is infinite when the length is.
 
-    The caller guarantees the length is finite.  For the Jacobian ideal of
-    f that follows from the Tjurina certification: f is constant on each
-    component of its critical locus, so a component through 0 lies in
-    {f=0} and hence in the singular locus of the surface, which the
-    certification showed to be the point 0.  The other components, where f
-    is a nonzero constant, may be positive-dimensional; they miss the
-    origin and do not count.
+    For the Jacobian ideal of f the length is finite once the Tjurina
+    certification has passed: f is constant on each component of its
+    critical locus, so a component through 0 lies in {f=0} and hence in the
+    singular locus of the surface, which the certification showed to be the
+    point 0.  The other components, where f is a nonzero constant, may be
+    positive-dimensional; they miss the origin and do not count.
     """
     leads = [e[1:] for e in _lazard_basis(generators).leading_exponents()]
-    nvars = len(generators[0].variables)
-    code, weights = MonomialOrder.grevlex().codes()
-    return len(kernel.active().enumerate_staircase(
-        leads, nvars, _staircase_cap(), code, weights))
+    return _standard_monomials(leads, len(generators[0].variables),
+                               MonomialOrder.grevlex())
 
 
 def _lazard_basis(generators):
@@ -127,33 +122,45 @@ def _lazard_basis(generators):
 
 # -- geometric genus and the full profile -------------------------------------
 
-def geometric_genus_qh(f, ws, cutoff=None):
+def geometric_genus_qh(f, ws):
     """Geometric genus of a quasi-homogeneous isolated singularity.
 
-    Counts standard monomials of the Jacobian ideal with weighted degree at
-    most d - (w1+w2+w3); the cutoff can be overridden explicitly.
+    The number of standard monomials of the Jacobian ideal of weighted degree
+    at most d - (w1+w2+w3), counted on the origin-local staircase.
     """
     if not euler_identity_check(f, ws):
         raise NotQuasiHomogeneousError(
             "the weight system does not satisfy the Euler identity for f")
-    if cutoff is None:
-        cutoff = ws.degree - sum(ws.weights)
-    basis = buchberger(jacobian_ideal(f), MonomialOrder.weighted(ws.weights))
-    return graded_staircase_count(basis, ws, cutoff)
+    return _genus_count(_local_staircase(jacobian_ideal(f)), ws)
+
+
+def _genus_count(stairs, ws):
+    """Monomials of weighted degree <= d - (w1+w2+w3) on a finite staircase.
+
+    The Jacobian ideal of a quasi-homogeneous f is weighted-homogeneous, and
+    primary to the maximal ideal when the singularity is isolated, so the
+    standard monomials of any monomial order, local ones included, have the
+    graded quotient's Hilbert function and the count is the graded one.
+    """
+    if not stairs.is_finite:
+        raise ValueError("the geometric genus needs an isolated singularity")
+    cutoff = ws.degree - sum(ws.weights)
+    return sum(1 for m in stairs.monomials if ws.weighted_degree(m) <= cutoff)
 
 
 def analyze(f, order=None):
     """Full numerical profile: mu, tau, weights, p_g, torsion lengths.
 
-    The lengths of the degree-3 forms module and of the torsion of the
-    degree-2 forms both equal tau for these singularities, so they are
-    reported from it directly.
+    mu and p_g come from the one origin-local staircase.  The lengths of the
+    degree-3 forms module and of the torsion of the degree-2 forms both equal
+    tau for these singularities, so they are reported from it directly.
     """
     order = order or MonomialOrder.grevlex()
     tau = tjurina_number(f, order)
-    mu = _local_length_at_origin(jacobian_ideal(f))
+    stairs = _local_staircase(jacobian_ideal(f))
+    mu = stairs.size
     ws = find_weights(f)
-    p_g = geometric_genus_qh(f, ws) if ws is not None else None
+    p_g = _genus_count(stairs, ws) if ws is not None else None
     if ws is not None and tau != mu:
         raise AssertionError(
             f"internal inconsistency: quasi-homogeneous input with "

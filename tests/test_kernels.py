@@ -98,17 +98,30 @@ class TestBackendParity:
                     staircase(gb)
 
 
+def backend_under(value):
+    return subprocess.run(
+        [sys.executable, "-c",
+         "from bassinv import kernel; print(kernel.backend_name())"],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+             "BASSINV_KERNEL": value},
+        capture_output=True, text=True)
+
+
+def assert_import_error(run):
+    assert run.returncode != 0
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError") and "BASSINV_KERNEL" in last
+
+
 class TestSelection:
     def test_env_forcing(self):
-        def backend_under(value):
-            return subprocess.run(
-                [sys.executable, "-c",
-                 "from bassinv import kernel; print(kernel.backend_name())"],
-                env={**os.environ, "PYTHONPATH": str(REPO / "src"),
-                     "BASSINV_KERNEL": value},
-                capture_output=True, text=True)
         assert backend_under("py").stdout.strip() == "python"
-        assert backend_under("nope").returncode != 0
+        assert_import_error(backend_under("nope"))
+
+    @pytest.mark.skipif("cython" in kernel.available_backends(),
+                        reason="compiled kernel is built")
+    def test_env_forcing_missing_compiled_kernel(self):
+        assert_import_error(backend_under("cy"))
 
     def test_use_restores(self):
         before = kernel.backend_name()

@@ -11,11 +11,11 @@ from bassinv.groebner import (MonomialOrder, buchberger, quotient_dimension,
                               staircase, supported_only_at_origin)
 from bassinv.polynomials import (Polynomial, WeightSystem, find_weights, parse,
                                  substitute_parameter)
-from bassinv.singularity import (_local_length_at_origin, analyze,
+from bassinv.singularity import (_genus_count, _local_staircase, analyze,
                                  geometric_genus_qh, jacobian_ideal,
                                  milnor_number, tjurina_number)
 
-from conftest import VARS, poly
+from conftest import CORPUS_TEXTS, VARS, poly
 
 
 def truncated_dimension(gens, n):
@@ -87,11 +87,11 @@ class TestMilnor:
         # factor at the origin is one-dimensional
         gens = [poly("x^2-x"), poly("y"), poly("z")]
         assert staircase(buchberger(gens)).size == 2
-        assert _local_length_at_origin(gens) == 1
+        assert _local_staircase(gens).size == 1
 
     def test_local_factor_equals_global_when_origin_only(self):
         gens = [poly("2z"), poly("3y^2"), poly("10x^9")]
-        assert _local_length_at_origin(gens) == 18
+        assert _local_staircase(gens).size == 18
 
     @pytest.mark.parametrize("order", [MonomialOrder.grevlex(),
                                        MonomialOrder.lex()],
@@ -116,15 +116,15 @@ class TestMilnor:
         basis = buchberger(gens)
         dim = quotient_dimension(basis)
         assume(dim is not None and not supported_only_at_origin(basis, dim))
-        assert _local_length_at_origin(gens) == truncated_dimension(gens, dim)
+        assert _local_staircase(gens).size == truncated_dimension(gens, dim)
 
     def test_local_staircase_honours_cap(self, monkeypatch):
         gens = jacobian_ideal(poly("z^2+y^3+x^10+x^7*y"))
         monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
         with pytest.raises(StaircaseLimitError):
-            _local_length_at_origin(gens)
+            _local_staircase(gens)
         monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "18")
-        assert _local_length_at_origin(gens) == 18
+        assert _local_staircase(gens).size == 18
 
 
 class TestMilnorOrlikOracle:
@@ -195,9 +195,44 @@ class TestGeometricGenus:
         assert sum(1 for d in degs if d <= 1) == 1
 
     def test_cutoff_override(self):
-        ws = WeightSystem((3, 10, 15), 30)
-        assert geometric_genus_qh(poly("z^2+y^3+x^10"), ws, cutoff=-1) == 0
-        assert geometric_genus_qh(poly("z^2+y^3+x^10"), ws, cutoff=34) == 18
+        # the cutoff is d - (w1+w2+w3): degrees 27 and 62 on the weights
+        # (3, 10, 15) move it to -1 and to 34, the top degree (x^8 y)
+        stairs = _local_staircase(jacobian_ideal(poly("z^2+y^3+x^10")))
+        assert _genus_count(stairs, WeightSystem((3, 10, 15), 27)) == 0
+        assert _genus_count(stairs, WeightSystem((3, 10, 15), 62)) == 18
+        assert _genus_count(stairs, WeightSystem((3, 10, 15), 61)) == 17
+
+    @pytest.mark.parametrize("text", [t for t in CORPUS_TEXTS
+                                      if find_weights(poly(t)) is not None])
+    def test_local_count_matches_global_orders(self, text):
+        # the Jacobian ideal is weighted-homogeneous, so the standard
+        # monomials of every order have its Hilbert function: the counts up
+        # to each weighted degree agree between the local staircase and the
+        # global bases
+        f = poly(text)
+        ws = find_weights(f)
+        gens = jacobian_ideal(f)
+        local = _local_staircase(gens).monomials
+        stairs = [staircase(buchberger(gens, order)).monomials
+                  for order in (MonomialOrder.grevlex(), MonomialOrder.lex(),
+                                MonomialOrder.weighted(ws.weights))]
+
+        def count(monomials, cutoff):
+            return sum(1 for m in monomials
+                       if ws.weighted_degree(m) <= cutoff)
+
+        top = max(ws.weighted_degree(m) for m in local)
+        for cutoff in range(-1, top + 1):
+            expected = count(local, cutoff)
+            assert [count(m, cutoff) for m in stairs] == [expected] * 3
+        assert count(local, top) == len(local) == milnor_number(f)
+        assert geometric_genus_qh(f, ws) == count(local,
+                                                  ws.degree - sum(ws.weights))
+
+    def test_not_isolated_rejected(self):
+        f = poly("x^2+y^2")
+        with pytest.raises(ValueError):
+            geometric_genus_qh(f, find_weights(f))
 
     def test_wrong_weights_reported(self):
         with pytest.raises(NotQuasiHomogeneousError):
@@ -254,11 +289,22 @@ class TestAnalyze:
         assert sorted(b.weights.weights) == sorted(a.weights.weights)
 
 
+def lattice_genus(a, b, c):
+    """#{(i, j, k) >= 1 : i/a + j/b + k/c <= 1}, p_g of x^a+y^b+z^c."""
+    return sum(1 for i in range(1, a) for j in range(1, b)
+               for k in range(1, c)
+               if Fraction(i, a) + Fraction(j, b) + Fraction(k, c) <= 1)
+
+
 class TestBrieskornPhamOracle:
     def test_milnor_closed_form(self):
-        for a, b, c in itertools.product(range(2, 6), repeat=3):
-            f = poly(f"x^{a}+y^{b}+z^{c}")
-            assert milnor_number(f) == (a - 1) * (b - 1) * (c - 1)
+        assert [lattice_genus(*s) for s in
+                ((2, 3, 5), (2, 3, 7), (2, 3, 10), (3, 3, 3))] == [0, 1, 1, 1]
+        shapes = list(itertools.product(range(2, 6), repeat=3))
+        for a, b, c in shapes + [(2, 3, 7), (2, 3, 10), (4, 5, 6)]:
+            p = analyze(poly(f"x^{a}+y^{b}+z^{c}"))
+            assert p.milnor == (a - 1) * (b - 1) * (c - 1)
+            assert p.p_g == lattice_genus(a, b, c)
 
 
 class TestDegenerate:
