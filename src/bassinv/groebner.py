@@ -305,6 +305,15 @@ def supported_only_at_origin(basis, dim):
 
     For a finite-dimensional quotient this says the ideal's zero set is the
     origin alone.  `dim` is quotient_dimension(basis), which must be finite.
+
+    Each x_i is stepped through normal forms: start at x_i^m, where x_i^m is
+    the smallest pure power of x_i among the basis leads (1, x_i, ...,
+    x_i^(m-1) are standard, so m <= dim), and for k = m, ..., dim replace
+    the current remainder r by NF(r) and stop at the first zero, else
+    multiply it by x_i.  NF is linear, so NF(x_i * NF(x_i^(k-1))) is
+    NF(x_i^k) up to a nonzero rational.  The bound dim is exact: in the
+    quotient A, the ideals x_i^k A of a nilpotent x_i shrink strictly until
+    they reach 0, so x_i^dim lies in the ideal iff x_i is nilpotent.
     """
     if dim is None:
         raise ValueError("support test needs a finite-dimensional quotient")
@@ -314,8 +323,15 @@ def supported_only_at_origin(basis, dim):
     impl = kernel.active()
     code, weights = basis.order.codes()
     for i in range(nvars):
-        exp = tuple(dim if j == i else 0 for j in range(nvars))
-        reduced, _, _ = impl.reduce_full([(exp, 1)], basis._raw, code, weights)
-        if reduced:
+        step = tuple(1 if j == i else 0 for j in range(nvars))
+        m = min(le[i] for le in basis.leading_exponents()
+                if all(le[j] == 0 for j in range(nvars) if j != i))
+        terms = [(tuple(m * x for x in step), 1)]
+        for _ in range(m, dim + 1):
+            terms, _, _ = impl.reduce_full(terms, basis._raw, code, weights)
+            if not terms:
+                break
+            terms = [(impl.exp_add(e, step), c) for e, c in terms]
+        else:
             return False
     return True

@@ -44,6 +44,32 @@ class WeightSystem:
         return sum(w * e for w, e in zip(self.weights, exp))
 
 
+def _times(a, b):
+    """Product of two {exponent: coefficient} dicts, zeros dropped."""
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = acc.get(e, 0) + c1 * c2
+            if v:
+                acc[e] = v
+            else:
+                acc.pop(e, None)
+    return acc
+
+
+def _power(terms, n, width):
+    """terms ** n for an {exponent: coefficient} dict, by squaring."""
+    result = {(0,) * width: 1}
+    while n:
+        if n & 1:
+            result = _times(result, terms)
+        n >>= 1
+        if n:
+            terms = _times(terms, terms)
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial.
 
@@ -150,30 +176,15 @@ class Polynomial:
             return Polynomial({e: c * v for e, v in self._terms.items()},
                               self.variables)
         other = self._coerce(other)
-        acc = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = acc.get(e, 0) + c1 * c2
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
-        return Polynomial(acc, self.variables)
+        return Polynomial(_times(self._terms, other._terms), self.variables)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(1, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return Polynomial(_power(self._terms, n, len(self.variables)),
+                          self.variables)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -287,23 +298,29 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 sign = -1 if val == "-" else 1
-            for exp, c in self.term()._terms.items():
+            for exp, c in self.term().items():
                 acc[exp] = acc.get(exp, 0) + sign * c
             kind, val, _ = self.peek()
             if not (kind == "op" and val in "+-"):
                 return Polynomial(acc, self.variables)
 
+    # term, factor and maybe_power pass {exponent: coefficient} dicts with
+    # no zero coefficients; only expr builds a Polynomial
+
     def term(self):
-        poly = self.factor()
+        terms = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                poly = poly * self.factor()
+                terms = _times(terms, self.factor())
             elif kind in ("int", "name") or (kind == "op" and val == "("):
-                poly = poly * self.factor()  # implicit product
+                terms = _times(terms, self.factor())  # implicit product
             else:
-                return poly
+                return terms
+
+    def constant(self, value):
+        return {(0,) * len(self.variables): value} if value else {}
 
     def factor(self):
         kind, val, pos = self.next()
@@ -317,28 +334,30 @@ class _Parser:
                     raise PolynomialSyntaxError("expected integer denominator", p2)
                 if v2 == 0:
                     raise PolynomialSyntaxError("zero denominator", p2)
-                return Polynomial.constant(Fraction(num, v2), self.variables)
-            return self.maybe_power(Polynomial.constant(num, self.variables))
+                return self.constant(Fraction(num, v2))
+            return self.maybe_power(self.constant(num))
         if kind == "name":
             if val not in self.variables:
                 raise UnknownVariableError(
                     f"unknown variable {val!r} at position {pos}")
-            return self.maybe_power(Polynomial.variable(val, self.variables))
+            i = self.variables.index(val)
+            exp = tuple(1 if j == i else 0 for j in range(len(self.variables)))
+            return self.maybe_power({exp: 1})
         if kind == "op" and val == "(":
-            poly = self.expr()
+            terms = self.expr()._terms
             self.expect_op(")")
-            return self.maybe_power(poly)
+            return self.maybe_power(terms)
         raise PolynomialSyntaxError(f"unexpected {val!r}", pos)
 
-    def maybe_power(self, poly):
+    def maybe_power(self, terms):
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
             k, v, p = self.next()
             if k != "int":
                 raise PolynomialSyntaxError("expected a non-negative integer exponent", p)
-            return poly ** v
-        return poly
+            return _power(terms, v, len(self.variables))
+        return terms
 
 
 def parse(text, variables):

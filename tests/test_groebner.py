@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bassinv import kernel
 from bassinv.errors import StaircaseLimitError
 from bassinv.groebner import (MonomialOrder, buchberger, normal_form,
                               quotient_dimension, staircase,
@@ -183,6 +184,80 @@ class TestSupportAtOrigin:
         gb = buchberger([poly("x")])
         with pytest.raises(ValueError):
             supported_only_at_origin(gb, quotient_dimension(gb))
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_nilpotency_index_past_staircase_degree(self, order):
+        # grevlex staircase {1, x, y}, but y^2 = x and y^3 is the first
+        # power of y in the ideal
+        gb = buchberger([poly("x-y^2"), poly("y^3"), poly("z")], order)
+        if order == GREVLEX:
+            assert staircase(gb).monomials == ((0, 0, 0), (0, 1, 0),
+                                               (1, 0, 0))
+        assert supported_only_at_origin(gb, quotient_dimension(gb))
+
+    def test_first_power_at_dimension(self, monkeypatch):
+        gb = buchberger([poly("x^5"), poly("y"), poly("z")])
+        assert quotient_dimension(gb) == 5
+        calls = count_reduce_full(monkeypatch)
+        assert supported_only_at_origin(gb, 5)
+        assert len(calls) == 3  # m = dim for x, m = 1 for y and z
+
+    def test_one_nilpotent_variable_is_not_enough(self):
+        gb = buchberger([poly("x^2"), poly("y^2-y"), poly("z")])
+        assert not supported_only_at_origin(gb, quotient_dimension(gb))
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    @pytest.mark.parametrize("gens", [
+        ["x-y^2", "y^3", "z"], ["x^5", "y", "z"], ["x^2", "y^2-y", "z"],
+        ["z", "y^2", "x^9"], ["x-1", "y", "z"],
+        tjurina_generators(poly("z^2+y^3+x^10+x^7*y")),
+        jacobian(poly("z^2+y^3+x^10+x^7*y"))],
+        ids=["index-past-staircase", "x^5", "y-idempotent", "monomial",
+             "translated", "tjurina-deformed", "jacobian-deformed"])
+    def test_agrees_with_reducing_the_dim_th_power(self, gens, order):
+        gb = buchberger([poly(g) if isinstance(g, str) else g for g in gens],
+                        order)
+        dim = quotient_dimension(gb)
+        powers = [Polynomial({tuple(dim if j == i else 0 for j in range(3)):
+                              1}, VARS) for i in range(3)]
+        expected = all(normal_form(p, gb).is_zero() for p in powers)
+        assert supported_only_at_origin(gb, dim) == expected
+
+    def test_reduction_count_diagonal(self, monkeypatch):
+        # leads x^19, y^20, z^4: every variable is zero at its first step
+        gb = buchberger(tjurina_generators(poly("x^20+y^21+z^5")))
+        calls = count_reduce_full(monkeypatch)
+        assert supported_only_at_origin(gb, quotient_dimension(gb))
+        assert len(calls) == 3
+
+    def test_reduction_count_after_dense_change(self, monkeypatch):
+        # each x_i lies in the maximal ideal, so x_i^L = 0 for the Loewy
+        # length L = 3 + 4 + 5 - 2 = 10 of the Milnor algebra of
+        # x^4+y^5+z^6 (here also the Tjurina algebra), which a linear change
+        # preserves: at most L steps each
+        u, v, w = poly("x+y+z"), poly("x-y+z"), poly("x+y-z")  # det 4
+        gb = buchberger(tjurina_generators(u ** 4 + v ** 5 + w ** 6))
+        calls = count_reduce_full(monkeypatch)
+        assert supported_only_at_origin(gb, quotient_dimension(gb))
+        assert len(calls) <= 3 * 10
+
+
+def count_reduce_full(monkeypatch):
+    """From here on, log each kernel reduce_full call in the returned list."""
+    impl = kernel.active()
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(impl, name)
+
+        def reduce_full(self, *args):
+            calls.append(args[0])
+            return impl.reduce_full(*args)
+
+    proxy = Counting()
+    monkeypatch.setattr(kernel, "active", lambda: proxy)
+    return calls
 
 
 class TestGradedCount:

@@ -30,6 +30,27 @@ def truncated_dimension(gens, n):
     return staircase(buchberger(gens + extra)).size
 
 
+BP_SHAPES = st.sampled_from([(2, 3, 5), (3, 3, 3), (2, 3, 4)])
+MATRIX_ENTRIES = st.lists(st.integers(-1, 1), min_size=9, max_size=9)
+
+
+def brieskorn_pham_after_change(shape, entries):
+    """x^a+y^b+z^c after the linear change whose rows are `entries`.
+
+    Rejects (hypothesis assume) a singular matrix.
+    """
+    m = [entries[0:3], entries[3:6], entries[6:9]]
+    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    assume(det != 0)
+    coords = [Polynomial.variable(v, VARS) for v in VARS]
+    new = [sum((c * x for c, x in zip(row, coords)), Polynomial.zero(VARS))
+           for row in m]
+    a, b, c = shape
+    return new[0] ** a + new[1] ** b + new[2] ** c
+
+
 # x^a+y^b+z^c + q*x^i*y^j*z^k with i/a+j/b+k/c > 1: mu is the principal
 # part's (a-1)(b-1)(c-1), but the Jacobian quotient has points away from the
 # origin, so milnor_number takes the local-length path
@@ -140,21 +161,22 @@ class TestMilnorOrlikOracle:
                 expected *= Fraction(ws.degree, w) - 1
             assert milnor_number(f) == expected
 
-    @given(st.sampled_from([(2, 3, 5), (3, 3, 3), (2, 3, 4)]),
-           st.lists(st.integers(-1, 1), min_size=9, max_size=9))
+    @given(BP_SHAPES, MATRIX_ENTRIES)
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_brieskorn_pham_after_linear_change(self, shape, entries):
-        m = [entries[0:3], entries[3:6], entries[6:9]]
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        assume(det != 0)
-        coords = [Polynomial.variable(v, VARS) for v in VARS]
-        new = [sum((c * x for c, x in zip(row, coords)),
-                   Polynomial.zero(VARS)) for row in m]
+        f = brieskorn_pham_after_change(shape, entries)
         a, b, c = shape
-        f = new[0] ** a + new[1] ** b + new[2] ** c
         assert milnor_number(f) == (a - 1) * (b - 1) * (c - 1)
+
+    @given(BP_SHAPES, MATRIX_ENTRIES,
+           st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_tjurina_after_linear_change(self, shape, entries, order):
+        # quasi-homogeneous, so tau = mu; after the change x_i^m no longer
+        # reduces to 0 at once, so the support test has to step past it
+        f = brieskorn_pham_after_change(shape, entries)
+        a, b, c = shape
+        assert tjurina_number(f, order) == (a - 1) * (b - 1) * (c - 1)
 
 
 class TestTjurina:
