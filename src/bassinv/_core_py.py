@@ -14,10 +14,18 @@ Data layout shared by both kernels:
 
 Coefficients are plain Python ints (exact, arbitrary precision); scaling by
 rationals is tracked separately so reductions stay fraction-free.
+
+Per-term work runs in C-level builtins: exponent arithmetic is `map` over
+the `operator` functions, and sorts and the reduction heap use a key built
+once per call (`_descending_key`) from slices and sums.  Staircases are
+walked in runs along the last variable instead of monomial by monomial; the
+walk ends because the caller guarantees a pure power of every variable
+among the leads (see enumerate_staircase).
 """
 
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, le, mul, neg, sub
 
 from .errors import StaircaseLimitError
 
@@ -32,42 +40,47 @@ WLEX = 3
 def order_key(exp, kind, weights):
     """Tuple that sorts ascending in the monomial order."""
     if kind == GREVLEX:
-        return (sum(exp),) + tuple(-e for e in reversed(exp))
+        return (sum(exp), *map(neg, exp[::-1]))
     if kind == LEX:
         return tuple(exp)
-    wd = 0
-    for w, e in zip(weights, exp):
-        wd += w * e
+    wd = sum(map(mul, weights, exp))
     if kind == WGREVLEX:
-        return (wd, sum(exp)) + tuple(-e for e in reversed(exp))
+        return (wd, sum(exp), *map(neg, exp[::-1]))
     if kind == WLEX:
-        return (wd,) + tuple(exp)
+        return (wd, *exp)
     raise ValueError(f"unknown order kind {kind}")
 
 
-def _neg_key(exp, kind, weights):
-    # negating every entry reverses tuple comparison, turning the min-heap
-    # into a max-first queue
-    return tuple(-x for x in order_key(exp, kind, weights))
+def _descending_key(kind, weights):
+    """Key that sorts exponents descending in the order.
+
+    It compares like the negated order_key.  Where order_key lists the
+    exponents from the last one, negated, this key holds them as one
+    reversed tuple, which is what negating those entries gives back.
+    """
+    if kind == GREVLEX:
+        return lambda e: (-sum(e), e[::-1])
+    if kind == LEX:
+        return lambda e: tuple(map(neg, e))
+    if kind == WGREVLEX:
+        return lambda e: (-sum(map(mul, weights, e)), -sum(e), e[::-1])
+    return lambda e: tuple(map(neg, order_key(e, kind, weights)))
 
 
 def exp_divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(le, a, b))
 
 
 def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def sort_terms(pairs, kind, weights):
@@ -79,9 +92,8 @@ def sort_terms(pairs, kind, weights):
             acc[e] = v
         else:
             acc.pop(e, None)
-    items = list(acc.items())
-    items.sort(key=lambda t: order_key(t[0], kind, weights), reverse=True)
-    return items
+    return [(e, acc[e]) for e in sorted(acc, key=_descending_key(kind,
+                                                                 weights))]
 
 
 def make_primitive(terms):
@@ -109,80 +121,80 @@ def reduce_full(terms, basis, kind, weights):
     Returns (reduced, num, den): the exact normal form of the input equals
     (num/den) * reduced, `reduced` is primitive with positive lead (or
     empty), and no term of `reduced` is divisible by any basis lead.
+
+    Terms are taken largest first and each is reduced by the first basis
+    element whose lead divides it.  A reduction only touches smaller terms,
+    so the terms kept come out in descending order.
     """
-    poly = {}
-    for e, c in terms:
-        poly[e] = c
-    heap = []
-    for e in poly:
-        heappush(heap, (_neg_key(e, kind, weights), e))
-    leads = [(b[0][0], b[0][1]) for b in basis]
-    sn, sd = 1, 1
+    key = _descending_key(kind, weights)
+    poly = dict(terms)
+    heap = [(key(e), e) for e in poly]
+    heapify(heap)
+    leads = [(b[0][0], b[0][1], b) for b in basis]
+    kept = {}  # normal-form terms in descending order
+    sd = 1
     while heap:
-        _, e = heappop(heap)
-        c = poly.get(e, 0)
+        e = heappop(heap)[1]
+        c = poly.pop(e, 0)
         if not c:
-            poly.pop(e, None)
             continue
-        hit = -1
-        for j, (le, lc) in enumerate(leads):
-            if exp_divides(le, e):
-                hit = j
+        for lead, lc, b in leads:
+            if all(map(le, lead, e)):
                 break
-        if hit < 0:
-            continue  # term is in normal form; keep it and move on
-        le, lc = leads[hit]
+        else:
+            kept[e] = c  # term is in normal form; keep it and move on
+            continue
         g = gcd(c, lc)
         scale = lc // g   # positive: basis leads are positive
         mult = c // g
         if scale != 1:
             for k in poly:
                 poly[k] *= scale
+            for k in kept:
+                kept[k] *= scale
             sd *= scale
-        u = exp_sub(e, le)
-        for be, bc in basis[hit]:
-            ne = exp_add(be, u)
+        # the lead cancels e exactly: only the tail lands in poly
+        u = tuple(map(sub, e, lead))
+        for be, bc in b[1:]:
+            ne = tuple(map(add, be, u))
             old = poly.get(ne)
-            nv = (old if old is not None else 0) - mult * bc
-            if nv:
-                poly[ne] = nv
-                if old is None and ne != e:
-                    heappush(heap, (_neg_key(ne, kind, weights), ne))
-            elif old is not None:
-                del poly[ne]
-    items = list(poly.items())
-    items.sort(key=lambda t: order_key(t[0], kind, weights), reverse=True)
-    if not items:
-        return [], sn, sd
-    items, content = make_primitive(items)
-    sn *= content
-    g = gcd(sn, sd)
-    return items, sn // g, sd // g
+            if old is None:
+                poly[ne] = -mult * bc
+                heappush(heap, (key(ne), ne))
+            else:
+                nv = old - mult * bc
+                if nv:
+                    poly[ne] = nv
+                else:
+                    del poly[ne]
+    if not kept:
+        return [], 1, sd
+    items, content = make_primitive(list(kept.items()))
+    g = gcd(content, sd)
+    return items, content // g, sd // g
 
 
 def spoly(f, g, kind, weights):
     """Primitive S-polynomial of two nonzero term lists."""
     fe, fc = f[0]
     ge, gc = g[0]
-    lcm = exp_lcm(fe, ge)
+    lcm = tuple(map(max, fe, ge))
     h = gcd(fc, gc)
     a = gc // h
     b = fc // h
-    uf = exp_sub(lcm, fe)
-    ug = exp_sub(lcm, ge)
-    acc = {}
-    for e, c in f:
-        ne = exp_add(e, uf)
-        acc[ne] = acc.get(ne, 0) + a * c
-    for e, c in g:
-        ne = exp_add(e, ug)
+    uf = tuple(map(sub, lcm, fe))
+    ug = tuple(map(sub, lcm, ge))
+    # the two leads cancel; the tails of f and of g have distinct exponents
+    acc = {tuple(map(add, e, uf)): a * c for e, c in f[1:]}
+    for e, c in g[1:]:
+        ne = tuple(map(add, e, ug))
         v = acc.get(ne, 0) - b * c
         if v:
             acc[ne] = v
         else:
-            acc.pop(ne, None)
-    items = [(e, c) for e, c in acc.items() if c]
-    items.sort(key=lambda t: order_key(t[0], kind, weights), reverse=True)
+            del acc[ne]
+    items = [(e, acc[e]) for e in sorted(acc, key=_descending_key(kind,
+                                                                  weights))]
     items, _ = make_primitive(items)
     return items
 
@@ -190,37 +202,45 @@ def spoly(f, g, kind, weights):
 def enumerate_staircase(lead_exps, nvars, cap, kind, weights):
     """All standard monomials below the staircase of `lead_exps`.
 
-    Breadth-first walk from 1 (the staircase is closed under divisibility),
-    output sorted ascending in the order.  Raises StaircaseLimitError when
-    more than `cap` monomials appear; the caller guarantees finiteness.
+    Output sorted ascending in the order.  The walk fixes exponents from
+    the first variable on, in runs: below a prefix p of the first k
+    exponents, the standard values of the k-th are 0, ..., r-1, where r is
+    the smallest k-th exponent among the leads whose first k exponents
+    divide p and whose exponents after the k-th are all 0.  Leads are
+    filtered as the prefix grows, each kept only while its first k
+    exponents divide p; at the last variable a run is the whole column of
+    standard monomials above p.  The caller guarantees a pure power of every
+    variable among the leads, so every r is finite and the walk ends.  It
+    costs O(prefixes x leads), not O(monomials x n x leads).
+
+    Raises StaircaseLimitError when more than `cap` monomials appear (the
+    origin, 1, is never counted against the cap).
     """
-    origin = (0,) * nvars
-    for le in lead_exps:
-        if all(x == 0 for x in le):
+    for lead in lead_exps:
+        if not any(lead):
             return []  # unit ideal
-    out = [origin]
-    seen = {origin}
-    queue = [origin]
-    qi = 0
-    while qi < len(queue):
-        e = queue[qi]
-        qi += 1
-        for i in range(nvars):
-            ne = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if ne in seen:
-                continue
-            seen.add(ne)
-            divisible = False
-            for le in lead_exps:
-                if exp_divides(le, ne):
-                    divisible = True
-                    break
-            if not divisible:
-                out.append(ne)
-                if len(out) > cap:
-                    raise StaircaseLimitError(
-                        f"staircase exceeds the enumeration cap ({cap}); "
-                        f"raise BASSINV_MAX_STAIRCASE to allow larger quotients")
-                queue.append(ne)
-    out.sort(key=lambda e: order_key(e, kind, weights))
+    if not nvars:
+        return [()]
+    last = nvars - 1
+    # (lead, index of its last nonzero exponent)
+    leads = [(lead, max(i for i, x in enumerate(lead) if x))
+             for lead in lead_exps]
+    limit = max(cap, 1)
+    out = []
+
+    def walk(prefix, leads):
+        k = len(prefix)
+        r = min(lead[k] for lead, top in leads if top == k)
+        if k == last:
+            if len(out) + r > limit:
+                raise StaircaseLimitError(
+                    f"staircase exceeds the enumeration cap ({cap}); "
+                    f"raise BASSINV_MAX_STAIRCASE to allow larger quotients")
+            out.extend([prefix + (j,) for j in range(r)])
+            return
+        for j in range(r):
+            walk(prefix + (j,), [t for t in leads if t[0][k] <= j])
+
+    walk((), leads)
+    out.sort(key=_descending_key(kind, weights), reverse=True)
     return out

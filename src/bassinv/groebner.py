@@ -12,8 +12,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappush, heappop
-from math import gcd
+from math import lcm
 
 from . import kernel
 from ._core_py import GREVLEX, LEX, WGREVLEX  # order codes are shared
@@ -70,16 +71,25 @@ class MonomialOrder:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, inter-reduced generators."""
+    """Reduced Groebner basis: monic, inter-reduced generators.
 
-    def __init__(self, generators, order, variables, raw):
-        self.generators = tuple(generators)
+    The generators are kept as primitive integer term lists (`_raw`, sorted
+    ascending by lead); the monic Polynomials are built from them on first
+    access.  A reduced basis is unique, so equal term lists mean equal
+    generators.
+    """
+
+    def __init__(self, order, variables, raw):
         self.order = order
         self.variables = tuple(variables)
-        self._raw = raw  # primitive integer term lists, same order as generators
+        self._raw = raw
+
+    @cached_property
+    def generators(self):
+        return tuple(_monic_from_raw(raw, self.variables) for raw in self._raw)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._raw)
 
     def __iter__(self):
         return iter(self.generators)
@@ -88,13 +98,13 @@ class GroebnerBasis:
         return [g[0][0] for g in self._raw]
 
     def is_zero_ideal(self):
-        return not self.generators
+        return not self._raw
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
                 and self.order == other.order
                 and self.variables == other.variables
-                and self.generators == other.generators)
+                and self._raw == other._raw)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -124,14 +134,12 @@ def _to_raw(p, code, weights):
     terms = p.term_map()
     if not terms:
         return [], Fraction(0)
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in terms.values()))
     pairs = []
     for e, c in terms.items():
-        if any(x >= _EXPONENT_CAP for x in e):
+        if max(e, default=0) >= _EXPONENT_CAP:
             raise ValueError("exponent too large for the kernel (>= 2^31)")
-        pairs.append((e, int(c * den)))
+        pairs.append((e, c.numerator * (den // c.denominator)))
     impl = kernel.active()
     items = impl.sort_terms(pairs, code, weights)
     items, content = impl.make_primitive(items)
@@ -178,10 +186,10 @@ def buchberger(generators, order=None, variables=None):
     unique.sort(key=lambda raw: tuple(
         (impl.order_key(e, code, weights), c) for e, c in raw))
     if not unique:
-        return GroebnerBasis((), order, variables, [])
+        return GroebnerBasis(order, variables, [])
 
     G = []
-    alive = set()
+    alive = {}  # queued pair (i, j) -> lcm of the two leads
     heap = []
 
     def lead(i):
@@ -207,17 +215,18 @@ def buchberger(generators, order=None, variables=None):
             if not dominated:
                 kept.append((i, lcm_i, False))
         # chain criterion against the old queue
-        for (i, j) in sorted(alive):
-            lcm_ij = impl.exp_lcm(lead(i), lead(j))
+        # (each pair's test reads only its own leads and h, so the visiting
+        # order does not matter)
+        for (i, j), lcm_ij in list(alive.items()):
             if (impl.exp_divides(lm_h, lcm_ij)
                     and impl.exp_lcm(lead(i), lm_h) != lcm_ij
                     and impl.exp_lcm(lead(j), lm_h) != lcm_ij):
-                alive.discard((i, j))
+                del alive[i, j]
         G.append(h)
         for i, lcm_i, coprime in kept:
             if coprime:
                 continue  # Buchberger's first criterion
-            alive.add((i, t))
+            alive[i, t] = lcm_i
             heappush(heap, (sum(lcm_i),
                             impl.order_key(lcm_i, code, weights), i, t))
 
@@ -228,9 +237,8 @@ def buchberger(generators, order=None, variables=None):
 
     while heap:
         _, _, i, j = heappop(heap)
-        if (i, j) not in alive:
+        if alive.pop((i, j), None) is None:
             continue
-        alive.discard((i, j))
         s = impl.spoly(G[i], G[j], code, weights)
         if not s:
             continue
@@ -254,8 +262,7 @@ def buchberger(generators, order=None, variables=None):
             g, _, _ = impl.reduce_full(g, others, code, weights)
         final.append(g)
     final.sort(key=lambda raw: impl.order_key(raw[0][0], code, weights))
-    gens = tuple(_monic_from_raw(raw, variables) for raw in final)
-    return GroebnerBasis(gens, order, variables, final)
+    return GroebnerBasis(order, variables, final)
 
 
 def normal_form(p, basis):

@@ -39,13 +39,12 @@ def jacobian_ideal(f):
     return [partial_derivative(f, i) for i in range(3)]
 
 
-def _certify_tjurina(f, order):
+def _certify_tjurina(f, partials, order):
     """Groebner basis of (f) + Jacobian ideal, certified isolated-at-origin.
 
-    Returns (basis, tau).  Raises NotIsolatedError, SmoothInput, or
-    SingularLocusNotAtOriginError.
+    `partials` is jacobian_ideal(f).  Returns (basis, tau).  Raises
+    NotIsolatedError, SmoothInput, or SingularLocusNotAtOriginError.
     """
-    partials = jacobian_ideal(f)
     basis = buchberger([f] + partials, order)
     dim = quotient_dimension(basis)
     if dim is None:
@@ -62,7 +61,7 @@ def _certify_tjurina(f, order):
 def tjurina_number(f, order=None):
     """length of Q[x,y,z]/((f) + Jacobian ideal), the Tjurina number."""
     order = order or MonomialOrder.grevlex()
-    _, tau = _certify_tjurina(f, order)
+    _, tau = _certify_tjurina(f, jacobian_ideal(f), order)
     return tau
 
 
@@ -75,8 +74,9 @@ def milnor_number(f, order=None):
     Critical points of f away from {f=0} do not contribute.
     """
     order = order or MonomialOrder.grevlex()
-    _certify_tjurina(f, order)
-    return _local_staircase(jacobian_ideal(f)).size
+    partials = jacobian_ideal(f)
+    _certify_tjurina(f, partials, order)
+    return _local_staircase(partials).size
 
 
 # -- origin-local staircase ---------------------------------------------------
@@ -151,13 +151,16 @@ def _genus_count(stairs, ws):
 def analyze(f, order=None):
     """Full numerical profile: mu, tau, weights, p_g, torsion lengths.
 
-    mu and p_g come from the one origin-local staircase.  The lengths of the
-    degree-3 forms module and of the torsion of the degree-2 forms both equal
-    tau for these singularities, so they are reported from it directly.
+    mu and p_g come from the one origin-local staircase, and the Jacobian
+    ideal is built once for it and for the certification.  The lengths of
+    the degree-3 forms module and of the torsion of the degree-2 forms both
+    equal tau for these singularities, so they are reported from it
+    directly.
     """
     order = order or MonomialOrder.grevlex()
-    tau = tjurina_number(f, order)
-    stairs = _local_staircase(jacobian_ideal(f))
+    partials = jacobian_ideal(f)
+    _, tau = _certify_tjurina(f, partials, order)
+    stairs = _local_staircase(partials)
     mu = stairs.size
     ws = find_weights(f)
     p_g = _genus_count(stairs, ws) if ws is not None else None

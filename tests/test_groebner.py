@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from bassinv.groebner import (MonomialOrder, buchberger, normal_form,
                               supported_only_at_origin)
 from bassinv.polynomials import Polynomial, WeightSystem, parse
 
-from conftest import VARS, jacobian, poly, tjurina_generators
+from conftest import CORPUS_TEXTS, VARS, jacobian, poly, tjurina_generators
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
@@ -283,6 +284,61 @@ class TestGradedCount:
         # max weighted degree of the 18 standard monomials: x^8 y has 34
         assert self.count(34) == 18
         assert self.count(33) == 17
+
+
+class TestBasisIdentity:
+    # (len, sha256 of repr) of the Tjurina-ideal bases of the corpus,
+    # recorded when the monic generators were still built eagerly
+    RECORDED = {
+        ("x^2+y^2+z^2", "grevlex"): (3, "66f4adb7d66ab0c4"),
+        ("x^2+y^2+z^2", "lex"): (3, "d9f70a7a9fa899c9"),
+        ("z^2+y^3+x^10", "grevlex"): (3, "edac56598e1ae6c6"),
+        ("z^2+y^3+x^10", "lex"): (3, "4df8098af0bcda22"),
+        ("z^2+y^3+x^10+x^7*y", "grevlex"): (5, "0c9deb1a01c2b1eb"),
+        ("z^2+y^3+x^10+x^7*y", "lex"): (5, "3edc7ff074fe87c1"),
+        ("z^2+y^3+x^7", "grevlex"): (3, "29b937e1341ab30d"),
+        ("z^2+y^3+x^7", "lex"): (3, "c1578ee68667be3c"),
+        ("x^3+y^4+z^5", "grevlex"): (3, "1b6b0d3946d196e2"),
+        ("x^3+y^4+z^5", "lex"): (3, "7b4c67b64e1afc9f"),
+        ("x^2+y^3+z^3", "grevlex"): (3, "28d2cfb8aeb3eb7c"),
+        ("x^2+y^3+z^3", "lex"): (3, "e699caffb8e697ea"),
+        ("x^3+y^3+z^3+x*y*z", "grevlex"): (6, "475e32817c28dc3a"),
+        ("x^3+y^3+z^3+x*y*z", "lex"): (7, "046075eb58957333"),
+    }
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("text", CORPUS_TEXTS)
+    def test_same_with_or_without_reading_generators(self, text, order):
+        gens = tjurina_generators(poly(text))
+        read = buchberger(gens, getattr(MonomialOrder, order)())
+        generators = read.generators
+        unread = buchberger(gens, getattr(MonomialOrder, order)())
+        assert "generators" not in vars(unread)
+        assert read == unread and unread == read
+        size, digest = self.RECORDED[text, order]
+        assert len(unread) == len(read) == len(generators) == size
+        assert hashlib.sha256(repr(unread).encode()).hexdigest()[:16] \
+            == digest
+        assert unread.generators == generators
+        assert tuple(unread) == generators
+
+    def test_bases_that_differ_compare_unequal(self):
+        gens = tjurina_generators(poly("z^2+y^3+x^10+x^7*y"))
+        a = buchberger(gens)
+        assert a != buchberger(gens, LEX)
+        assert a != buchberger(gens[1:])
+        ring = ("u", "v", "w")
+        assert buchberger([Polynomial({(1, 0, 0): 1}, VARS)]) \
+            != buchberger([Polynomial({(1, 0, 0): 1}, ring)])
+        # the same ideal from other generators is the same reduced basis
+        assert buchberger([poly("x+y"), poly("y")]) \
+            == buchberger([poly("x"), poly("x-y")])
+
+    def test_zero_ideal(self):
+        gb = buchberger([], variables=VARS)
+        assert len(gb) == 0 and gb.is_zero_ideal()
+        assert gb.generators == () and repr(gb) == "GroebnerBasis[grevlex]({})"
+        assert gb == buchberger([poly("0")])
 
 
 class TestBuchbergerPostconditions:

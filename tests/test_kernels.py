@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -6,8 +8,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bassinv import kernel
+from bassinv import _core_py, kernel
+from bassinv.errors import StaircaseLimitError
 from bassinv.groebner import (MonomialOrder, buchberger, normal_form,
                               quotient_dimension, staircase)
 from bassinv.polynomials import Polynomial
@@ -163,3 +167,228 @@ def test_recorded_digests(case, backend):
         stairs = staircase(basis).monomials
     dump = repr((tuple(str(g) for g in basis.generators), stairs))
     assert hashlib.sha256(dump.encode()).hexdigest()[:16] == expected
+
+
+# -- oracles for the pure-Python kernel ---------------------------------------
+#
+# Written from the definitions of the orders and of the division algorithm,
+# with exact rationals and plain loops; nothing here calls the engine except
+# the function under test.
+
+def reference_key(exp, kind, weights):
+    """The flat order key: (weighted degree,) (degree,) then either the
+    exponents (lex tiebreak) or the negated exponents from the last one
+    (reverse-lex tiebreak)."""
+    n = len(exp)
+    degree = 0
+    weighted = 0
+    for i in range(n):
+        degree += exp[i]
+        if weights:
+            weighted += weights[i] * exp[i]
+    from_last_negated = [-exp[n - 1 - i] for i in range(n)]
+    if kind == _core_py.GREVLEX:
+        return tuple([degree] + from_last_negated)
+    if kind == _core_py.LEX:
+        return tuple(exp)
+    if kind == _core_py.WGREVLEX:
+        return tuple([weighted, degree] + from_last_negated)
+    return tuple([weighted] + list(exp))
+
+
+def reference_greater(a, b, kind, weights):
+    """a > b straight from the definition of each order."""
+    if kind in (_core_py.WGREVLEX, _core_py.WLEX):
+        wa = sum(w * x for w, x in zip(weights, a))
+        wb = sum(w * x for w, x in zip(weights, b))
+        if wa != wb:
+            return wa > wb
+    diff = [x - y for x, y in zip(a, b)]
+    if kind in (_core_py.LEX, _core_py.WLEX):
+        nonzero = [d for d in diff if d]
+        return bool(nonzero) and nonzero[0] > 0
+    if sum(a) != sum(b):
+        return sum(a) > sum(b)
+    nonzero = [d for d in diff if d]
+    return bool(nonzero) and nonzero[-1] < 0
+
+
+def divides(a, b):
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+@st.composite
+def ring_and_order(draw):
+    """(number of variables 1-4, order code, weights)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([_core_py.GREVLEX, _core_py.LEX,
+                                 _core_py.WGREVLEX, _core_py.WLEX]))
+    weights = ()
+    if kind in (_core_py.WGREVLEX, _core_py.WLEX):
+        weights = tuple(draw(st.lists(st.integers(1, 5), min_size=n,
+                                      max_size=n)))
+    return n, kind, weights
+
+
+def exponents(n, top=5):
+    return st.tuples(*[st.integers(0, top)] * n)
+
+
+@st.composite
+def finite_staircases(draw):
+    """A ring, an order, and leads with a pure power of every variable."""
+    n, kind, weights = draw(ring_and_order())
+    leads = [tuple(draw(st.integers(1, 6)) if j == i else 0
+                   for j in range(n)) for i in range(n)]
+    leads += draw(st.lists(exponents(n, 4), max_size=5))
+    return n, kind, weights, draw(st.permutations(leads))
+
+
+def brute_force_staircase(leads, n, kind, weights):
+    """Every monomial of the bounding box that no lead divides."""
+    box = [min(le[i] for le in leads
+               if all(le[j] == 0 for j in range(n) if j != i))
+           for i in range(n)]
+    standard = [e for e in itertools.product(*[range(b) for b in box])
+                if not any(divides(le, e) for le in leads)]
+    return sorted(standard, key=lambda e: reference_key(e, kind, weights))
+
+
+@st.composite
+def term_lists(draw, n, kind, weights, min_terms=0, positive_lead=False):
+    """A kernel term list: distinct exponents sorted descending, nonzero
+    integer coefficients."""
+    exps = draw(st.lists(exponents(n), min_size=min_terms, max_size=6,
+                         unique=True))
+    exps.sort(key=lambda e: reference_key(e, kind, weights), reverse=True)
+    coeffs = draw(st.lists(st.integers(-9, 9).filter(bool),
+                           min_size=len(exps), max_size=len(exps)))
+    if positive_lead and coeffs:
+        coeffs[0] = abs(coeffs[0])
+    return list(zip(exps, coeffs))
+
+
+def reference_remainder(terms, basis, kind, weights):
+    """Division algorithm over Q: take the largest remaining term, subtract
+    the multiple of the first basis element whose lead divides it, or move
+    it to the remainder."""
+    p = {e: Fraction(c) for e, c in terms}
+    remainder = {}
+    while p:
+        e = next(iter(p))
+        for f in p:
+            if reference_greater(f, e, kind, weights):
+                e = f
+        c = p[e]
+        hit = [b for b in basis if divides(b[0][0], e)]
+        if not hit:
+            remainder[e] = p.pop(e)
+            continue
+        b = hit[0]
+        factor = c / b[0][1]
+        u = [x - y for x, y in zip(e, b[0][0])]
+        for be, bc in b:
+            ne = tuple(x + y for x, y in zip(be, u))
+            v = p.get(ne, 0) - factor * bc
+            if v:
+                p[ne] = v
+            else:
+                p.pop(ne, None)
+    return remainder
+
+
+def primitive_with_positive_lead(terms, kind, weights):
+    """Rational terms {exp: Fraction} as the kernel's term list."""
+    if not terms:
+        return []
+    den = 1
+    for c in terms.values():
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = {e: int(c * den) for e, c in terms.items()}
+    g = 0
+    for c in ints.values():
+        g = math.gcd(g, c)
+    order = sorted(ints, key=lambda e: reference_key(e, kind, weights),
+                   reverse=True)
+    if ints[order[0]] < 0:
+        g = -g
+    return [(e, ints[e] // g) for e in order]
+
+
+class TestPythonKernelOracles:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_order_key(self, data):
+        n, kind, weights = data.draw(ring_and_order())
+        a = data.draw(exponents(n, 9))
+        b = data.draw(exponents(n, 9))
+        ka = _core_py.order_key(a, kind, weights)
+        assert ka == reference_key(a, kind, weights)
+        kb = _core_py.order_key(b, kind, weights)
+        assert (ka > kb) == reference_greater(a, b, kind, weights)
+
+    @given(finite_staircases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_enumerate_staircase_is_the_brute_force_scan(self, case):
+        n, kind, weights, leads = case
+        assert (_core_py.enumerate_staircase(leads, n, 10 ** 6, kind, weights)
+                == brute_force_staircase(leads, n, kind, weights))
+
+    def test_unit_ideal_and_no_variables(self):
+        assert _core_py.enumerate_staircase([(2, 0), (0, 0)], 2, 10, 0,
+                                            ()) == []
+        assert _core_py.enumerate_staircase([], 0, 10, 0, ()) == [()]
+
+    @given(finite_staircases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_cap_boundary(self, case):
+        n, kind, weights, leads = case
+        size = len(brute_force_staircase(leads, n, kind, weights))
+        assume(size >= 2)
+        assert len(_core_py.enumerate_staircase(leads, n, size, kind,
+                                                weights)) == size
+        cap = size - 1
+        message = (f"staircase exceeds the enumeration cap ({cap}); "
+                   f"raise BASSINV_MAX_STAIRCASE to allow larger quotients")
+        with pytest.raises(StaircaseLimitError) as err:
+            _core_py.enumerate_staircase(leads, n, cap, kind, weights)
+        assert str(err.value) == message
+
+    def test_origin_is_not_counted_against_the_cap(self):
+        # as in the compiled kernel: the staircase {1} survives a cap of 0
+        assert _core_py.enumerate_staircase([(1, 0), (0, 1)], 2, 0, 0,
+                                            ()) == [(0, 0)]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_reduce_full_is_the_division_algorithm(self, data):
+        n, kind, weights = data.draw(ring_and_order())
+        basis = data.draw(st.lists(term_lists(n, kind, weights, min_terms=1,
+                                              positive_lead=True),
+                                   max_size=3))
+        terms = data.draw(term_lists(n, kind, weights))
+        reduced, num, den = _core_py.reduce_full(terms, basis, kind, weights)
+        remainder = reference_remainder(terms, basis, kind, weights)
+        assert reduced == primitive_with_positive_lead(remainder, kind,
+                                                       weights)
+        assert {e: Fraction(num, den) * c for e, c in reduced} == remainder
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_spoly(self, data):
+        n, kind, weights = data.draw(ring_and_order())
+        f, g = (data.draw(term_lists(n, kind, weights, min_terms=1,
+                                     positive_lead=True)) for _ in range(2))
+        lcm = tuple(max(x, y) for x, y in zip(f[0][0], g[0][0]))
+        s = {}
+        for terms, sign in ((f, 1), (g, -1)):
+            u = [x - y for x, y in zip(lcm, terms[0][0])]
+            for e, c in terms:
+                ne = tuple(x + y for x, y in zip(e, u))
+                s[ne] = s.get(ne, 0) + sign * Fraction(c, terms[0][1])
+        s = {e: c for e, c in s.items() if c}
+        assert (_core_py.spoly(f, g, kind, weights)
+                == primitive_with_positive_lead(s, kind, weights))

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bassinv import groebner, kernel, polynomials, singularity
 from bassinv.errors import (NotIsolatedError, NotQuasiHomogeneousError,
                             SingularLocusNotAtOriginError, SmoothInput,
                             StaircaseLimitError)
@@ -301,6 +303,40 @@ class TestAnalyze:
         assert (a.milnor, a.tjurina, a.weights, a.p_g) == \
             (b.milnor, b.tjurina, b.weights, b.p_g)
 
+    # kernel calls (reduce_full, spoly, enumerate_staircase) that analyze
+    # makes, as recorded before the kernel was rewritten: a faster kernel
+    # must do the same operations, only cheaper
+    KERNEL_CALLS = {
+        ("x^2+y^2+z^2", "grevlex"): (16, 0, 2),
+        ("x^2+y^2+z^2", "lex"): (16, 0, 2),
+        ("z^2+y^3+x^10", "grevlex"): (16, 0, 2),
+        ("z^2+y^3+x^10", "lex"): (16, 0, 2),
+        ("z^2+y^3+x^10+x^7*y", "grevlex"): (34, 11, 2),
+        ("z^2+y^3+x^10+x^7*y", "lex"): (34, 11, 2),
+        ("z^2+y^3+x^7", "grevlex"): (16, 0, 2),
+        ("z^2+y^3+x^7", "lex"): (16, 0, 2),
+        ("x^3+y^4+z^5", "grevlex"): (16, 0, 2),
+        ("x^3+y^4+z^5", "lex"): (16, 0, 2),
+        ("x^2+y^3+z^3", "grevlex"): (16, 0, 2),
+        ("x^2+y^3+z^3", "lex"): (16, 0, 2),
+        ("x^3+y^3+z^3+x*y*z", "grevlex"): (36, 16, 2),
+        ("x^3+y^3+z^3+x*y*z", "lex"): (39, 18, 2),
+    }
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("text", CORPUS_TEXTS)
+    def test_call_counts(self, text, order, monkeypatch):
+        counts = count_engine_calls(monkeypatch)
+        analyze(poly(text), getattr(MonomialOrder, order)())
+        # one Jacobian, one certification basis, one Lazard basis, and no
+        # monic generators: analyze reads only leads and term lists
+        assert counts["partial_derivative"] == 3
+        assert counts["buchberger"] == 2
+        assert counts["_monic_from_raw"] == 0
+        assert (counts["reduce_full"], counts["spoly"],
+                counts["enumerate_staircase"]) == \
+            self.KERNEL_CALLS[text, order]
+
     def test_variable_permutation_invariance(self):
         a = analyze(poly("z^2+y^3+x^10"))
         b = analyze(poly("x^2+z^3+y^10"))
@@ -309,6 +345,37 @@ class TestAnalyze:
         assert a.tjurina == b.tjurina == c.tjurina == 18
         assert a.p_g == b.p_g == c.p_g == 1
         assert sorted(b.weights.weights) == sorted(a.weights.weights)
+
+
+def count_engine_calls(monkeypatch):
+    """From here on, count calls of the kernel's three entry points (through
+    a proxy for kernel.active) and of partial_derivative, buchberger and
+    _monic_from_raw under every name the engine calls them by."""
+    counts = Counter()
+    impl = kernel.active()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(impl, name)
+
+    proxy = Counting()
+    for name in ("reduce_full", "spoly", "enumerate_staircase"):
+        setattr(proxy, name, counted(name, getattr(impl, name)))
+    monkeypatch.setattr(kernel, "active", lambda: proxy)
+    for module, name in ((polynomials, "partial_derivative"),
+                         (singularity, "partial_derivative"),
+                         (groebner, "buchberger"),
+                         (singularity, "buchberger"),
+                         (groebner, "_monic_from_raw")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    return counts
 
 
 def lattice_genus(a, b, c):
