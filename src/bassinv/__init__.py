@@ -19,7 +19,7 @@ from .invariants import (BassVerdict, Bound, DuBoisTable, FamilyReport, Fiber,
                          bass_verdict, build_table, deduce_family)
 from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
                           find_weights, parse, partial_derivative,
-                          substitute_parameter)
+                          scaling_weights, substitute_parameter)
 from .resgraph import (ResolutionGraph, genus_sum, intersection_matrix,
                        is_negative_definite, load_graph, loop_count)
 from .singularity import (SingularityProfile, analyze, geometric_genus_qh,

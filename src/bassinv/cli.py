@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import resgraph, singularity
@@ -30,7 +32,7 @@ from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
 from .groebner import MonomialOrder
 from .invariants import (FamilyReport, Fiber, bass_verdict, build_table,
                          deduce_family)
-from .polynomials import NAME, parse, substitute_parameter
+from .polynomials import NAME, parse, scaling_weights, substitute_parameter
 
 VARIABLES = ("x", "y", "z")
 
@@ -220,15 +222,27 @@ def _analyze_family(args, need_graph):
     elif need_graph:
         raise UsageError("--graph is required for the bass verdict "
                          "(it supplies g and l)")
+    # With weights on the parameter, all fibers at nonzero values are
+    # diagonal rescalings of each other (see polynomials.scaling_weights):
+    # same support, leads and staircases, so the first one analyzed stands
+    # for the rest, failures included.
+    scales = scaling_weights(f, name) is not None
+    nonzero_profile = None
     profiles = []
     for v in values:
         fiber_poly = substitute_parameter(f, name, v)
+        if v and nonzero_profile is not None:
+            profiles.append(replace(nonzero_profile, f=fiber_poly))
+            continue
         try:
-            profiles.append(singularity.analyze(fiber_poly, order))
+            profile = singularity.analyze(fiber_poly, order)
         except SmoothInput:
             raise InconsistentInputsError(
                 f"fiber {args.parameter} = {v} is smooth; "
                 f"not a family of singularities")
+        if v and scales:
+            nonzero_profile = profile
+        profiles.append(profile)
     graded_index = next(
         (i for i, p in enumerate(profiles) if p.weights is not None), None)
     if graded_index is None:
@@ -387,9 +401,27 @@ _COMMANDS = {
 }
 
 
+def _glue_negative_values(argv):
+    """Rewrite `--values -1/3` as `--values=-1/3`.
+
+    argparse reads a token that starts with '-' as an option unless it is
+    a plain negative number, so `-1/3` or `-1,0,1` would be refused.  Like
+    argparse, this accepts an abbreviation such as `--val`.
+    """
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (len(prev) > 2 and "--values".startswith(prev)
+                and re.match(r"-\d", arg)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(argv))
     text, doc = _COMMANDS[args.command](args)
     if args.json:
         return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)

@@ -18,6 +18,7 @@ from math import lcm
 
 from . import kernel
 from ._core_py import GREVLEX, LEX, WGREVLEX  # order codes are shared
+from .errors import UsageError
 from .polynomials import Polynomial
 
 _EXPONENT_CAP = 2 ** 31  # compiled kernel stores exponents in C integers
@@ -27,7 +28,13 @@ DEFAULT_STAIRCASE_CAP = 100000
 
 def _staircase_cap():
     raw = os.environ.get("BASSINV_MAX_STAIRCASE", "")
-    return int(raw) if raw else DEFAULT_STAIRCASE_CAP
+    if not raw:
+        return DEFAULT_STAIRCASE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"BASSINV_MAX_STAIRCASE must be an integer; "
+                         f"got {raw!r}") from None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PolynomialSyntaxError, UnknownVariableError
 
@@ -494,6 +494,60 @@ def _positive_point(rows):
     return alpha
 
 
+def _difference_nullspace(exps, n):
+    """Basis of the rational w with w·e equal on every exponent e in `exps`.
+
+    Each exponent has length n.  The differences of consecutive exponents
+    span the same space as all differences; each new one is reduced in
+    integers against the at most n echelon rows kept so far, and repeats
+    are skipped.  The scan stops once
+    the rank is n, when only w = 0 is left and [] is returned.  Otherwise
+    there is one vector per free column of the reduced row echelon form,
+    which depends only on the span, so the basis does not depend on which
+    differences were kept.
+    """
+    # (pivot, integer row): each row is zero at the pivots of the rows
+    # before it, so reducing in this order clears every pivot
+    echelon = []
+    seen = set()
+    for prev, e in zip(exps, exps[1:]):
+        diff = tuple(a - b for a, b in zip(e, prev))
+        if diff in seen:
+            continue
+        seen.add(diff)
+        row = diff
+        for p, piv in echelon:
+            if row[p]:
+                c, d = piv[p], row[p]
+                row = [c * a - d * b for a, b in zip(row, piv)]
+        p = next((i for i, a in enumerate(row) if a), None)
+        if p is None:
+            continue
+        g = gcd(*row)
+        echelon.append((p, [a // g for a in row]))
+        if len(echelon) == n:
+            return []
+    rows, pivots = _rref([row for _, row in echelon], n)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def _primitive(vec):
+    """The integer multiple of a rational vector with entries of gcd 1."""
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
 def find_weights(f):
     """Detect quasi-homogeneity.
 
@@ -505,40 +559,45 @@ def find_weights(f):
         raise ValueError("zero polynomial has no weight system")
     exps = f.exponents()
     n = len(f.variables)
-    base = exps[0]
-    rows = [[Fraction(e[i] - base[i]) for i in range(n)] for e in exps[1:]]
-    rref_rows, pivots = _rref(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
+    basis = _difference_nullspace(exps, n)
+    if not basis:
         return None  # only w = 0 solves the system
-    # nullspace basis: one vector per free column
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row, pc in zip(rref_rows, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
     # find alpha with sum_j alpha_j * basis_j > 0 in every coordinate
-    cone_rows = [[basis[j][i] for j in range(len(free))] for i in range(n)]
+    cone_rows = [[vec[i] for vec in basis] for i in range(n)]
     alpha = _positive_point(cone_rows)
     if alpha is None:
         return None
-    w = [sum(a * basis[j][i] for j, a in enumerate(alpha)) for i in range(n)]
+    w = [sum(a * vec[i] for a, vec in zip(alpha, basis)) for i in range(n)]
     assert all(x > 0 for x in w)
-    denom = 1
-    for x in w:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in w]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = _primitive(w)
+    base = exps[0]
     d = sum(wi * ei for wi, ei in zip(ints, base))
     if d <= 0:
         return None  # constant term present: no positive-degree grading
     assert all(sum(wi * ei for wi, ei in zip(ints, e)) == d for e in exps)
     return WeightSystem(tuple(ints), d)
+
+
+def scaling_weights(f, name):
+    """Integer weights on f's variables, nonzero on `name`, under which every
+    term of f has the same weighted degree; None when there are none.
+
+    They exist exactly when the unit vector of `name` is not in the span of
+    the differences of f's exponent vectors.  The entries have gcd 1 and
+    the first nonzero one is positive.  With weights w and common degree D,
+    f(lam^w_1 x_1, ..., lam^w_n x_n) = lam^D f for every lam != 0, so for a
+    family parameter `name` with w_name != 0, every fiber at a nonzero value
+    is a diagonal rescaling of every other one (over Q-bar).
+    """
+    i = f.variables.index(name)
+    basis = _difference_nullspace(f.exponents(), len(f.variables))
+    vec = next((v for v in basis if v[i]), None)
+    if vec is None:
+        return None
+    ints = _primitive(vec)
+    if next(x for x in ints if x) < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
 
 
 def euler_identity_check(f, ws):

@@ -1,9 +1,15 @@
 import json
 import re
+import shlex
+from fractions import Fraction
 
-from bassinv import cli
+import pytest
 
-from conftest import REPO, WAHL_GRAPH, WAHL_FAMILY
+from bassinv import cli, singularity
+from bassinv.groebner import MonomialOrder
+from bassinv.polynomials import parse, substitute_parameter
+
+from conftest import REPO, VARS, WAHL_GRAPH, WAHL_FAMILY
 
 GRAPH = str(WAHL_GRAPH)
 
@@ -79,6 +85,14 @@ class TestAnalyze:
         code, err = run_err(capsys, "analyze", "z^2+y^3+x^10")
         assert code == 5 and "BASSINV_MAX_STAIRCASE" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "1e5", "10 000"])
+    def test_malformed_staircase_cap_exit_4(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", raw)
+        code, err = run_err(capsys, "analyze", "z^2+y^3+x^10")
+        assert code == 4
+        assert "UsageError" in err and "BASSINV_MAX_STAIRCASE" in err
+        assert repr(raw) in err
+
 
 class TestFamily:
     def test_wahl_family(self, capsys):
@@ -93,14 +107,31 @@ class TestFamily:
         assert t1[(1, 0)]["value"] == 16
 
     def test_every_nonzero_fiber_identical(self, capsys):
+        # each fiber is analyzed here on its own, so the comparison does not
+        # rest on the CLI's reuse of one nonzero fiber's profile
         doc = run_json(capsys, "family", WAHL_FAMILY,
-                       "--values", "0,1,2,1/2", "--graph", GRAPH,
+                       "--values", "0,1,2,1/2,-1/3", "--graph", GRAPH,
                        "--assume-chi-invariant")
-        tables = [f["table"] for f in doc["fibers"] if f["value"] != "0"]
-        assert len(tables) == 3
-        assert tables[0] == tables[1] == tables[2]
-        assert all(f["profile"]["tjurina"] == 16
-                   for f in doc["fibers"] if f["value"] != "0")
+        family = parse(WAHL_FAMILY, VARS + ("t",))
+        nonzero = [f for f in doc["fibers"] if f["value"] != "0"]
+        assert len(nonzero) == 4
+        for fiber in nonzero:
+            own = singularity.analyze(substitute_parameter(
+                family, "t", Fraction(fiber["value"])))
+            assert (own.tjurina, own.milnor, own.weights) == (16, 18, None)
+            assert fiber["profile"] == cli._profile_json(own)
+        assert all(f["table"] == nonzero[0]["table"] for f in nonzero)
+
+    @pytest.mark.parametrize("form", ["space", "equals", "abbreviated"])
+    @pytest.mark.parametrize("values", ["-1/3,0", "-1,0,1", "-2,1/2,0"])
+    def test_negative_values(self, capsys, form, values):
+        flag = {"space": ["--values", values],
+                "equals": [f"--values={values}"],
+                "abbreviated": ["--val", values]}[form]
+        doc = run_json(capsys, "family", WAHL_FAMILY, *flag,
+                       "--assume-chi-invariant")
+        expected = sorted(Fraction(v) for v in values.split(","))
+        assert [f["value"] for f in doc["fibers"]] == list(map(str, expected))
 
     def test_missing_flag_exit_4(self, capsys):
         code, err = run_err(capsys, "family", WAHL_FAMILY, "--values", "0,1")
@@ -193,6 +224,87 @@ class TestBass:
         assert code == 5 and "negative definite" in err
 
 
+def _family_args(*argv):
+    return cli._build_parser().parse_args(
+        ["family", *argv, "--assume-chi-invariant"])
+
+
+class TestFiberTransport:
+    """Fibers at nonzero values of a scaling family share one analysis."""
+
+    @pytest.fixture
+    def analyze_calls(self, monkeypatch):
+        calls = []
+        real = singularity.analyze
+
+        def counting(f, order=None):
+            calls.append(f)
+            return real(f, order)
+
+        monkeypatch.setattr(singularity, "analyze", counting)
+        return calls
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("family, values", [
+        (WAHL_FAMILY, "-2,-1/3,0,1/2,1,7/5"),
+        ("x^2+y^3+t*z^5", "-3,1/2,1,5"),        # graded nonzero fibers
+        ("x^2+y^3+t*z^7+z^5", "-1,0,1/2,3"),    # weight -12 on t
+    ])
+    def test_transported_profiles_equal_analysis(self, analyze_calls,
+                                                 family, values, order):
+        args = _family_args(family, f"--values={values}", "--order", order)
+        _, vals, profiles, _, _, _ = cli._analyze_family(args, False)
+        assert len(analyze_calls) == (0 in vals) + 1
+        F = parse(family, VARS + ("t",))
+        monomial_order = getattr(MonomialOrder, order)()
+        for v, profile in zip(vals, profiles):
+            fiber = substitute_parameter(F, "t", v)
+            assert profile == singularity.analyze(fiber, monomial_order)
+
+    @pytest.mark.parametrize("family, p_g", [("x^2+y^3+t*z^5", 0),
+                                             ("x^2+y^3+t*z^7", 1)])
+    def test_graded_nonzero_fibers_carry_p_g(self, analyze_calls, family,
+                                             p_g):
+        args = _family_args(family, "--values=-1,2,5/3")
+        _, _, profiles, graded_index, _, _ = cli._analyze_family(args, False)
+        assert len(analyze_calls) == 1 and graded_index == 0
+        assert [p.p_g for p in profiles] == [p_g] * 3
+        assert profiles[0].weights is not None
+        assert profiles[1].weights == profiles[0].weights
+
+    def test_wahl_bass_makes_two_analyses(self, capsys, analyze_calls):
+        run_ok(capsys, "bass", WAHL_FAMILY,
+               "--values", "-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
+               "--assume-chi-invariant")
+        assert len(analyze_calls) == 2
+
+    def test_uncertified_family_analyzes_every_fiber(self, capsys,
+                                                     analyze_calls):
+        run_ok(capsys, "family", "x^3+y^3+z^3+t*x*y*z", "--values", "0,1,2",
+               "--assume-chi-invariant")
+        assert len(analyze_calls) == 3
+
+    def test_first_smooth_fiber_is_reported(self, capsys):
+        code, err = run_err(capsys, "family", "x+t*y^2", "--values=1,2",
+                            "--assume-chi-invariant")
+        assert code == 5 and "fiber t = 1 is smooth" in err
+
+    def test_non_isolated_zero_fiber_after_nonzero_one(self, capsys):
+        code, err = run_err(capsys, "family", "x^2+y^2+t*z^2",
+                            "--values=-1,0,1", "--assume-chi-invariant")
+        assert code == 2 and "NotIsolatedError" in err
+
+    @pytest.mark.parametrize("suffix, extra", [("txt", []),
+                                               ("json", ["--json"])])
+    def test_eight_fiber_transcripts(self, capsys, suffix, extra):
+        golden = (REPO / "fixtures" / "golden" /
+                  f"wahl_bass_8fibers.{suffix}").read_text()
+        out = run_ok(capsys, "bass", WAHL_FAMILY,
+                     "--values=-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
+                     "--assume-chi-invariant", *extra)
+        assert out.replace(GRAPH, "fixtures/wahl_resolution.json") == golden
+
+
 class TestGraphCommand:
     def test_fixture(self, capsys):
         doc = run_json(capsys, "graph", GRAPH)
@@ -249,3 +361,21 @@ class TestDeterminismAndConsistency:
 
     def test_family_fixture_file_matches_flag_form(self):
         assert WAHL_FAMILY == "z^2+y^3+x^10+t*x^7*y"
+
+
+def _readme_commands():
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines()
+            if line.startswith("bassinv ")]
+
+
+def test_readme_has_usage_commands():
+    assert len(_readme_commands()) >= 4
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    assert cli.main(argv[1:]) == 0, capsys.readouterr().err

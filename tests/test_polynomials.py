@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bassinv.errors import PolynomialSyntaxError, UnknownVariableError
 from bassinv.polynomials import (Polynomial, WeightSystem, euler_identity_check,
                                  find_weights, parse, partial_derivative,
-                                 substitute_parameter)
+                                 scaling_weights, substitute_parameter)
 
 from conftest import VARS, poly
 
@@ -220,3 +221,56 @@ class TestWeights:
             WeightSystem((1, -1, 1), 3)
         with pytest.raises(ValueError):
             WeightSystem((1, 1, 1), 0)
+
+
+def _evaluate(f, point):
+    total = Fraction(0)
+    for exp, c in f.term_map().items():
+        term = Fraction(c)
+        for value, e in zip(point, exp):
+            term *= Fraction(value) ** e
+        total += term
+    return total
+
+
+class TestScalingWeights:
+    FAMILY_VARS = VARS + ("t",)
+
+    @pytest.mark.parametrize("text", [
+        "z^2+y^3+x^10+t*x^7*y",
+        "x^2+y^3+t*z^5",
+        "x^2+y^3+t*z^7+z^5",
+        "x+t*y^2",
+        "x^2+y^2+t*z^2",
+        "t^3*x^2 - 5/2*t*y + z^4*t^2",
+    ])
+    def test_every_term_has_one_degree(self, text):
+        f = parse(text, self.FAMILY_VARS)
+        w = scaling_weights(f, "t")
+        assert w is not None and w[-1] != 0
+        assert gcd(*w) == 1 and next(x for x in w if x) > 0
+        # f(lam^w * p) = lam^D f(p), checked by evaluation at sample points
+        exp = next(iter(f.term_map()))
+        degree = sum(a * b for a, b in zip(w, exp))
+        for lam in (Fraction(2), Fraction(-1, 3)):
+            for point in ((1, 2, 3, 5), (Fraction(-1, 2), 7, 1, -3)):
+                scaled = [lam ** wi * v for wi, v in zip(w, point)]
+                assert _evaluate(f, scaled) == lam ** degree * _evaluate(f,
+                                                                         point)
+
+    def test_wahl_family(self):
+        f = parse("z^2+y^3+x^10+t*x^7*y", self.FAMILY_VARS)
+        assert scaling_weights(f, "t") == (3, 10, 15, -1)
+
+    def test_parameter_in_any_slot(self):
+        f = parse("z^2+y^3+x^10+t*x^7*y", ("t",) + VARS)
+        assert scaling_weights(f, "t") == (1, -3, -10, -15)
+
+    @pytest.mark.parametrize("text", [
+        "x^3+y^3+z^3+t*x*y*z",              # t needs weight 0
+        "z^2+y^3+x^10+t*x^7*y+t^2*x^8",     # t^2*x^8 has degree 22, not 30
+        "x^2+y^3+z^5+t*z^5",                # z^5 and t*z^5 share (x,y,z)
+        "x^2+t*y^3+t^2*y^3+z^4",            # t*y^3 and t^2*y^3 likewise
+    ])
+    def test_none(self, text):
+        assert scaling_weights(parse(text, self.FAMILY_VARS), "t") is None
