@@ -1,19 +1,19 @@
-"""Pure-Python term-arithmetic kernel.
+"""The term-arithmetic kernel.
 
-This is the reference implementation of the operations that dominate a
-Buchberger run: complete fraction-free reduction, S-polynomials, and
-staircase enumeration.  `bassinv._core_cy` is a compiled drop-in with the
-same contracts; `bassinv.kernel` picks one at import time.
+The operations that dominate a Buchberger run: complete fraction-free
+reduction, S-polynomials, and staircase enumeration.  The engine reaches
+them through `bassinv.kernel.active()`.
 
-Data layout shared by both kernels:
+Data layout:
 
   * an exponent is a tuple of non-negative ints (fixed width per ideal);
   * a term list is [(exponent, int coefficient), ...] sorted descending in
     the active monomial order, with no zero coefficients;
   * basis elements additionally have positive leading coefficient.
 
-Coefficients are plain Python ints (exact, arbitrary precision); scaling by
-rationals is tracked separately so reductions stay fraction-free.
+Coefficients and exponents are plain Python ints (exact, arbitrary
+precision); scaling by rationals is tracked separately so reductions stay
+fraction-free.
 
 Per-term work runs in C-level builtins: exponent arithmetic is `map` over
 the `operator` functions, and sorts and the reduction heap use a key built
@@ -29,12 +29,9 @@ from operator import add, le, mul, neg, sub
 
 from .errors import StaircaseLimitError
 
-BACKEND = "python"
-
 GREVLEX = 0
 LEX = 1
 WGREVLEX = 2
-WLEX = 3
 
 
 def order_key(exp, kind, weights):
@@ -43,11 +40,8 @@ def order_key(exp, kind, weights):
         return (sum(exp), *map(neg, exp[::-1]))
     if kind == LEX:
         return tuple(exp)
-    wd = sum(map(mul, weights, exp))
     if kind == WGREVLEX:
-        return (wd, sum(exp), *map(neg, exp[::-1]))
-    if kind == WLEX:
-        return (wd, *exp)
+        return (sum(map(mul, weights, exp)), sum(exp), *map(neg, exp[::-1]))
     raise ValueError(f"unknown order kind {kind}")
 
 
@@ -64,7 +58,7 @@ def _descending_key(kind, weights):
         return lambda e: tuple(map(neg, e))
     if kind == WGREVLEX:
         return lambda e: (-sum(map(mul, weights, e)), -sum(e), e[::-1])
-    return lambda e: tuple(map(neg, order_key(e, kind, weights)))
+    raise ValueError(f"unknown order kind {kind}")
 
 
 def exp_divides(a, b):

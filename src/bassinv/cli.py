@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -431,14 +432,20 @@ def run(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        print(run(argv))
-        return 0
-    except SmoothInput as exc:
-        print(f"smooth: {exc}")
-        return exc.exit_code
+        try:
+            text, code = run(argv), 0
+        except SmoothInput as exc:
+            text, code = f"smooth: {exc}", exc.exit_code
+        print(text, flush=True)
+        return code
     except BassinvError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull
+        # so the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

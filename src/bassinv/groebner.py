@@ -2,7 +2,9 @@
 
 The pair queue uses Gebauer-Moller elimination with normal (minimal lcm
 degree) selection.  Arithmetic is fraction-free on primitive integer term
-lists (see the kernel modules); results are certificates, not probabilistic.
+lists and is done by `bassinv._core_py`, looked up through
+`bassinv.kernel.active()` at each call; results are certificates, not
+probabilistic.
 Outputs are deterministic for a fixed input and order: term iteration and
 the pair queue are fully sorted.
 """
@@ -17,11 +19,9 @@ from heapq import heappush, heappop
 from math import lcm
 
 from . import kernel
-from ._core_py import GREVLEX, LEX, WGREVLEX  # order codes are shared
+from ._core_py import GREVLEX, LEX, WGREVLEX
 from .errors import UsageError
 from .polynomials import Polynomial
-
-_EXPONENT_CAP = 2 ** 31  # compiled kernel stores exponents in C integers
 
 DEFAULT_STAIRCASE_CAP = 100000
 
@@ -142,11 +142,8 @@ def _to_raw(p, code, weights):
     if not terms:
         return [], Fraction(0)
     den = lcm(*(c.denominator for c in terms.values()))
-    pairs = []
-    for e, c in terms.items():
-        if max(e, default=0) >= _EXPONENT_CAP:
-            raise ValueError("exponent too large for the kernel (>= 2^31)")
-        pairs.append((e, c.numerator * (den // c.denominator)))
+    pairs = [(e, c.numerator * (den // c.denominator))
+             for e, c in terms.items()]
     impl = kernel.active()
     items = impl.sort_terms(pairs, code, weights)
     items, content = impl.make_primitive(items)

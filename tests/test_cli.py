@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +95,29 @@ class TestAnalyze:
         assert code == 4
         assert "UsageError" in err and "BASSINV_MAX_STAIRCASE" in err
         assert repr(raw) in err
+
+    @pytest.mark.parametrize("exponent", [2 ** 31 - 1, 2 ** 31])
+    def test_huge_exponent_hits_the_staircase_cap(self, capsys, monkeypatch,
+                                                  exponent):
+        monkeypatch.delenv("BASSINV_MAX_STAIRCASE", raising=False)
+        code, err = run_err(capsys, "analyze", f"x^{exponent}+y^2+z^2")
+        assert code == 5
+        assert err == ("error [StaircaseLimitError]: staircase exceeds the "
+                       "enumeration cap (100000); raise BASSINV_MAX_STAIRCASE "
+                       "to allow larger quotients\n")
+
+    @pytest.mark.parametrize("text", ["z^2+y^3+x^10", "x+y^2+z^2"])
+    def test_closed_stdout_exits_1_without_traceback(self, text):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bassinv.cli", "analyze", text],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestFamily:

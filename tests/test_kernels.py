@@ -1,138 +1,17 @@
 import hashlib
 import itertools
 import math
-import os
-import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bassinv import _core_py, kernel
+from bassinv import _core_py
 from bassinv.errors import StaircaseLimitError
-from bassinv.groebner import (MonomialOrder, buchberger, normal_form,
-                              quotient_dimension, staircase)
-from bassinv.polynomials import Polynomial
+from bassinv.groebner import MonomialOrder, buchberger, staircase
 from bassinv.singularity import _lazard_basis
 
-from conftest import (REPO, VARS, jacobian, poly, tjurina_generators,
-                      CORPUS_TEXTS)
-
-needs_compiled = pytest.mark.skipif(
-    "cython" not in kernel.available_backends(),
-    reason="compiled kernel not built")
-
-
-def random_poly(rng, max_terms=6, max_exp=5):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = tuple(rng.randint(0, max_exp) for _ in range(3))
-        terms[e] = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-    return Polynomial(terms, VARS)
-
-
-@needs_compiled
-class TestBackendParity:
-    @pytest.mark.parametrize("order", [MonomialOrder.grevlex(),
-                                       MonomialOrder.lex(),
-                                       MonomialOrder.weighted((3, 10, 15))])
-    @pytest.mark.parametrize("text", CORPUS_TEXTS)
-    def test_bases_identical(self, text, order):
-        gens = tjurina_generators(poly(text))
-        with kernel.use("python"):
-            a = buchberger(gens, order)
-            sa = staircase(a).monomials
-        with kernel.use("cython"):
-            b = buchberger(gens, order)
-            sb = staircase(b).monomials
-        assert a.generators == b.generators
-        assert sa == sb
-
-    def test_normal_forms_identical(self):
-        rng = random.Random(42)
-        gens = tjurina_generators(poly("z^2+y^3+x^10+x^7*y"))
-        probes = [random_poly(rng) for _ in range(25)]
-        with kernel.use("python"):
-            basis_py = buchberger(gens)
-            nf_py = [normal_form(p, basis_py) for p in probes]
-        with kernel.use("cython"):
-            basis_cy = buchberger(gens)
-            nf_cy = [normal_form(p, basis_cy) for p in probes]
-        assert nf_py == nf_cy
-
-    def test_random_ideals_identical(self):
-        rng = random.Random(7)
-        for _ in range(10):
-            gens = [random_poly(rng, max_terms=4, max_exp=4)
-                    for _ in range(3)]
-            with kernel.use("python"):
-                a = buchberger(gens)
-                da = quotient_dimension(a)
-            with kernel.use("cython"):
-                b = buchberger(gens)
-                db = quotient_dimension(b)
-            assert a.generators == b.generators
-            assert da == db
-
-    def test_kernel_primitives_agree(self):
-        from bassinv import _core_py, _core_cy
-        rng = random.Random(99)
-        for kind, weights in ((0, ()), (1, ()), (2, (3, 10, 15)),
-                              (3, (3, 10, 15))):
-            for _ in range(50):
-                e1 = tuple(rng.randint(0, 9) for _ in range(3))
-                e2 = tuple(rng.randint(0, 9) for _ in range(3))
-                assert (_core_py.order_key(e1, kind, weights)
-                        == tuple(_core_cy.order_key(e1, kind, weights)))
-                assert (_core_py.exp_divides(e1, e2)
-                        == _core_cy.exp_divides(e1, e2))
-                assert (_core_py.exp_lcm(e1, e2)
-                        == tuple(_core_cy.exp_lcm(e1, e2)))
-
-    def test_staircase_cap_matches(self, monkeypatch):
-        from bassinv.errors import StaircaseLimitError
-        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "4")
-        gens = [poly("z"), poly("y^2"), poly("x^9")]
-        for name in ("python", "cython"):
-            with kernel.use(name):
-                gb = buchberger(gens)
-                with pytest.raises(StaircaseLimitError):
-                    staircase(gb)
-
-
-def backend_under(value):
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from bassinv import kernel; print(kernel.backend_name())"],
-        env={**os.environ, "PYTHONPATH": str(REPO / "src"),
-             "BASSINV_KERNEL": value},
-        capture_output=True, text=True)
-
-
-def assert_import_error(run):
-    assert run.returncode != 0
-    last = run.stderr.strip().splitlines()[-1]
-    assert last.startswith("ImportError") and "BASSINV_KERNEL" in last
-
-
-class TestSelection:
-    def test_env_forcing(self):
-        assert backend_under("py").stdout.strip() == "python"
-        assert_import_error(backend_under("nope"))
-
-    @pytest.mark.skipif("cython" in kernel.available_backends(),
-                        reason="compiled kernel is built")
-    def test_env_forcing_missing_compiled_kernel(self):
-        assert_import_error(backend_under("cy"))
-
-    def test_use_restores(self):
-        before = kernel.backend_name()
-        with kernel.use("python"):
-            assert kernel.backend_name() == "python"
-        assert kernel.backend_name() == before
-
+from conftest import jacobian, poly, tjurina_generators
 
 # sha256 digests of (basis generators, staircase) recorded from the
 # pure-Python kernel: (f, order, digest), where "lazard" is the 4-variable
@@ -153,31 +32,32 @@ RECORDED_BASES = {
 }
 
 
-@pytest.mark.parametrize("backend", kernel.available_backends())
-@pytest.mark.parametrize("case", RECORDED_BASES)
-def test_recorded_digests(case, backend):
+# the ids keep the "-python" suffix that names the kernel the digests were
+# recorded on, so each case keeps its test name
+@pytest.mark.parametrize("case", RECORDED_BASES,
+                         ids=[f"{case}-python" for case in RECORDED_BASES])
+def test_recorded_digests(case):
     text, order, expected = RECORDED_BASES[case]
     f = poly(text)
-    with kernel.use(backend):
-        if order == "lazard":
-            basis = _lazard_basis(jacobian(f))
-        else:
-            basis = buchberger(tjurina_generators(f),
-                               getattr(MonomialOrder, order)())
-        stairs = staircase(basis).monomials
+    if order == "lazard":
+        basis = _lazard_basis(jacobian(f))
+    else:
+        basis = buchberger(tjurina_generators(f),
+                           getattr(MonomialOrder, order)())
+    stairs = staircase(basis).monomials
     dump = repr((tuple(str(g) for g in basis.generators), stairs))
     assert hashlib.sha256(dump.encode()).hexdigest()[:16] == expected
 
 
-# -- oracles for the pure-Python kernel ---------------------------------------
+# -- oracles for the kernel ---------------------------------------------------
 #
 # Written from the definitions of the orders and of the division algorithm,
 # with exact rationals and plain loops; nothing here calls the engine except
 # the function under test.
 
 def reference_key(exp, kind, weights):
-    """The flat order key: (weighted degree,) (degree,) then either the
-    exponents (lex tiebreak) or the negated exponents from the last one
+    """The flat order key: the exponents for lex; otherwise (weighted
+    degree,) degree, then the negated exponents from the last one
     (reverse-lex tiebreak)."""
     n = len(exp)
     degree = 0
@@ -191,20 +71,18 @@ def reference_key(exp, kind, weights):
         return tuple([degree] + from_last_negated)
     if kind == _core_py.LEX:
         return tuple(exp)
-    if kind == _core_py.WGREVLEX:
-        return tuple([weighted, degree] + from_last_negated)
-    return tuple([weighted] + list(exp))
+    return tuple([weighted, degree] + from_last_negated)
 
 
 def reference_greater(a, b, kind, weights):
     """a > b straight from the definition of each order."""
-    if kind in (_core_py.WGREVLEX, _core_py.WLEX):
+    if kind == _core_py.WGREVLEX:
         wa = sum(w * x for w, x in zip(weights, a))
         wb = sum(w * x for w, x in zip(weights, b))
         if wa != wb:
             return wa > wb
     diff = [x - y for x, y in zip(a, b)]
-    if kind in (_core_py.LEX, _core_py.WLEX):
+    if kind == _core_py.LEX:
         nonzero = [d for d in diff if d]
         return bool(nonzero) and nonzero[0] > 0
     if sum(a) != sum(b):
@@ -225,9 +103,9 @@ def ring_and_order(draw):
     """(number of variables 1-4, order code, weights)."""
     n = draw(st.integers(1, 4))
     kind = draw(st.sampled_from([_core_py.GREVLEX, _core_py.LEX,
-                                 _core_py.WGREVLEX, _core_py.WLEX]))
+                                 _core_py.WGREVLEX]))
     weights = ()
-    if kind in (_core_py.WGREVLEX, _core_py.WLEX):
+    if kind == _core_py.WGREVLEX:
         weights = tuple(draw(st.lists(st.integers(1, 5), min_size=n,
                                       max_size=n)))
     return n, kind, weights
@@ -358,7 +236,7 @@ class TestPythonKernelOracles:
         assert str(err.value) == message
 
     def test_origin_is_not_counted_against_the_cap(self):
-        # as in the compiled kernel: the staircase {1} survives a cap of 0
+        # the staircase {1} survives a cap of 0
         assert _core_py.enumerate_staircase([(1, 0), (0, 1)], 2, 0, 0,
                                             ()) == [(0, 0)]
 
