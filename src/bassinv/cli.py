@@ -20,6 +20,7 @@ origin), 3 parse error, 4 usage error, 5 deduction/consistency error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -354,6 +355,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="bassinv",
                      description="Singularity invariants over Q and the "

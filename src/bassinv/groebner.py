@@ -2,7 +2,7 @@
 
 The pair queue uses Gebauer-Moller elimination with normal (minimal lcm
 degree) selection.  Arithmetic is fraction-free on primitive integer term
-lists and is done by `bassinv._core_py`, looked up through
+lists and is done by `bassinv.kernel`, looked up through
 `bassinv.kernel.active()` at each call; results are certificates, not
 probabilistic.
 Outputs are deterministic for a fixed input and order: term iteration and
@@ -19,8 +19,8 @@ from heapq import heappush, heappop
 from math import lcm
 
 from . import kernel
-from ._core_py import GREVLEX, LEX, WGREVLEX
 from .errors import UsageError
+from .kernel import MonomialOrder
 from .polynomials import Polynomial
 
 DEFAULT_STAIRCASE_CAP = 100000
@@ -35,46 +35,6 @@ def _staircase_cap():
     except ValueError:
         raise UsageError(f"BASSINV_MAX_STAIRCASE must be an integer; "
                          f"got {raw!r}") from None
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total multiplicative well-order on monomials.
-
-    kind is one of "grevlex", "lex", "weighted"; weighted orders compare the
-    weighted degree first and break ties by grevlex.
-    """
-
-    kind: str
-    weights: tuple = None
-
-    @classmethod
-    def grevlex(cls):
-        return cls("grevlex")
-
-    @classmethod
-    def lex(cls):
-        return cls("lex")
-
-    @classmethod
-    def weighted(cls, weights):
-        weights = tuple(int(w) for w in weights)
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-        return cls("weighted", weights)
-
-    def codes(self):
-        if self.kind == "grevlex":
-            return GREVLEX, ()
-        if self.kind == "lex":
-            return LEX, ()
-        if self.kind == "weighted":
-            return WGREVLEX, self.weights
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def key(self, exp):
-        code, weights = self.codes()
-        return kernel.active().order_key(exp, code, weights)
 
 
 class GroebnerBasis:
@@ -133,7 +93,7 @@ class Staircase:
         return len(self.monomials) if self.is_finite else None
 
 
-def _to_raw(p, code, weights):
+def _to_raw(p, order):
     """Polynomial -> (primitive integer term list, rational scale).
 
     The polynomial equals scale * term_list exactly.
@@ -142,11 +102,10 @@ def _to_raw(p, code, weights):
     if not terms:
         return [], Fraction(0)
     den = lcm(*(c.denominator for c in terms.values()))
-    pairs = [(e, c.numerator * (den // c.denominator))
-             for e, c in terms.items()]
-    impl = kernel.active()
-    items = impl.sort_terms(pairs, code, weights)
-    items, content = impl.make_primitive(items)
+    # a Polynomial's exponents are distinct and its coefficients nonzero
+    items = [(e, terms[e].numerator * (den // terms[e].denominator))
+             for e in sorted(terms, key=order.descending)]
+    items, content = kernel.active().make_primitive(items)
     return items, Fraction(content, den)
 
 
@@ -164,7 +123,7 @@ def buchberger(generators, order=None, variables=None):
     """
     order = order or MonomialOrder.grevlex()
     generators = list(generators)
-    code, weights = order.codes()
+    ascending = order.key
     variables = tuple(variables) if variables is not None else None
     raws = []
     for g in generators:
@@ -172,7 +131,7 @@ def buchberger(generators, order=None, variables=None):
             variables = g.variables
         elif g.variables != variables:
             raise ValueError("generators live in different rings")
-        raw, _ = _to_raw(g, code, weights)
+        raw, _ = _to_raw(g, order)
         if raw:
             raws.append(raw)
     if variables is None:
@@ -187,8 +146,7 @@ def buchberger(generators, order=None, variables=None):
             seen.add(key)
             unique.append(raw)
     impl = kernel.active()
-    unique.sort(key=lambda raw: tuple(
-        (impl.order_key(e, code, weights), c) for e, c in raw))
+    unique.sort(key=lambda raw: tuple((ascending(e), c) for e, c in raw))
     if not unique:
         return GroebnerBasis(order, variables, [])
 
@@ -204,7 +162,7 @@ def buchberger(generators, order=None, variables=None):
         lm_h = h[0][0]
         candidates = sorted(
             ((i, impl.exp_lcm(lead(i), lm_h)) for i in range(t)),
-            key=lambda item: (impl.order_key(item[1], code, weights), item[0]))
+            key=lambda item: (ascending(item[1]), item[0]))
         kept = []  # (index, lcm, coprime)
         for pos, (i, lcm_i) in enumerate(candidates):
             coprime = lcm_i == impl.exp_add(lead(i), lm_h)
@@ -231,11 +189,10 @@ def buchberger(generators, order=None, variables=None):
             if coprime:
                 continue  # Buchberger's first criterion
             alive[i, t] = lcm_i
-            heappush(heap, (sum(lcm_i),
-                            impl.order_key(lcm_i, code, weights), i, t))
+            heappush(heap, (sum(lcm_i), ascending(lcm_i), i, t))
 
     for raw in unique:
-        reduced, _, _ = impl.reduce_full(raw, G, code, weights)
+        reduced, _, _ = impl.reduce_full(raw, G, order)
         if reduced:
             add_element(reduced)
 
@@ -243,16 +200,15 @@ def buchberger(generators, order=None, variables=None):
         _, _, i, j = heappop(heap)
         if alive.pop((i, j), None) is None:
             continue
-        s = impl.spoly(G[i], G[j], code, weights)
+        s = impl.spoly(G[i], G[j], order)
         if not s:
             continue
-        reduced, _, _ = impl.reduce_full(s, G, code, weights)
+        reduced, _, _ = impl.reduce_full(s, G, order)
         if reduced:
             add_element(reduced)
 
     # minimize: drop generators whose lead another lead divides
-    by_lead = sorted(range(len(G)),
-                     key=lambda i: impl.order_key(lead(i), code, weights))
+    by_lead = sorted(range(len(G)), key=lambda i: ascending(lead(i)))
     kept_idx = []
     for i in by_lead:
         if not any(impl.exp_divides(lead(k), lead(i)) for k in kept_idx):
@@ -263,9 +219,9 @@ def buchberger(generators, order=None, variables=None):
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         if others:
-            g, _, _ = impl.reduce_full(g, others, code, weights)
+            g, _, _ = impl.reduce_full(g, others, order)
         final.append(g)
-    final.sort(key=lambda raw: impl.order_key(raw[0][0], code, weights))
+    final.sort(key=lambda raw: ascending(raw[0][0]))
     return GroebnerBasis(order, variables, final)
 
 
@@ -273,12 +229,11 @@ def normal_form(p, basis):
     """Complete reduction of p modulo the basis: exact, unique remainder."""
     if tuple(p.variables) != basis.variables:
         raise ValueError("polynomial and basis live in different rings")
-    code, weights = basis.order.codes()
-    raw, scale = _to_raw(p, code, weights)
+    raw, scale = _to_raw(p, basis.order)
     if not raw:
         return Polynomial.zero(basis.variables)
     impl = kernel.active()
-    reduced, num, den = impl.reduce_full(raw, basis._raw, code, weights)
+    reduced, num, den = impl.reduce_full(raw, basis._raw, basis.order)
     factor = scale * Fraction(num, den)
     return Polynomial({e: factor * c for e, c in reduced}, basis.variables)
 
@@ -300,9 +255,8 @@ def _standard_monomials(leads, nvars, order):
         if not any(all(le[j] == 0 for j in range(nvars) if j != i)
                    for le in leads):
             return Staircase(None)
-    code, weights = order.codes()
     return Staircase(tuple(kernel.active().enumerate_staircase(
-        leads, nvars, _staircase_cap(), code, weights)))
+        leads, nvars, _staircase_cap(), order)))
 
 
 def quotient_dimension(basis):
@@ -332,14 +286,13 @@ def supported_only_at_origin(basis, dim):
         return True
     nvars = len(basis.variables)
     impl = kernel.active()
-    code, weights = basis.order.codes()
     for i in range(nvars):
         step = tuple(1 if j == i else 0 for j in range(nvars))
         m = min(le[i] for le in basis.leading_exponents()
                 if all(le[j] == 0 for j in range(nvars) if j != i))
         terms = [(tuple(m * x for x in step), 1)]
         for _ in range(m, dim + 1):
-            terms, _, _ = impl.reduce_full(terms, basis._raw, code, weights)
+            terms, _, _ = impl.reduce_full(terms, basis._raw, basis.order)
             if not terms:
                 break
             terms = [(impl.exp_add(e, step), c) for e, c in terms]

@@ -13,13 +13,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PolynomialSyntaxError, UnknownVariableError
+from .kernel import MonomialOrder
 
 Exponent = tuple  # tuple of non-negative ints
-
-
-def grevlex_key(exp):
-    """Sort key ascending in graded reverse lexicographic order."""
-    return (sum(exp),) + tuple(-e for e in reversed(exp))
 
 
 @dataclass(frozen=True)
@@ -120,8 +116,8 @@ class Polynomial:
 
     def terms(self):
         """Term pairs (exponent, coefficient), descending in grevlex."""
-        return sorted(self._terms.items(), key=lambda t: grevlex_key(t[0]),
-                      reverse=True)
+        return [(e, self._terms[e]) for e in
+                sorted(self._terms, key=MonomialOrder.grevlex().descending)]
 
     def term_map(self):
         return dict(self._terms)
@@ -400,29 +396,6 @@ def substitute_parameter(f, name, value):
     return Polynomial(acc, f.variables[:i] + f.variables[i + 1:])
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def _positive_point(rows):
     """A rational point with rows·alpha > 0 componentwise, or None.
 
@@ -499,16 +472,15 @@ def _difference_nullspace(exps, n):
 
     Each exponent has length n.  The differences of consecutive exponents
     span the same space as all differences; each new one is reduced in
-    integers against the at most n echelon rows kept so far, and repeats
-    are skipped.  The scan stops once
-    the rank is n, when only w = 0 is left and [] is returned.  Otherwise
-    there is one vector per free column of the reduced row echelon form,
-    which depends only on the span, so the basis does not depend on which
-    differences were kept.
+    integers against the at most n rows kept so far, and repeats are
+    skipped.  The rows stay fully reduced: each is zero at every other
+    row's pivot, its first nonzero entry.  The scan stops once the rank is
+    n, when only w = 0 is left and [] is returned.  Otherwise there is one
+    vector per free column, read off the rows as off the reduced row
+    echelon form; that depends only on the span, so the basis does not
+    depend on which differences were kept.
     """
-    # (pivot, integer row): each row is zero at the pivots of the rows
-    # before it, so reducing in this order clears every pivot
-    echelon = []
+    echelon = []  # (pivot, integer row)
     seen = set()
     for prev, e in zip(exps, exps[1:]):
         diff = tuple(a - b for a, b in zip(e, prev))
@@ -524,18 +496,27 @@ def _difference_nullspace(exps, n):
         if p is None:
             continue
         g = gcd(*row)
-        echelon.append((p, [a // g for a in row]))
+        row = [a // g for a in row]
+        # clear the new pivot from the earlier rows; the new row is zero
+        # before p, so their own pivots stay their first nonzero entries
+        for k, (q, old) in enumerate(echelon):
+            if old[p]:
+                c, d = row[p], old[p]
+                old = [c * a - d * b for a, b in zip(old, row)]
+                g = gcd(*old)
+                echelon[k] = (q, [a // g for a in old])
+        echelon.append((p, row))
         if len(echelon) == n:
             return []
-    rows, pivots = _rref([row for _, row in echelon], n)
+    pivots = {p for p, _ in echelon}
     basis = []
     for fc in range(n):
         if fc in pivots:
             continue
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc]
+        for p, row in echelon:
+            vec[p] = Fraction(-row[fc], row[p])
         basis.append(vec)
     return basis
 

@@ -157,12 +157,11 @@ def test_criterion_6_property_suite():
         assert quotient_dimension(basis_g) == quotient_dimension(basis_l)
         for basis in (basis_g, basis_l):
             # (iv) S-polynomials reduce to zero; normal form is idempotent
-            code, weights = basis.order.codes()
             raws = basis._raw
             for i in range(len(raws)):
                 for j in range(i + 1, len(raws)):
-                    s = impl.spoly(raws[i], raws[j], code, weights)
-                    reduced, _, _ = impl.reduce_full(s, raws, code, weights)
+                    s = impl.spoly(raws[i], raws[j], basis.order)
+                    reduced, _, _ = impl.reduce_full(s, raws, basis.order)
                     assert reduced == []
             probe = poly("x^4*y^3 + 5*z^5 - 1/3*x*y*z + 7")
             once = normal_form(probe, basis)

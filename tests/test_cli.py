@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from bassinv import cli, singularity
+from bassinv.errors import UsageError
 from bassinv.groebner import MonomialOrder
 from bassinv.polynomials import parse, substitute_parameter
 
@@ -384,6 +385,23 @@ class TestDeterminismAndConsistency:
         out = run_ok(capsys, "bass", WAHL_FAMILY, "--values", "0,1",
                      "--graph", GRAPH, "--assume-chi-invariant")
         assert out.replace(GRAPH, "fixtures/wahl_resolution.json") == golden
+
+    def test_reused_parser_matches_a_fresh_one(self):
+        # the parser is built once per process: a failed parse and other
+        # commands before a run must not change how it reads its arguments
+        runs = [["analyze", "z^2+y^3+x^10", "--graph", GRAPH],
+                ["family", WAHL_FAMILY, "--values", "-1/3,0,1",
+                 "--graph", GRAPH, "--assume-chi-invariant"],
+                ["analyze", "z^2+y^3+x^10+x^7*y", "--json"]]
+        with pytest.raises(UsageError):
+            cli.run(["analyze"])
+        reused = [cli.run(argv) for argv in runs]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            fresh.append(cli.run(argv))
+        assert reused == fresh
 
     def test_family_fixture_file_matches_flag_form(self):
         assert WAHL_FAMILY == "z^2+y^3+x^10+t*x^7*y"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bassinv import _core_py
+from bassinv import kernel
 from bassinv.errors import StaircaseLimitError
 from bassinv.groebner import MonomialOrder, buchberger, staircase
 from bassinv.singularity import _lazard_basis
@@ -53,7 +53,8 @@ def test_recorded_digests(case):
 #
 # Written from the definitions of the orders and of the division algorithm,
 # with exact rationals and plain loops; nothing here calls the engine except
-# the function under test.
+# the function under test.  An order is a kind ("grevlex", "lex",
+# "weighted") and, for "weighted", its weights.
 
 def reference_key(exp, kind, weights):
     """The flat order key: the exponents for lex; otherwise (weighted
@@ -67,22 +68,22 @@ def reference_key(exp, kind, weights):
         if weights:
             weighted += weights[i] * exp[i]
     from_last_negated = [-exp[n - 1 - i] for i in range(n)]
-    if kind == _core_py.GREVLEX:
+    if kind == "grevlex":
         return tuple([degree] + from_last_negated)
-    if kind == _core_py.LEX:
+    if kind == "lex":
         return tuple(exp)
     return tuple([weighted, degree] + from_last_negated)
 
 
 def reference_greater(a, b, kind, weights):
     """a > b straight from the definition of each order."""
-    if kind == _core_py.WGREVLEX:
+    if kind == "weighted":
         wa = sum(w * x for w, x in zip(weights, a))
         wb = sum(w * x for w, x in zip(weights, b))
         if wa != wb:
             return wa > wb
     diff = [x - y for x, y in zip(a, b)]
-    if kind == _core_py.LEX:
+    if kind == "lex":
         nonzero = [d for d in diff if d]
         return bool(nonzero) and nonzero[0] > 0
     if sum(a) != sum(b):
@@ -100,12 +101,11 @@ def divides(a, b):
 
 @st.composite
 def ring_and_order(draw):
-    """(number of variables 1-4, order code, weights)."""
+    """(number of variables 1-4, order kind, weights or None)."""
     n = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from([_core_py.GREVLEX, _core_py.LEX,
-                                 _core_py.WGREVLEX]))
-    weights = ()
-    if kind == _core_py.WGREVLEX:
+    kind = draw(st.sampled_from(["grevlex", "lex", "weighted"]))
+    weights = None
+    if kind == "weighted":
         weights = tuple(draw(st.lists(st.integers(1, 5), min_size=n,
                                       max_size=n)))
     return n, kind, weights
@@ -201,44 +201,61 @@ class TestPythonKernelOracles:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_order_key(self, data):
         n, kind, weights = data.draw(ring_and_order())
+        order = MonomialOrder(kind, weights)
         a = data.draw(exponents(n, 9))
         b = data.draw(exponents(n, 9))
-        ka = _core_py.order_key(a, kind, weights)
+        ka = order.key(a)
         assert ka == reference_key(a, kind, weights)
-        kb = _core_py.order_key(b, kind, weights)
+        kb = order.key(b)
         assert (ka > kb) == reference_greater(a, b, kind, weights)
+        # descending compares like the negated reference key
+        na, nb = (tuple(-x for x in reference_key(e, kind, weights))
+                  for e in (a, b))
+        da, db = order.descending(a), order.descending(b)
+        a_first = reference_greater(a, b, kind, weights)
+        b_first = reference_greater(b, a, kind, weights)
+        assert (da < db) == (na < nb) == a_first
+        assert (da > db) == (na > nb) == b_first
+        assert (da == db) == (a == b)
+        # and on a whole box, where ties in (weighted) degree are common
+        box = list(itertools.product(range(3), repeat=n))
+        assert (sorted(box, key=order.descending)
+                == sorted(box, key=lambda e: [-x for x in reference_key(
+                    e, kind, weights)]))
 
     @given(finite_staircases())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_enumerate_staircase_is_the_brute_force_scan(self, case):
         n, kind, weights, leads = case
-        assert (_core_py.enumerate_staircase(leads, n, 10 ** 6, kind, weights)
+        order = MonomialOrder(kind, weights)
+        assert (kernel.enumerate_staircase(leads, n, 10 ** 6, order)
                 == brute_force_staircase(leads, n, kind, weights))
 
     def test_unit_ideal_and_no_variables(self):
-        assert _core_py.enumerate_staircase([(2, 0), (0, 0)], 2, 10, 0,
-                                            ()) == []
-        assert _core_py.enumerate_staircase([], 0, 10, 0, ()) == [()]
+        grevlex = MonomialOrder.grevlex()
+        assert kernel.enumerate_staircase([(2, 0), (0, 0)], 2, 10,
+                                          grevlex) == []
+        assert kernel.enumerate_staircase([], 0, 10, grevlex) == [()]
 
     @given(finite_staircases())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_cap_boundary(self, case):
         n, kind, weights, leads = case
+        order = MonomialOrder(kind, weights)
         size = len(brute_force_staircase(leads, n, kind, weights))
         assume(size >= 2)
-        assert len(_core_py.enumerate_staircase(leads, n, size, kind,
-                                                weights)) == size
+        assert len(kernel.enumerate_staircase(leads, n, size, order)) == size
         cap = size - 1
         message = (f"staircase exceeds the enumeration cap ({cap}); "
                    f"raise BASSINV_MAX_STAIRCASE to allow larger quotients")
         with pytest.raises(StaircaseLimitError) as err:
-            _core_py.enumerate_staircase(leads, n, cap, kind, weights)
+            kernel.enumerate_staircase(leads, n, cap, order)
         assert str(err.value) == message
 
     def test_origin_is_not_counted_against_the_cap(self):
         # the staircase {1} survives a cap of 0
-        assert _core_py.enumerate_staircase([(1, 0), (0, 1)], 2, 0, 0,
-                                            ()) == [(0, 0)]
+        assert kernel.enumerate_staircase([(1, 0), (0, 1)], 2, 0,
+                                          MonomialOrder.grevlex()) == [(0, 0)]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -248,7 +265,8 @@ class TestPythonKernelOracles:
                                               positive_lead=True),
                                    max_size=3))
         terms = data.draw(term_lists(n, kind, weights))
-        reduced, num, den = _core_py.reduce_full(terms, basis, kind, weights)
+        reduced, num, den = kernel.reduce_full(terms, basis,
+                                               MonomialOrder(kind, weights))
         remainder = reference_remainder(terms, basis, kind, weights)
         assert reduced == primitive_with_positive_lead(remainder, kind,
                                                        weights)
@@ -268,5 +286,5 @@ class TestPythonKernelOracles:
                 ne = tuple(x + y for x, y in zip(e, u))
                 s[ne] = s.get(ne, 0) + sign * Fraction(c, terms[0][1])
         s = {e: c for e, c in s.items() if c}
-        assert (_core_py.spoly(f, g, kind, weights)
+        assert (kernel.spoly(f, g, MonomialOrder(kind, weights))
                 == primitive_with_positive_lead(s, kind, weights))

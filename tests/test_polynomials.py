@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bassinv.errors import PolynomialSyntaxError, UnknownVariableError
-from bassinv.polynomials import (Polynomial, WeightSystem, euler_identity_check,
+from bassinv.polynomials import (Polynomial, WeightSystem,
+                                 _difference_nullspace, euler_identity_check,
                                  find_weights, parse, partial_derivative,
                                  scaling_weights, substitute_parameter)
 
@@ -274,3 +275,43 @@ class TestScalingWeights:
     ])
     def test_none(self, text):
         assert scaling_weights(parse(text, self.FAMILY_VARS), "t") is None
+
+
+def _rank(rows):
+    """Rank over Q by plain Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][c] / rows[rank][c]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def exponent_sets(draw):
+    """(n, distinct exponent vectors of length n), n from 1 to 5."""
+    n = draw(st.integers(1, 5))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1,
+                         max_size=8, unique=True))
+    return n, exps
+
+
+class TestDifferenceNullspace:
+    @given(exponent_sets())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_basis_of_the_orthogonal_complement(self, case):
+        n, exps = case
+        basis = _difference_nullspace(exps, n)
+        diffs = [[a - b for a, b in zip(e, exps[0])] for e in exps[1:]]
+        for vec in basis:
+            assert len(vec) == n
+            for d in diffs:
+                assert sum(v * x for v, x in zip(vec, d)) == 0
+        assert _rank(basis) == len(basis)  # independent
+        assert len(basis) == n - _rank(diffs)
