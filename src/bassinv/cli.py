@@ -34,7 +34,8 @@ from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
 from .groebner import MonomialOrder
 from .invariants import (FamilyReport, Fiber, bass_verdict, build_table,
                          deduce_family)
-from .polynomials import NAME, parse, scaling_weights, substitute_parameter
+from .polynomials import (NAME, Polynomial, parse, scaling_weights,
+                          substitute_parameter)
 
 VARIABLES = ("x", "y", "z")
 
@@ -259,6 +260,7 @@ def _analyze_family(args, need_graph):
                 "to derive a Bass verdict from it")
         g, l = info["g"], info["l"]
         p_g = profiles[graded_index].p_g
+        _check_p_g_reuse(name, values, profiles, graded_index)
         fibers = []
         for i, (v, profile) in enumerate(zip(values, profiles)):
             table = build_table(profile.tjurina, p_g, g, l,
@@ -269,6 +271,35 @@ def _analyze_family(args, need_graph):
                               chi_assumed_invariant=True)
         report = deduce_family(report)
     return f, values, profiles, graded_index, info, report
+
+
+def _check_p_g_reuse(name, values, profiles, graded_index):
+    """Refuse a fiber whose table would reuse p_g without justification.
+
+    Every fiber's table is built with the p_g of the graded fiber F_0, of
+    weights w and degree d.  A fiber F_v keeps that p_g when it is graded
+    itself with the same p_g, or when it is semi-quasi-homogeneous over
+    F_0: every term of F_v - F_0 has weighted degree above d, so F_0 is its
+    principal part (Arnold 1974; Saito 1981).  Any other fiber raises
+    InconsistentInputsError.
+    """
+    graded = profiles[graded_index]
+    ws = graded.weights
+    for v, profile in zip(values, profiles):
+        if profile.weights is not None and profile.p_g == graded.p_g:
+            continue
+        low = [e for e in (profile.f - graded.f).exponents()
+               if ws.weighted_degree(e) <= ws.degree]
+        if low:
+            term = Polynomial({low[0]: 1}, graded.f.variables)
+            raise InconsistentInputsError(
+                f"fiber {name} = {v}: reusing the graded fiber's "
+                f"p_g = {graded.p_g} in its table is not justified: the term "
+                f"{term} of its difference from the graded fiber "
+                f"{name} = {values[graded_index]} has weighted degree "
+                f"{ws.weighted_degree(low[0])}, not above {ws.degree} under "
+                f"the weights {ws.weights}, and the fiber is not graded with "
+                f"that p_g")
 
 
 def _family_output(args, f, values, profiles, graded_index, info, report,

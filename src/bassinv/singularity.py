@@ -3,10 +3,13 @@
 Certification happens on the singular locus of the surface: the quotient by
 (f) + Jacobian ideal must be finite-dimensional and supported at the origin.
 The Milnor number is the length of the origin-local factor of the Jacobian
-quotient, always read off a local standard basis computed by Lazard's
-homogenisation method (Lazard 1983; Greuel-Pfister, A Singular Introduction
-to Commutative Algebra, 1.7).  Critical points of f away from the surface,
-which the deformed fibers of the shipped family have, do not contribute.
+quotient.  For a quasi-homogeneous f it equals the Tjurina number, and p_g
+is counted on the certification staircase, so one Groebner basis serves the
+whole analysis (see analyze).  Otherwise mu is read off a local standard
+basis computed by Lazard's homogenisation method (Lazard 1983;
+Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7), and
+critical points of f away from the surface, which the deformed fibers of
+the shipped family have, do not contribute.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from .errors import (NotIsolatedError, NotQuasiHomogeneousError,
                      SingularLocusNotAtOriginError, SmoothInput)
 from .groebner import (MonomialOrder, _standard_monomials, buchberger,
-                       quotient_dimension, supported_only_at_origin)
+                       staircase, supported_only_at_origin)
 from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
                           find_weights, partial_derivative)
 
@@ -42,11 +45,13 @@ def jacobian_ideal(f):
 def _certify_tjurina(f, partials, order):
     """Groebner basis of (f) + Jacobian ideal, certified isolated-at-origin.
 
-    `partials` is jacobian_ideal(f).  Returns (basis, tau).  Raises
-    NotIsolatedError, SmoothInput, or SingularLocusNotAtOriginError.
+    `partials` is jacobian_ideal(f).  Returns the basis' Staircase, whose
+    size is tau.  Raises NotIsolatedError, SmoothInput, or
+    SingularLocusNotAtOriginError.
     """
     basis = buchberger([f] + partials, order)
-    dim = quotient_dimension(basis)
+    stairs = staircase(basis)
+    dim = stairs.size
     if dim is None:
         raise NotIsolatedError(
             "the singular locus of {f=0} is positive-dimensional")
@@ -55,28 +60,23 @@ def _certify_tjurina(f, partials, order):
     if not supported_only_at_origin(basis, dim):
         raise SingularLocusNotAtOriginError(
             "the singular locus of {f=0} is not the origin")
-    return basis, dim
+    return stairs
 
 
 def tjurina_number(f, order=None):
     """length of Q[x,y,z]/((f) + Jacobian ideal), the Tjurina number."""
     order = order or MonomialOrder.grevlex()
-    _, tau = _certify_tjurina(f, jacobian_ideal(f), order)
-    return tau
+    return _certify_tjurina(f, jacobian_ideal(f), order).size
 
 
 def milnor_number(f, order=None):
-    """Milnor number at the origin.
+    """Milnor number at the origin: analyze(f, order).milnor.
 
-    The length of the origin-local factor of the Jacobian quotient, from a
-    local standard basis (Lazard's method, see _local_staircase), so it
-    does not depend on `order`, which only the certification uses.
-    Critical points of f away from {f=0} do not contribute.
+    The length of the origin-local factor of the Jacobian quotient; it does
+    not depend on `order`.  Critical points of f away from {f=0} do not
+    contribute.
     """
-    order = order or MonomialOrder.grevlex()
-    partials = jacobian_ideal(f)
-    _certify_tjurina(f, partials, order)
-    return _local_staircase(partials).size
+    return analyze(f, order).milnor
 
 
 # -- origin-local staircase ---------------------------------------------------
@@ -126,12 +126,13 @@ def geometric_genus_qh(f, ws):
     """Geometric genus of a quasi-homogeneous isolated singularity.
 
     The number of standard monomials of the Jacobian ideal of weighted degree
-    at most d - (w1+w2+w3), counted on the origin-local staircase.
+    at most d - (w1+w2+w3), counted on the staircase of its grevlex basis
+    (see _genus_count for why a global order gives the graded count).
     """
     if not euler_identity_check(f, ws):
         raise NotQuasiHomogeneousError(
             "the weight system does not satisfy the Euler identity for f")
-    return _genus_count(_local_staircase(jacobian_ideal(f)), ws)
+    return _genus_count(staircase(buchberger(jacobian_ideal(f))), ws)
 
 
 def _genus_count(stairs, ws):
@@ -141,6 +142,9 @@ def _genus_count(stairs, ws):
     primary to the maximal ideal when the singularity is isolated, so the
     standard monomials of any monomial order, local ones included, have the
     graded quotient's Hilbert function and the count is the graded one.
+    (The reduced basis of a weighted-homogeneous ideal is weighted-
+    homogeneous in every order, so its standard monomials of each weighted
+    degree span that degree's part of the quotient.)
     """
     if not stairs.is_finite:
         raise ValueError("the geometric genus needs an isolated singularity")
@@ -151,23 +155,31 @@ def _genus_count(stairs, ws):
 def analyze(f, order=None):
     """Full numerical profile: mu, tau, weights, p_g, torsion lengths.
 
-    mu and p_g come from the one origin-local staircase, and the Jacobian
-    ideal is built once for it and for the certification.  The lengths of
-    the degree-3 forms module and of the torsion of the degree-2 forms both
-    equal tau for these singularities, so they are reported from it
-    directly.
+    For a quasi-homogeneous f (find_weights gives weights w, degree d) the
+    certification basis is the only Groebner basis computed:
+      1. Euler's identity d*f = sum w_i x_i df/dx_i puts f in the Jacobian
+         ideal J, so the certified quotient is Q[x,y,z]/J and tau is its
+         dimension;
+      2. J is weighted-homogeneous, so its zero set is a cone; the quotient
+         is finite, so that set is finite, hence the origin alone, and the
+         global length tau is the origin-local length mu;
+      3. the reduced basis of J is weighted-homogeneous in every monomial
+         order, so the certification staircase has the graded Hilbert
+         function and p_g is counted on it (_genus_count).
+    Otherwise mu comes from the origin-local staircase (_local_staircase).
+    The Jacobian ideal is built once.  The lengths of the degree-3 forms
+    module and of the torsion of the degree-2 forms both equal tau for
+    these singularities, so they are reported from it directly.
     """
     order = order or MonomialOrder.grevlex()
     partials = jacobian_ideal(f)
-    _, tau = _certify_tjurina(f, partials, order)
-    stairs = _local_staircase(partials)
-    mu = stairs.size
+    stairs = _certify_tjurina(f, partials, order)
+    tau = stairs.size
     ws = find_weights(f)
-    p_g = _genus_count(stairs, ws) if ws is not None else None
-    if ws is not None and tau != mu:
-        raise AssertionError(
-            f"internal inconsistency: quasi-homogeneous input with "
-            f"tau={tau} != mu={mu}")
+    if ws is not None:
+        mu, p_g = tau, _genus_count(stairs, ws)
+    else:
+        mu, p_g = _local_staircase(partials).size, None
     return SingularityProfile(
         f=f, milnor=mu, tjurina=tau, weights=ws, p_g=p_g,
         torsion_omega2_length=tau, omega3_length=tau)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bassinv import cli, singularity
+from bassinv import cli, groebner, singularity
 from bassinv.errors import UsageError
 from bassinv.groebner import MonomialOrder
 from bassinv.polynomials import parse, substitute_parameter
@@ -305,6 +305,23 @@ class TestFiberTransport:
                "--assume-chi-invariant")
         assert len(analyze_calls) == 2
 
+    def test_wahl_bass_buchberger_calls(self, capsys, monkeypatch):
+        # t = 0 is graded: its certification basis is its only basis; the
+        # one analyzed nonzero fiber adds the Lazard basis to its own
+        calls = []
+        real = groebner.buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for module in (groebner, singularity):
+            monkeypatch.setattr(module, "buchberger", counting)
+        run_ok(capsys, "bass", WAHL_FAMILY,
+               "--values", "-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
+               "--assume-chi-invariant")
+        assert len(calls) == 3
+
     def test_uncertified_family_analyzes_every_fiber(self, capsys,
                                                      analyze_calls):
         run_ok(capsys, "family", "x^3+y^3+z^3+t*x*y*z", "--values", "0,1,2",
@@ -330,6 +347,58 @@ class TestFiberTransport:
                      "--values=-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
                      "--assume-chi-invariant", *extra)
         assert out.replace(GRAPH, "fixtures/wahl_resolution.json") == golden
+
+
+WAHL_PRINCIPAL = "z^2+y^3+x^10"
+
+
+class TestGradedGenusReuse:
+    """Every table takes the graded fiber's p_g; a fiber must be graded with
+    that p_g, or differ from the graded fiber only in terms of weighted
+    degree above its degree."""
+
+    @pytest.mark.parametrize("command", ["bass", "family"])
+    @pytest.mark.parametrize("family, term, degree, bound", [
+        # principal part x^2+y^3+z^11 at t = 1: mu 20, p_g 1, not 24 and 2
+        ("x^2+y^3+z^13+t*z^11", "z^11", 66, 78),
+        (WAHL_PRINCIPAL + "+t*x^2*y", "x^2*y", 16, 30),
+        (WAHL_PRINCIPAL + "+t*x^5", "x^5", 15, 30),
+        (WAHL_PRINCIPAL + "+t*x^7", "x^7", 21, 30),
+    ])
+    def test_low_terms_refused(self, capsys, command, family, term, degree,
+                               bound):
+        code, err = run_err(capsys, command, family, "--values", "0,1",
+                            "--graph", GRAPH, "--assume-chi-invariant")
+        assert code == 5
+        assert err.startswith("error [InconsistentInputsError]: fiber t = 1: "
+                              "reusing the graded fiber's p_g")
+        assert (f"the term {term} of its difference from the graded fiber "
+                f"t = 0 has weighted degree {degree}, not above {bound}"
+                in err)
+
+    def test_low_term_without_graph_builds_no_table(self, capsys):
+        # without a graph no table reuses p_g, so the profiles are reported
+        doc = run_json(capsys, "family", "x^2+y^3+z^13+t*z^11",
+                       "--values", "0,1", "--assume-chi-invariant")
+        assert [(f["profile"]["milnor"], f["profile"].get("p_g"))
+                for f in doc["fibers"]] == [(24, 2), (20, None)]
+
+    def test_higher_terms_pass(self, capsys):
+        # t*z^7 has degree 42 > 30 over x^2+y^3+z^5 (weights (15, 10, 6))
+        doc = run_json(capsys, "family", "x^2+y^3+t*z^7+z^5",
+                       "--values", "-1,0,2", "--graph", GRAPH,
+                       "--assume-chi-invariant")
+        assert [f["graded"] for f in doc["fibers"]] == [False, True, False]
+        assert all(f["table"]["inputs"]["p_g"] == 0 for f in doc["fibers"])
+
+    def test_graded_fibers_with_the_same_p_g_pass(self, capsys):
+        # every fiber of x^2+y^3+t*z^7 at t != 0 is graded with p_g = 1,
+        # though t*z^7 has exactly the degree d
+        doc = run_json(capsys, "family", "x^2+y^3+t*z^7",
+                       "--values", "-1,2,5/3", "--graph", GRAPH,
+                       "--assume-chi-invariant")
+        assert all(f["profile"]["p_g"] == f["table"]["inputs"]["p_g"] == 1
+                   for f in doc["fibers"])
 
 
 class TestGraphCommand:

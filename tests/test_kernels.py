@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -288,3 +289,62 @@ class TestPythonKernelOracles:
         s = {e: c for e, c in s.items() if c}
         assert (kernel.spoly(f, g, MonomialOrder(kind, weights))
                 == primitive_with_positive_lead(s, kind, weights))
+
+
+# -- reductions that rescale many times ---------------------------------------
+#
+# reduce_full multiplies the working terms by lc/gcd at each step, so the
+# scale it returns as `den` grows with the number of steps and the size of
+# the leading coefficients.  The oracles above draw small coefficients and
+# short bases and never get past 2^64; these cases do.
+
+def rescaling_case(rng):
+    """(n, kind, weights, basis, terms) for one seeded reduction.
+
+    The basis has one element per variable, led by a pure power of it with
+    a leading coefficient of 20-64 bits, and a tail of up to three smaller
+    monomials that the other elements reduce in turn (a reducer chain).
+    The terms have exponents up to 7 and coefficients of up to 40 bits, so
+    almost every step rescales by a large factor.
+    """
+    n = rng.randint(1, 3)
+    kind = rng.choice(["grevlex", "lex", "weighted"])
+    weights = (tuple(rng.randint(1, 4) for _ in range(n))
+               if kind == "weighted" else None)
+
+    def sort_desc(exps):
+        return sorted(exps, key=lambda e: reference_key(e, kind, weights),
+                      reverse=True)
+
+    def coefficient(bits):
+        return rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+
+    basis = []
+    for i in range(n):
+        lead = tuple(rng.randint(1, 3) if j == i else 0 for j in range(n))
+        lower = [e for e in itertools.product(range(4), repeat=n)
+                 if reference_greater(lead, e, kind, weights)]
+        tail = rng.sample(lower, min(len(lower), rng.randint(1, 3)))
+        basis.append([(lead, rng.randint(2 ** 20, 2 ** 64))]
+                     + [(e, coefficient(30)) for e in sort_desc(tail)])
+    exps = rng.sample(list(itertools.product(range(8), repeat=n)),
+                      min(8 ** n, rng.randint(1, 5)))
+    terms = [(e, coefficient(40)) for e in sort_desc(exps)]
+    return n, kind, weights, basis, terms
+
+
+def test_reduce_full_with_many_large_rescalings():
+    dens = []
+    for seed in range(40):
+        n, kind, weights, basis, terms = rescaling_case(
+            random.Random(f"rescale:{seed}"))
+        reduced, num, den = kernel.reduce_full(terms, basis,
+                                               MonomialOrder(kind, weights))
+        remainder = reference_remainder(terms, basis, kind, weights)
+        assert reduced == primitive_with_positive_lead(remainder, kind,
+                                                       weights)
+        assert {e: Fraction(num, den) * c for e, c in reduced} == remainder
+        dens.append(den)
+    # the regime these cases exist for: a scale far past a machine word
+    assert max(dens) > 2 ** 64
+    assert sum(1 for d in dens if d > 2 ** 64) >= 10
