@@ -10,7 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import PolynomialSyntaxError, UnknownVariableError
 from .kernel import MonomialOrder
@@ -467,56 +469,82 @@ def _positive_point(rows):
     return alpha
 
 
+def _clear(row, pivots):
+    """The primitive integer row s*row - sum of multiples of the pivot rows
+    that is zero at every pivot, for (pivot, pivot row) pairs whose rows
+    are zero at each other's pivots.  Rows are sparse, zeros dropped.
+    """
+    if pivots:
+        scale = lcm(*[prow[p] for p, prow in pivots])
+        out = {k: v * scale for k, v in row.items()}
+        for p, prow in pivots:
+            m = out[p] // prow[p]
+            for k, v in prow.items():
+                x = out.get(k, 0) - m * v
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+        row = out
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _integer_echelon(rows, echelon):
+    """Extend `echelon` by sparse integer rows, yielding each new pivot.
+
+    A row is a dict {column: nonzero int}, and its pivot is its least
+    column.  `echelon` maps each pivot to its row; the rows are primitive
+    (entries of gcd 1) and each is zero at every other row's pivot, so up
+    to a nonzero factor per row they are the reduced row echelon form,
+    which depends only on their span.  Each new row is reduced in integers
+    against them; if it is not zero, its pivot is yielded, and then its
+    pivot is cleared from the other rows and it joins them.  A caller that
+    stops at a yielded pivot is left with the echelon form of the earlier
+    rows.  No Fraction is formed.
+    """
+    for row in rows:
+        row = _clear(row, [(p, echelon[p]) for p in row if p in echelon])
+        if not row:
+            continue
+        p = min(row)
+        yield p
+        for q, old in echelon.items():
+            if p in old:
+                echelon[q] = _clear(old, [(p, row)])
+        echelon[p] = row
+
+
 def _difference_nullspace(exps, n):
     """Basis of the rational w with w·e equal on every exponent e in `exps`.
 
     Each exponent has length n.  The differences of consecutive exponents
-    span the same space as all differences; each new one is reduced in
-    integers against the at most n rows kept so far, and repeats are
-    skipped.  The rows stay fully reduced: each is zero at every other
-    row's pivot, its first nonzero entry.  The scan stops once the rank is
-    n, when only w = 0 is left and [] is returned.  Otherwise there is one
-    vector per free column, read off the rows as off the reduced row
-    echelon form; that depends only on the span, so the basis does not
-    depend on which differences were kept.
+    span the same space as all differences; repeats are skipped and
+    _integer_echelon reduces the rest.  At rank n only w = 0 is left and
+    [] is returned.  Otherwise there is one vector per free column, read
+    off the rows as off the reduced row echelon form; that depends only on
+    the span, so the basis does not depend on which differences were kept.
     """
-    echelon = []  # (pivot, integer row)
-    seen = set()
-    for prev, e in zip(exps, exps[1:]):
-        diff = tuple(a - b for a, b in zip(e, prev))
-        if diff in seen:
-            continue
-        seen.add(diff)
-        row = diff
-        for p, piv in echelon:
-            if row[p]:
-                c, d = piv[p], row[p]
-                row = [c * a - d * b for a, b in zip(row, piv)]
-        p = next((i for i, a in enumerate(row) if a), None)
-        if p is None:
-            continue
-        g = gcd(*row)
-        row = [a // g for a in row]
-        # clear the new pivot from the earlier rows; the new row is zero
-        # before p, so their own pivots stay their first nonzero entries
-        for k, (q, old) in enumerate(echelon):
-            if old[p]:
-                c, d = row[p], old[p]
-                old = [c * a - d * b for a, b in zip(old, row)]
-                g = gcd(*old)
-                echelon[k] = (q, [a // g for a in old])
-        echelon.append((p, row))
-        if len(echelon) == n:
-            return []
-    pivots = {p for p, _ in echelon}
+    def differences():
+        seen = set()
+        for prev, e in zip(exps, exps[1:]):
+            d = tuple(map(sub, e, prev))
+            if d not in seen:
+                seen.add(d)
+                yield {i: a for i, a in enumerate(d) if a}
+
+    echelon = {}
+    for _ in _integer_echelon(differences(), echelon):
+        if len(echelon) == n - 1:
+            return []  # this row makes the rank n
     basis = []
     for fc in range(n):
-        if fc in pivots:
+        if fc in echelon:
             continue
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for p, row in echelon:
-            vec[p] = Fraction(-row[fc], row[p])
+        for p, row in echelon.items():
+            vec[p] = Fraction(-row.get(fc, 0), row[p])
         basis.append(vec)
     return basis
 
@@ -590,3 +618,54 @@ def euler_identity_check(f, ws):
     if len(ws.weights) != len(f.variables):
         raise ValueError("weight count does not match the variable count")
     return all(ws.weighted_degree(e) == ws.degree for e in f.exponents())
+
+
+def linear_jacobian_multipliers(f):
+    """The rational n x n matrix A with f = sum_ij A[i][j] x_j df/dx_i, or
+    None when there is none.
+
+    Such an A puts f in its Jacobian ideal with linear multipliers.  A
+    quasi-homogeneous f of weights w and degree d has one, diag(w)/d by
+    Euler's identity, and so has every linear change of it, whose weights
+    find_weights no longer sees.  The converse fails: (x+y^2)^2+y^3+z^5 is
+    quasi-homogeneous after a change that is not linear, yet has no A.
+
+    Solved as a linear system in the n^2 entries with one equation per
+    monomial, by _integer_echelon on f's coefficients scaled to integers.
+    A term of f that no column x_j df/dx_i reaches gives None at once.
+    The equations of f's own terms are reduced first: for most f without
+    an A they are inconsistent already, and the rest are never reduced.
+    Among the solutions, the one with every free entry zero is returned.
+    """
+    n = len(f.variables)
+    terms = f.term_map()
+    denom = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (denom // c.denominator)
+            for e, c in terms.items()}
+    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    rhs = n * n  # columns: the entries of A, then f's coefficient
+    rows = {}  # monomial -> its equation
+    for e, c in ints.items():
+        for i, k in enumerate(e):
+            if k:
+                lowered = tuple(map(sub, e, units[i]))
+                for j, unit in enumerate(units):
+                    # the term c*x^e of f gives k*c*x^m in x_j df/dx_i, and
+                    # no other term of f reaches m in that column
+                    m = tuple(map(add, lowered, unit))
+                    rows.setdefault(m, {})[i * n + j] = k * c
+    own = []
+    for e, c in ints.items():
+        row = rows.pop(e, None)
+        if row is None:
+            return None
+        row[rhs] = c
+        own.append(row)
+    echelon = {}
+    for p in _integer_echelon(chain(own, rows.values()), echelon):
+        if p == rhs:
+            return None  # 0 = nonzero: f is not in the span of the columns
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for p, row in echelon.items():
+        a[p // n][p % n] = Fraction(row.get(rhs, 0), row[p])
+    return a

@@ -5,11 +5,13 @@ Certification happens on the singular locus of the surface: the quotient by
 The Milnor number is the length of the origin-local factor of the Jacobian
 quotient.  For a quasi-homogeneous f it equals the Tjurina number, and p_g
 is counted on the certification staircase, so one Groebner basis serves the
-whole analysis (see analyze).  Otherwise mu is read off a local standard
-basis computed by Lazard's homogenisation method (Lazard 1983;
-Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7), and
-critical points of f away from the surface, which the deformed fibers of
-the shipped family have, do not contribute.
+whole analysis (see analyze).  So it does for an f that lies in its
+Jacobian ideal with linear multipliers, as every linear change of a
+quasi-homogeneous f does, though p_g is then not reported.  Otherwise mu is
+read off a local standard basis computed by Lazard's homogenisation method
+(Lazard 1983; Greuel-Pfister, A Singular Introduction to Commutative
+Algebra, 1.7), and critical points of f away from the surface, which the
+deformed fibers of the shipped family have, do not contribute.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .errors import (NotIsolatedError, NotQuasiHomogeneousError,
 from .groebner import (MonomialOrder, _standard_monomials, buchberger,
                        staircase, supported_only_at_origin)
 from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
-                          find_weights, partial_derivative)
+                          find_weights, linear_jacobian_multipliers,
+                          partial_derivative)
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,14 @@ def analyze(f, order=None):
       3. the reduced basis of J is weighted-homogeneous in every monomial
          order, so the certification staircase has the graded Hilbert
          function and p_g is counted on it (_genus_count).
+    Without weights, linear_jacobian_multipliers may still give an A with
+    f = sum_ij A[i][j] x_j df/dx_i (every linear change of a
+    quasi-homogeneous f has one).  A puts f in J, so the certified quotient
+    is again Q[x,y,z]/J; the certification proved it finite and supported
+    at the origin alone, so its global length tau is the origin-local
+    length mu.  weights and p_g stay None.  The certificate is read only
+    after the certification has passed, and is sufficient, not necessary:
+    (x+y^2)^2+y^3+z^5 has mu = tau but no A.
     Otherwise mu comes from the origin-local staircase (_local_staircase).
     The Jacobian ideal is built once.  The lengths of the degree-3 forms
     module and of the torsion of the degree-2 forms both equal tau for
@@ -178,6 +189,8 @@ def analyze(f, order=None):
     ws = find_weights(f)
     if ws is not None:
         mu, p_g = tau, _genus_count(stairs, ws)
+    elif linear_jacobian_multipliers(f) is not None:
+        mu, p_g = tau, None
     else:
         mu, p_g = _local_staircase(partials).size, None
     return SingularityProfile(

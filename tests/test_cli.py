@@ -58,6 +58,11 @@ class TestAnalyze:
         code, err = run_err(capsys, "analyze", "x*y")
         assert code == 2 and "NotIsolated" in err
 
+    def test_not_isolated_with_linear_multipliers_exit_2(self, capsys):
+        # f has linear Jacobian multipliers, read only after certification
+        code, err = run_err(capsys, "analyze", "(x+y)^2*z^2")
+        assert code == 2 and "NotIsolated" in err
+
     def test_translated_singularity_exit_2(self, capsys):
         code, err = run_err(capsys, "analyze", "(x-1)^2+y^2+z^2")
         assert code == 2 and "SingularLocus" in err

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from bassinv.errors import PolynomialSyntaxError, UnknownVariableError
 from bassinv.polynomials import (Polynomial, WeightSystem,
                                  _difference_nullspace, euler_identity_check,
-                                 find_weights, parse, partial_derivative,
-                                 scaling_weights, substitute_parameter)
+                                 find_weights, linear_jacobian_multipliers,
+                                 parse, partial_derivative, scaling_weights,
+                                 substitute_parameter)
 
 from conftest import VARS, poly
 
@@ -315,3 +316,56 @@ class TestDifferenceNullspace:
                 assert sum(v * x for v, x in zip(vec, d)) == 0
         assert _rank(basis) == len(basis)  # independent
         assert len(basis) == n - _rank(diffs)
+
+
+def _multiplier_sum(f, m):
+    """sum_ij m[i][j] x_j df/dx_i, by Polynomial arithmetic alone."""
+    coords = [Polynomial.variable(v, f.variables) for v in f.variables]
+    n = len(coords)
+    return sum((m[i][j] * coords[j] * partial_derivative(f, i)
+                for i in range(n) for j in range(n)),
+               Polynomial.zero(f.variables))
+
+
+@st.composite
+def small_polynomials(draw):
+    """1 to 5 terms in x, y, z with exponents 0..4 and nonzero coefficients
+    in [-3, 3] of denominator at most 2."""
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1,
+                         max_size=5, unique=True))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    return Polynomial({e: draw(coeffs.filter(bool)) for e in exps}, VARS)
+
+
+class TestLinearJacobianMultipliers:
+    def test_euler_matrix_of_the_graded_fiber(self):
+        assert linear_jacobian_multipliers(poly("z^2+y^3+x^10")) == [
+            [Fraction(1, 10), 0, 0], [0, Fraction(1, 3), 0],
+            [0, 0, Fraction(1, 2)]]
+
+    @pytest.mark.parametrize("text", ["(x+y)^2+z^3+y^5",
+                                      "1/2*x^2+2/3*(y+z)^3+z^4",
+                                      "(x-y)^2*z^2"])
+    def test_linear_changes(self, text):
+        f = poly(text)
+        m = linear_jacobian_multipliers(f)
+        assert m is not None and _multiplier_sum(f, m) == f
+
+    @pytest.mark.parametrize("text", ["z^2+y^3+x^10+x^7*y", "x^2+y^2+z^2-x^3",
+                                      "(x+y^2)^2+y^3+z^5", "7", "x+1"])
+    def test_none(self, text):
+        assert linear_jacobian_multipliers(poly(text)) is None
+
+    def test_single_variable(self):
+        assert linear_jacobian_multipliers(parse("x^3", ("x",))) == \
+            [[Fraction(1, 3)]]
+        assert linear_jacobian_multipliers(parse("x^3+x^4", ("x",))) is None
+
+    @given(small_polynomials())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_returned_matrix_satisfies_the_identity(self, f):
+        m = linear_jacobian_multipliers(f)
+        if m is not None:
+            assert _multiplier_sum(f, m) == f
+        if find_weights(f) is not None:
+            assert m is not None  # Euler's identity gives one

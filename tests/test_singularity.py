@@ -12,7 +12,8 @@ from bassinv.errors import (NotIsolatedError, NotQuasiHomogeneousError,
                             StaircaseLimitError)
 from bassinv.groebner import (MonomialOrder, buchberger, quotient_dimension,
                               staircase, supported_only_at_origin)
-from bassinv.polynomials import (Polynomial, WeightSystem, find_weights, parse,
+from bassinv.polynomials import (Polynomial, WeightSystem, find_weights,
+                                 linear_jacobian_multipliers, parse,
                                  substitute_parameter)
 from bassinv.singularity import (_genus_count, _local_staircase, analyze,
                                  geometric_genus_qh, jacobian_ideal,
@@ -63,6 +64,27 @@ NONQH_LADDER = (
     ("x^7+y^8+z^3+x^5*y^3", (7, 8, 3)),
     ("x^9+y^10+z^3+2*x^6*y^4", (9, 10, 3)),
     ("x^12+y^13+z^3-1/2*x^9*y^4", (12, 13, 3)),
+)
+
+
+# quasi-homogeneous after a linear change that find_weights does not see:
+# linear Jacobian multipliers exist, and mu = tau
+LINEAR_CHANGES_MU = (
+    ("(x+y)^2+z^3+y^5", 8),
+    ("(x+y)^2+(x-y)^3+z^4", 6),
+)
+LINEAR_CHANGES = tuple(text for text, _ in LINEAR_CHANGES_MU)
+
+# no linear Jacobian multipliers, so mu comes from the Lazard basis.  The
+# last two have mu = tau even so, and the last is quasi-homogeneous after a
+# change of coordinates that is not linear: the certificate is sufficient,
+# not necessary
+LAZARD_INPUTS = tuple(
+    (text, (a - 1) * (b - 1) * (c - 1)) for text, (a, b, c) in NONQH_LADDER
+) + (
+    ("z^2+y^3+x^10+x^7*y", 18),
+    ("x^2+y^2+z^2-x^3", 1),
+    ("(x+y^2)^2+y^3+z^5", 8),
 )
 
 
@@ -169,7 +191,19 @@ class TestMilnorOrlikOracle:
     def test_brieskorn_pham_after_linear_change(self, shape, entries):
         f = brieskorn_pham_after_change(shape, entries)
         a, b, c = shape
-        assert milnor_number(f) == (a - 1) * (b - 1) * (c - 1)
+        mu = (a - 1) * (b - 1) * (c - 1)
+        assert milnor_number(f) == mu
+        # analyze reads mu = tau off the linear multipliers here: recheck
+        # them by Polynomial arithmetic alone, and keep the Lazard path,
+        # which analyze no longer takes on these inputs, under the oracle
+        m = linear_jacobian_multipliers(f)
+        assert m is not None
+        coords = [Polynomial.variable(v, VARS) for v in VARS]
+        partials = jacobian_ideal(f)
+        assert sum((m[i][j] * coords[j] * partials[i]
+                    for i in range(3) for j in range(3)),
+                   Polynomial.zero(VARS)) == f
+        assert _local_staircase(partials).size == mu
 
     @given(BP_SHAPES, MATRIX_ENTRIES,
            st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
@@ -306,9 +340,10 @@ class TestAnalyze:
 
     # buchberger calls and kernel calls (reduce_full, spoly,
     # enumerate_staircase) that analyze makes: a quasi-homogeneous input
-    # takes only its certification basis, whose staircase gives mu and p_g;
-    # the deformed fiber adds the Lazard basis and its local staircase.  A
-    # faster kernel must do the same operations, only cheaper.
+    # takes only its certification basis, whose staircase gives mu and p_g,
+    # and so does a linear change of one, whose linear Jacobian multipliers
+    # give mu = tau; the deformed fiber adds the Lazard basis and its local
+    # staircase.  A faster kernel must do the same operations, only cheaper.
     ENGINE_CALLS = {
         ("x^2+y^2+z^2", "grevlex"): (1, 10, 0, 1),
         ("x^2+y^2+z^2", "lex"): (1, 10, 0, 1),
@@ -324,10 +359,14 @@ class TestAnalyze:
         ("x^2+y^3+z^3", "lex"): (1, 10, 0, 1),
         ("x^3+y^3+z^3+x*y*z", "grevlex"): (1, 22, 8, 1),
         ("x^3+y^3+z^3+x*y*z", "lex"): (1, 25, 10, 1),
+        ("(x+y)^2+z^3+y^5", "grevlex"): (1, 13, 0, 1),
+        ("(x+y)^2+z^3+y^5", "lex"): (1, 13, 0, 1),
+        ("(x+y)^2+(x-y)^3+z^4", "grevlex"): (1, 12, 1, 1),
+        ("(x+y)^2+(x-y)^3+z^4", "lex"): (1, 12, 1, 1),
     }
 
     @pytest.mark.parametrize("order", ["grevlex", "lex"])
-    @pytest.mark.parametrize("text", CORPUS_TEXTS)
+    @pytest.mark.parametrize("text", CORPUS_TEXTS + LINEAR_CHANGES)
     def test_call_counts(self, text, order, monkeypatch):
         counts = count_engine_calls(monkeypatch)
         analyze(poly(text), getattr(MonomialOrder, order)())
@@ -338,6 +377,23 @@ class TestAnalyze:
         assert (counts["buchberger"], counts["reduce_full"], counts["spoly"],
                 counts["enumerate_staircase"]) == \
             self.ENGINE_CALLS[text, order]
+
+    @pytest.mark.parametrize("text,mu", LINEAR_CHANGES_MU)
+    def test_linear_change_takes_mu_from_multipliers(self, text, mu):
+        f = poly(text)
+        assert find_weights(f) is None
+        assert linear_jacobian_multipliers(f) is not None
+        p = analyze(f)
+        assert (p.milnor, p.tjurina, p.weights, p.p_g) == (mu, mu, None, None)
+        assert _local_staircase(jacobian_ideal(f)).size == mu
+
+    @pytest.mark.parametrize("text,mu", LAZARD_INPUTS)
+    def test_no_multipliers_takes_lazard_path(self, text, mu, monkeypatch):
+        f = poly(text)
+        assert linear_jacobian_multipliers(f) is None
+        counts = count_engine_calls(monkeypatch)
+        assert analyze(f).milnor == mu
+        assert counts["buchberger"] == 2
 
     def test_variable_permutation_invariance(self):
         a = analyze(poly("z^2+y^3+x^10"))
@@ -513,6 +569,12 @@ class TestDegenerate:
         # x^2+y^2 = 1, z = 0, so the circle does not meet the surface
         p = analyze(poly("z^2+(x^2+y^2-1)^2-1"))
         assert (p.milnor, p.tjurina) == (1, 1)
+
+    def test_multipliers_read_only_after_certification(self):
+        f = poly("(x+y)^2*z^2")
+        assert linear_jacobian_multipliers(f) is not None
+        with pytest.raises(NotIsolatedError):
+            analyze(f)
 
     def test_translated_singularity_rejected(self):
         with pytest.raises(SingularLocusNotAtOriginError):
