@@ -40,12 +40,7 @@ from .polynomials import (NAME, Polynomial, parse, scaling_weights,
 VARIABLES = ("x", "y", "z")
 
 
-def _order_from_name(name):
-    if name == "grevlex":
-        return MonomialOrder.grevlex()
-    if name == "lex":
-        return MonomialOrder.lex()
-    raise UsageError(f"unknown order {name!r}")
+_ORDERS = {"grevlex": MonomialOrder.grevlex(), "lex": MonomialOrder.lex()}
 
 
 def _parse_values(text):
@@ -58,13 +53,7 @@ def _parse_values(text):
             values.append(Fraction(chunk))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad rational {chunk!r} in --values: {exc}")
-    seen = set()
-    unique = []
-    for v in sorted(values):
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    return unique
+    return sorted(set(values))
 
 
 def _load_graph_data(path):
@@ -78,10 +67,6 @@ def _load_graph_data(path):
         "matrix": matrix,
         "negative_definite": resgraph.is_negative_definite(matrix),
     }
-
-
-def _fraction_str(v):
-    return str(v)
 
 
 def _profile_json(profile):
@@ -116,6 +101,19 @@ def _profile_text(profile):
     lines.append(f"torsion length of Omega^2: {profile.torsion_omega2_length}")
     lines.append(f"length of Omega^3: {profile.omega3_length}")
     return lines
+
+
+def _verdict_graph(info):
+    """Refuse a Bass verdict without a graph or on one whose intersection
+    matrix is not negative definite; otherwise return `info`."""
+    if info is None:
+        raise UsageError("--graph is required for the bass verdict "
+                         "(it supplies g and l)")
+    if not info["negative_definite"]:
+        raise InconsistentInputsError(
+            "the intersection matrix is not negative definite; refusing "
+            "to derive a Bass verdict from it")
+    return info
 
 
 def _graph_text(info):
@@ -170,7 +168,7 @@ def _verdict_json(verdict):
 
 def cmd_analyze(args):
     f = parse(args.polynomial, VARIABLES)
-    order = _order_from_name(args.order)
+    order = _ORDERS[args.order]
     profile = singularity.analyze(f, order)
     text = _profile_text(profile)
     doc = {"command": "analyze", "profile": _profile_json(profile)}
@@ -218,13 +216,10 @@ def _analyze_family(args, need_graph):
             "simultaneous good resolution smooth over the base, which is not "
             "machine-checked.  Pass --assume-chi-invariant to acknowledge")
     values = _parse_values(args.values)
-    order = _order_from_name(args.order)
-    info = None
-    if args.graph:
-        info = _load_graph_data(args.graph)
-    elif need_graph:
-        raise UsageError("--graph is required for the bass verdict "
-                         "(it supplies g and l)")
+    order = _ORDERS[args.order]
+    info = _load_graph_data(args.graph) if args.graph else None
+    if need_graph and info is None:
+        _verdict_graph(info)  # refuses before any fiber is analyzed
     # With weights on the parameter, all fibers at nonzero values are
     # diagonal rescalings of each other (see polynomials.scaling_weights):
     # same support, leads and staircases, so the first one analyzed stands
@@ -254,10 +249,8 @@ def _analyze_family(args, need_graph):
             "deduction needs one graded fiber")
     report = None
     if info is not None:
-        if not info["negative_definite"] and need_graph:
-            raise InconsistentInputsError(
-                "the intersection matrix is not negative definite; refusing "
-                "to derive a Bass verdict from it")
+        if need_graph:
+            _verdict_graph(info)
         g, l = info["g"], info["l"]
         p_g = profiles[graded_index].p_g
         _check_p_g_reuse(name, values, profiles, graded_index)
@@ -310,7 +303,7 @@ def _family_output(args, f, values, profiles, graded_index, info, report,
         "command": "bass" if with_verdicts else "family",
         "family": str(f),
         "parameter": args.parameter,
-        "graded_fiber": _fraction_str(values[graded_index]),
+        "graded_fiber": str(values[graded_index]),
         "chi_assumed_invariant": True,
         "fibers": [],
     }
@@ -327,7 +320,7 @@ def _family_output(args, f, values, profiles, graded_index, info, report,
         text.append("")
         text.append(f"fiber {args.parameter} = {v}:{tag}")
         text.extend("  " + line for line in _profile_text(profile))
-        fiber_doc = {"value": _fraction_str(v), "graded": i == graded_index,
+        fiber_doc = {"value": str(v), "graded": i == graded_index,
                      "profile": _profile_json(profile)}
         if report is not None:
             table = report.fibers[i].table
@@ -354,20 +347,14 @@ def cmd_bass(args):
         return _family_output(args, *parts, with_verdicts=True)
     # single input: must be quasi-homogeneous, so the table is fully exact
     f = parse(args.polynomial, VARIABLES)
-    order = _order_from_name(args.order)
+    order = _ORDERS[args.order]
     profile = singularity.analyze(f, order)
     if profile.weights is None:
         raise NoGradedFiberError(
             "bass on a single polynomial needs a quasi-homogeneous input; "
             "for a deformed fiber use --values with the family form")
-    if not args.graph:
-        raise UsageError("--graph is required for the bass verdict "
-                         "(it supplies g and l)")
-    info = _load_graph_data(args.graph)
-    if not info["negative_definite"]:
-        raise InconsistentInputsError(
-            "the intersection matrix is not negative definite; refusing "
-            "to derive a Bass verdict from it")
+    info = _verdict_graph(_load_graph_data(args.graph) if args.graph
+                          else None)
     table = build_table(profile.tjurina, profile.p_g, info["g"], info["l"],
                         graded=True)
     verdict = bass_verdict(table)

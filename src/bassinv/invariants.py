@@ -56,7 +56,7 @@ class Bound:
         return self.lo
 
     def bounds_or(self, default_lo, default_hi):
-        """Endpoints with fallbacks for the unknown case; hi may be None (unbounded)."""
+        """Endpoints, or the given defaults for the unknown case."""
         if self.kind == "unknown":
             return default_lo, default_hi
         return self.lo, self.hi
@@ -74,26 +74,6 @@ class Bound:
         if self.kind == "interval":
             return {"kind": "interval", "lo": self.lo, "hi": self.hi}
         return {"kind": "unknown"}
-
-
-def _intersect(a, b, what):
-    """Meet of two bounds over the naturals; raises on empty intersection."""
-    alo, ahi = a.bounds_or(0, None)
-    blo, bhi = b.bounds_or(0, None)
-    lo = max(alo, blo)
-    if ahi is None:
-        hi = bhi
-    elif bhi is None:
-        hi = ahi
-    else:
-        hi = min(ahi, bhi)
-    if hi is None:
-        return Bound.unknown() if lo == 0 else Bound("interval", lo, None)
-    if lo > hi:
-        raise InconsistentDeductionError(
-            f"{what}: empty range [{lo}, {hi}] "
-            f"(the chi-invariance assumption fails for this input)")
-    return Bound.interval(lo, hi)
 
 
 # the rendering window of the text grid
@@ -244,16 +224,20 @@ class FamilyReport:
     chi_assumed_invariant: bool
 
 
-def _range_or_fail(lo, hi, what):
-    if lo > hi:
-        raise InconsistentDeductionError(
-            f"{what}: empty range [{lo}, {hi}] "
-            f"(the chi-invariance assumption fails for this input)")
-    return Bound.interval(lo, hi)
+def _empty_range(what, lo, hi):
+    return InconsistentDeductionError(
+        f"{what}: empty range [{lo}, {hi}] "
+        f"(the chi-invariance assumption fails for this input)")
 
 
 def _tighten(table, chi, what):
-    """Fixed-point pass over {chi^1 transport, 0 <= b10 <= tau, b11 = b10 - chi^1}."""
+    """Transport chi^p and solve for b01, b10, b11 within their bounds.
+
+    b01 = -chi^0 must lie in the current b01.  With n = chi^1, the
+    conditions b11 = b10 - n, 0 <= b10 <= tau and b11 >= 0 inside the
+    current bounds leave b10 in [max(0, n, lo10, lo11 + n),
+    min(tau, hi10, hi11 + n)] and b11 in that interval shifted by -n.
+    """
     chi0, chi1, chi2 = chi
     for p, new in ((0, chi0), (1, chi1), (2, chi2)):
         old = table.chi(p)
@@ -261,25 +245,18 @@ def _tighten(table, chi, what):
             raise InconsistentDeductionError(
                 f"{what}: chi^{p} = {old.value} contradicts the graded "
                 f"fiber's chi^{p} = {new.value}")
-    b01 = _intersect(table.b01, Bound.exact(-chi0.value), f"{what} b01")
-    b10, b11 = table.b10, table.b11
-    n = chi1.value
-    while True:
-        lo10, hi10 = b10.bounds_or(0, table.tau)
-        hi10 = table.tau if hi10 is None else min(hi10, table.tau)
-        lo10 = max(lo10, 0)
-        new_b11 = _intersect(
-            b11, _range_or_fail(max(0, lo10 - n), hi10 - n, f"{what} b11"),
-            f"{what} b11")
-        lo11, hi11 = new_b11.bounds_or(0, None)
-        hi = table.tau if hi11 is None else min(table.tau, hi11 + n)
-        new_b10 = _intersect(
-            b10, _range_or_fail(max(0, lo11 + n), hi, f"{what} b10"),
-            f"{what} b10")
-        if (new_b10, new_b11) == (b10, b11):
-            break
-        b10, b11 = new_b10, new_b11
-    return replace(table, b01=b01, b10=b10, b11=b11,
+    b01 = -chi0.value
+    lo, hi = table.b01.bounds_or(0, b01)
+    if not lo <= b01 <= hi:
+        raise _empty_range(f"{what} b01", max(lo, b01), min(hi, b01))
+    n, tau = chi1.value, table.tau
+    lo10, hi10 = table.b10.bounds_or(0, tau)
+    lo11, hi11 = table.b11.bounds_or(0, tau - n)
+    lo, hi = max(0, n, lo10, lo11 + n), min(tau, hi10, hi11 + n)
+    if lo > hi:
+        raise _empty_range(f"{what} b11", lo - n, hi - n)
+    return replace(table, b01=Bound.exact(b01), b10=Bound.interval(lo, hi),
+                   b11=Bound.interval(lo - n, hi - n),
                    chi0=chi0, chi1=chi1, chi2=chi2)
 
 

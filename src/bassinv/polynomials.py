@@ -402,12 +402,18 @@ def _positive_point(rows):
     """A rational point with rows·alpha > 0 componentwise, or None.
 
     Exact Fourier-Motzkin elimination; `rows` is a list of rational vectors,
-    all of the same small length.
+    all of the same small length.  Eliminating every variable, the last
+    first, leaves rows [const] that each read 0 > const, and the system is
+    feasible exactly when all of them hold.  The elimination is exact, so
+    back-substitution, variable 0 first, always finds a variable's lower
+    bounds below its upper bounds.  It picks 1 for a variable without
+    bounds, hi - 1 or lo + 1 for one with bounds on one side, and the
+    midpoint for one with both.
     """
     k = len(rows[0]) if rows else 0
     system = [list(r) + [Fraction(0)] for r in rows]  # r·alpha > const
     stages = []
-    for var in range(k - 1, 0, -1):
+    for var in range(k - 1, -1, -1):
         lowers, uppers, rest = [], [], []
         for row in system:
             c = row[var]
@@ -425,47 +431,20 @@ def _positive_point(rows):
             for up in uppers:
                 # lo-bound < up-bound, rewritten as sum (l-u)_j alpha_j > cl-cu
                 system.append([l - u for l, u in zip(lo, up)])
-    # solve for alpha_0: rows are [c, const] meaning c*alpha_0 > const
-    lo, hi = None, None
-    for row in system:
-        c, const = row[0], row[-1]
-        if c > 0:
-            b = const / c
-            lo = b if lo is None else max(lo, b)
-        elif c < 0:
-            b = const / c
-            hi = b if hi is None else min(hi, b)
-        elif const >= 0:
-            return None  # 0 > const >= 0 is infeasible
-    if lo is not None and hi is not None and lo >= hi:
+    if any(row[-1] >= 0 for row in system):
         return None
     alpha = [Fraction(0)] * k
-    if lo is None and hi is None:
-        alpha[0] = Fraction(1)
-    elif lo is None:
-        alpha[0] = hi - 1
-    elif hi is None:
-        alpha[0] = lo + 1
-    else:
-        alpha[0] = (lo + hi) / 2
     for var, lowers, uppers in reversed(stages):
-        lo, hi = None, None
-        for row in lowers:
-            b = row[-1] - sum(c * a for c, a in zip(row[:-1], alpha[:var]))
-            lo = b if lo is None else max(lo, b)
-        for row in uppers:
-            b = row[-1] - sum(c * a for c, a in zip(row[:-1], alpha[:var]))
-            hi = b if hi is None else min(hi, b)
-        if lo is None and hi is None:
-            alpha[var] = Fraction(1)
-        elif lo is None:
-            alpha[var] = hi - 1
-        elif hi is None:
-            alpha[var] = lo + 1
-        elif lo < hi:
-            alpha[var] = (lo + hi) / 2
+        # a row [c_0, ..., c_(var-1), const] bounds alpha_var by
+        # const - sum c_j alpha_j
+        lo, hi = ([row[-1] - sum(c * a for c, a in zip(row, alpha[:var]))
+                   for row in bounds] for bounds in (lowers, uppers))
+        if not lo:
+            alpha[var] = min(hi) - 1 if hi else Fraction(1)
+        elif not hi:
+            alpha[var] = max(lo) + 1
         else:
-            return None
+            alpha[var] = (max(lo) + min(hi)) / 2
     return alpha
 
 

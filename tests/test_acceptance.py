@@ -185,8 +185,11 @@ def test_criterion_6_property_suite():
     bad = FamilyReport(None, (Fiber(Fraction(0), None, graded),
                               Fiber(Fraction(1), None,
                                     build_table(15, 1, 0, 0, False))), 0, True)
-    with pytest.raises(InconsistentDeductionError):
+    with pytest.raises(InconsistentDeductionError) as exc:
         deduce_family(bad)
+    assert str(exc.value) == (
+        "fiber 1 b11: empty range [0, -1] "
+        "(the chi-invariance assumption fails for this input)")
 
 
 @criterion(7, "degenerate inputs: x is Smooth, x*y is NotIsolated, "

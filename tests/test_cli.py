@@ -85,6 +85,11 @@ class TestAnalyze:
                      "--graph", GRAPH)
         assert "use the family command" in out
 
+    def test_unknown_order_exit_4(self, capsys):
+        code, err = run_err(capsys, "analyze", "x^2+y^2+z^2",
+                            "--order", "deglex")
+        assert code == 4 and "invalid choice: 'deglex'" in err
+
     def test_lex_order_same_numbers(self, capsys):
         doc = run_json(capsys, "analyze", "z^2+y^3+x^10", "--order", "lex")
         assert doc["profile"]["milnor"] == 18
@@ -245,15 +250,61 @@ class TestBass:
         assert code == 4 and "--graph" in err
 
     def test_refuses_indefinite_graph(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "vertices": [{"id": 1, "genus": 0, "self_intersection": -1},
-                         {"id": 2, "genus": 0, "self_intersection": -1}],
-            "edges": [[1, 2], [1, 2]],
-        }))
         code, err = run_err(capsys, "bass", WAHL_FAMILY, "--values", "0,1",
-                            "--graph", str(bad), "--assume-chi-invariant")
+                            "--graph", _indefinite_graph(tmp_path),
+                            "--assume-chi-invariant")
         assert code == 5 and "negative definite" in err
+
+    # the single-input path refuses with the family path's messages
+    def test_single_input_requires_graph_exit_4(self, capsys):
+        assert run_err(capsys, "bass", "z^2+y^3+x^10") == (4, _NO_GRAPH)
+        assert run_err(capsys, "bass", WAHL_FAMILY, "--values", "0,1",
+                       "--assume-chi-invariant") == (4, _NO_GRAPH)
+
+    def test_single_input_refuses_indefinite_graph(self, capsys, tmp_path):
+        bad = _indefinite_graph(tmp_path)
+        assert run_err(capsys, "bass", "z^2+y^3+x^10", "--graph", bad) == \
+            (5, _INDEFINITE)
+        assert run_err(capsys, "bass", WAHL_FAMILY, "--values", "0,1",
+                       "--graph", bad, "--assume-chi-invariant") == \
+            (5, _INDEFINITE)
+
+    def test_single_input_checks_weights_before_the_graph(self, capsys,
+                                                          tmp_path):
+        for extra in ([], ["--graph", _indefinite_graph(tmp_path)]):
+            code, err = run_err(capsys, "bass", "z^2+y^3+x^10+x^7*y", *extra)
+            assert code == 5 and "NoGradedFiberError" in err
+
+    def test_family_checks_the_graded_fiber_before_definiteness(
+            self, capsys, tmp_path):
+        code, err = run_err(capsys, "bass", "x^2+y^2+z^3+t*x^2*y",
+                            "--values", "1,2", "--graph",
+                            _indefinite_graph(tmp_path),
+                            "--assume-chi-invariant")
+        assert code == 5 and "NoGradedFiberError" in err
+
+    def test_values_without_flag_exit_4(self, capsys):
+        assert run_err(capsys, "bass", WAHL_FAMILY, "--values", "0,1",
+                       "--graph", GRAPH) == (
+            4, "error [UsageError]: bass on a family needs "
+               "--assume-chi-invariant\n")
+
+
+_NO_GRAPH = ("error [UsageError]: --graph is required for the bass verdict "
+             "(it supplies g and l)\n")
+_INDEFINITE = ("error [InconsistentInputsError]: the intersection matrix is "
+               "not negative definite; refusing to derive a Bass verdict "
+               "from it\n")
+
+
+def _indefinite_graph(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "vertices": [{"id": 1, "genus": 0, "self_intersection": -1},
+                     {"id": 2, "genus": 0, "self_intersection": -1}],
+        "edges": [[1, 2], [1, 2]],
+    }))
+    return str(bad)
 
 
 def _family_args(*argv):

@@ -1,6 +1,8 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bassinv.errors import (InconsistentDeductionError, InconsistentInputsError,
                             NoGradedFiberError)
@@ -180,6 +182,62 @@ class TestDeduceFamily:
         report = FamilyReport(None, fibers, 0, True)
         with pytest.raises(NoGradedFiberError):
             deduce_family(report)
+
+
+def _contains(bound, v):
+    return bound.kind == "unknown" or bound.lo <= v <= bound.hi
+
+
+@st.composite
+def _hand_set_bound(draw, tau, unknown):
+    kinds = ["exact", "interval"] + (["unknown"] if unknown else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unknown":
+        return Bound.unknown()
+    lo, hi = sorted(draw(st.integers(-3, tau + 3)) for _ in range(2))
+    return Bound.exact(lo) if kind == "exact" else Bound.interval(lo, hi)
+
+
+@st.composite
+def _deduction_cases(draw):
+    """A graded fiber with chi^1 = n and one fiber of the same p_g, g, l
+    whose b10 and b11 are set by hand (b11 possibly unknown)."""
+    g, l = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    p_g = g + l + draw(st.integers(0, 3))
+    n = draw(st.integers(-(p_g - g - l), 20))
+    graded = build_table(p_g + (p_g - g - l) + n, p_g, g, l, graded=True)
+    tau = draw(st.integers(p_g, 20))
+    table = build_table(tau, p_g, g, l, graded=False)
+    table = replace(table, b10=draw(_hand_set_bound(tau, False)),
+                    b11=draw(_hand_set_bound(tau, True)))
+    return graded, table
+
+
+class TestDeductionOracle:
+    """deduce_family against brute force over the integers b10 in [0, tau]."""
+
+    @given(_deduction_cases())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_hull_of_the_feasible_values(self, case):
+        graded, table = case
+        n = graded.chi1.value
+        report = FamilyReport(None, (Fiber(Fraction(0), None, graded),
+                                     Fiber(Fraction(1), None, table)), 0, True)
+        feasible = [v for v in range(table.tau + 1)
+                    if _contains(table.b10, v) and v >= n
+                    and _contains(table.b11, v - n)]
+        if not feasible:
+            with pytest.raises(InconsistentDeductionError):
+                deduce_family(report)
+            return
+        graded_out, out = (f.table for f in deduce_family(report).fibers)
+        assert graded_out == graded
+        assert out.b10 == Bound.interval(min(feasible), max(feasible))
+        assert out.b11 == Bound.interval(min(feasible) - n,
+                                         max(feasible) - n)
+        assert out.b01 == table.b01
+        assert (out.chi0, out.chi1, out.chi2) == \
+            (graded.chi0, graded.chi1, graded.chi2)
 
 
 class TestBassVerdict:

@@ -348,3 +348,15 @@ def test_reduce_full_with_many_large_rescalings():
     # the regime these cases exist for: a scale far past a machine word
     assert max(dens) > 2 ** 64
     assert sum(1 for d in dens if d > 2 ** 64) >= 10
+
+
+# perfbench/run.py and perfbench/tracing.py use these kernel names, and the
+# engine calls neither backend_name nor available_backends, so a deletion
+# would otherwise surface only when the benchmark runs.  They stay until the
+# benchmark stops using them (the benchmark item in ROADMAP.md).
+def test_names_the_benchmark_uses_exist():
+    for name in ("active", "backend_name", "available_backends",
+                 "reduce_full", "spoly", "enumerate_staircase"):
+        assert callable(getattr(kernel, name)), name
+    assert kernel.active() is kernel
+    assert kernel.backend_name() in kernel.available_backends()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from bassinv.errors import PolynomialSyntaxError, UnknownVariableError
 from bassinv.polynomials import (Polynomial, WeightSystem,
-                                 _difference_nullspace, euler_identity_check,
+                                 _difference_nullspace, _positive_point,
+                                 euler_identity_check,
                                  find_weights, linear_jacobian_multipliers,
                                  parse, partial_derivative, scaling_weights,
                                  substitute_parameter)
@@ -185,6 +187,12 @@ class TestWeights:
         ws = find_weights(poly("x*y + z"))
         assert ws is not None
         assert euler_identity_check(poly("x*y + z"), ws)
+        # two-dimensional weight cones: the point _positive_point picks in
+        # the cone decides the printed weights
+        for text, weights, degree in (("x*y+z^2", (4, 2, 3), 6),
+                                      ("x^2*y^3+z^5", (25, 10, 16), 80),
+                                      ("x*y^2+z^3", (9, 3, 5), 15)):
+            assert find_weights(poly(text)) == WeightSystem(weights, degree)
 
     @pytest.mark.parametrize("a", range(2, 7))
     @pytest.mark.parametrize("b", range(2, 7))
@@ -223,6 +231,50 @@ class TestWeights:
             WeightSystem((1, -1, 1), 3)
         with pytest.raises(ValueError):
             WeightSystem((1, 1, 1), 0)
+
+
+def _strictly_positive(rows, alpha):
+    return all(sum(c * a for c, a in zip(row, alpha)) > 0 for row in rows)
+
+
+class TestPositivePoint:
+    """Fourier-Motzkin elimination: the choice rules and infeasibility."""
+
+    @pytest.mark.parametrize("rows,point", [
+        ([[1, 0]], [1, 1]),              # alpha_1 unbounded
+        ([[-1, 0], [1, 1]], [-1, 2]),    # alpha_0 < 0 only, alpha_1 > 1
+        ([[1, -1], [1, 0]], [1, 0]),     # alpha_1 < alpha_0 = 1 only
+        ([[1, 1], [1, -1]], [1, 0]),     # -1 < alpha_1 < 1: the midpoint
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1]),
+    ])
+    def test_choice_rules(self, rows, point):
+        rows = [[Fraction(c) for c in row] for row in rows]
+        assert _positive_point(rows) == point
+        assert _strictly_positive(rows, point)
+
+    @pytest.mark.parametrize("rows", [
+        [[1], [-1]],                     # alpha_0 > 0 and alpha_0 < 0
+        [[1, -1], [-1, 1]],              # alpha_1 < alpha_0 < alpha_1
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+        [[0, 0]],
+    ])
+    def test_infeasible(self, rows):
+        assert _positive_point([[Fraction(c) for c in row]
+                                for row in rows]) is None
+
+    @given(st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                 min_size=k, max_size=k), min_size=1, max_size=4)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_point_satisfies_every_row(self, rows):
+        alpha = _positive_point(rows)
+        if alpha is not None:
+            assert len(alpha) == len(rows[0])
+            assert _strictly_positive(rows, alpha)
+        else:
+            # a small grid holds no point either
+            grid = product(range(-3, 4), repeat=len(rows[0]))
+            assert not any(_strictly_positive(rows, g) for g in grid)
 
 
 def _evaluate(f, point):
