@@ -12,6 +12,8 @@ Subcommands:
 Polynomials live in Q[x,y,z]; a family polynomial lives in Q[x,y,z,NAME],
 NAME being the --parameter (default t), and its fibers come from
 substituting the rationals given in --values, like 1/2 or -3.
+Each command computes its results once, and a run renders only the view
+it prints: the text lines, or with --json the JSON document.
 Identical invocations produce byte-identical output.  Exit codes: 0 success
 (including the Smooth report), 2 input rejected (not isolated at the
 origin), 3 parse error, 4 usage error, 5 deduction/consistency error.
@@ -166,36 +168,59 @@ def _verdict_json(verdict):
     }
 
 
+# Each cmd_* function computes a command's results and returns
+# (text view, JSON view, results); run calls one view on the results.
+
+_NOT_GRADED_NOTE = ("input is not quasi-homogeneous: b^{1,1} stays unknown "
+                    "for a single fiber; use the family command")
+
+
+def _analyze_text(profile, info, table):
+    text = _profile_text(profile)
+    if info is not None:
+        text.extend(_graph_text(info))
+        text.append(table.render_text() if table is not None
+                    else f"note: {_NOT_GRADED_NOTE}")
+    return text
+
+
+def _analyze_json(profile, info, table):
+    doc = {"command": "analyze", "profile": _profile_json(profile)}
+    if info is not None:
+        doc["graph"] = _graph_json(info)
+        if table is not None:
+            doc["table"] = table.to_json()
+        else:
+            doc["note"] = _NOT_GRADED_NOTE
+    return doc
+
+
 def cmd_analyze(args):
     f = parse(args.polynomial, VARIABLES)
     order = _ORDERS[args.order]
     profile = singularity.analyze(f, order)
-    text = _profile_text(profile)
-    doc = {"command": "analyze", "profile": _profile_json(profile)}
+    info = table = None
     if args.graph:
         info = _load_graph_data(args.graph)
-        text.extend(_graph_text(info))
-        doc["graph"] = _graph_json(info)
         if profile.weights is not None:
             table = build_table(profile.tjurina, profile.p_g,
                                 info["g"], info["l"], graded=True)
-            text.append(table.render_text())
-            doc["table"] = table.to_json()
-        else:
-            note = ("input is not quasi-homogeneous: b^{1,1} stays unknown "
-                    "for a single fiber; use the family command")
-            text.append(f"note: {note}")
-            doc["note"] = note
-    return text, doc
+    return _analyze_text, _analyze_json, (profile, info, table)
+
+
+def _graph_command_text(info):
+    return _graph_text(info) + [
+        "matrix rows: " + "; ".join(" ".join(f"{x:3d}" for x in row)
+                                    for row in info["matrix"])]
+
+
+def _graph_command_json(info):
+    return {"command": "graph", **_graph_json(info)}
 
 
 def cmd_graph(args):
-    info = _load_graph_data(args.file)
-    text = _graph_text(info)
-    text.append("matrix rows: " +
-                "; ".join(" ".join(f"{x:3d}" for x in row)
-                          for row in info["matrix"]))
-    return text, {"command": "graph", **_graph_json(info)}
+    return (_graph_command_text, _graph_command_json,
+            (_load_graph_data(args.file),))
 
 
 def _analyze_family(args, need_graph):
@@ -295,48 +320,68 @@ def _check_p_g_reuse(name, values, profiles, graded_index):
                 f"that p_g")
 
 
-def _family_output(args, f, values, profiles, graded_index, info, report,
-                   with_verdicts):
-    text = [f"family: {f}   (parameter {args.parameter})",
-            f"graded fiber: {args.parameter} = {values[graded_index]}"]
+_NO_GRAPH_NOTE = ("no --graph given: reporting fiber profiles only (tables "
+                  "and deduction need g and l from a resolution graph)")
+
+
+def _family_text(name, f, values, profiles, graded_index, info, report,
+                 verdicts):
+    """The family or bass transcript; `verdicts` is None for family."""
+    text = [f"family: {f}   (parameter {name})",
+            f"graded fiber: {name} = {values[graded_index]}"]
+    if info is not None:
+        text.extend(_graph_text(info))
+    else:
+        text.append(f"note: {_NO_GRAPH_NOTE}")
+    for i, (v, profile) in enumerate(zip(values, profiles)):
+        tag = " [graded]" if i == graded_index else ""
+        text.append("")
+        text.append(f"fiber {name} = {v}:{tag}")
+        text.extend("  " + line for line in _profile_text(profile))
+        if report is not None:
+            text.append(report.fibers[i].table.render_text())
+            if verdicts is not None:
+                text.extend(_verdict_text(verdicts[i]))
+    return text
+
+
+def _family_json(name, f, values, profiles, graded_index, info, report,
+                 verdicts):
     doc = {
-        "command": "bass" if with_verdicts else "family",
+        "command": "family" if verdicts is None else "bass",
         "family": str(f),
-        "parameter": args.parameter,
+        "parameter": name,
         "graded_fiber": str(values[graded_index]),
         "chi_assumed_invariant": True,
         "fibers": [],
     }
     if info is not None:
-        text.extend(_graph_text(info))
         doc["graph"] = _graph_json(info)
     else:
-        note = ("no --graph given: reporting fiber profiles only (tables "
-                "and deduction need g and l from a resolution graph)")
-        text.append(f"note: {note}")
-        doc["note"] = note
+        doc["note"] = _NO_GRAPH_NOTE
     for i, (v, profile) in enumerate(zip(values, profiles)):
-        tag = " [graded]" if i == graded_index else ""
-        text.append("")
-        text.append(f"fiber {args.parameter} = {v}:{tag}")
-        text.extend("  " + line for line in _profile_text(profile))
         fiber_doc = {"value": str(v), "graded": i == graded_index,
                      "profile": _profile_json(profile)}
         if report is not None:
-            table = report.fibers[i].table
-            text.append(table.render_text())
-            fiber_doc["table"] = table.to_json()
-            if with_verdicts:
-                verdict = bass_verdict(table)
-                text.extend(_verdict_text(verdict))
-                fiber_doc["verdict"] = _verdict_json(verdict)
+            fiber_doc["table"] = report.fibers[i].table.to_json()
+            if verdicts is not None:
+                fiber_doc["verdict"] = _verdict_json(verdicts[i])
         doc["fibers"].append(fiber_doc)
-    return text, doc
+    return doc
 
 
 def cmd_family(args):
     parts = _analyze_family(args, need_graph=False)
-    return _family_output(args, *parts, with_verdicts=False)
+    return _family_text, _family_json, (args.parameter, *parts, None)
+
+
+def _bass_text(profile, info, table, verdict):
+    return _analyze_text(profile, info, table) + _verdict_text(verdict)
+
+
+def _bass_json(profile, info, table, verdict):
+    return {**_analyze_json(profile, info, table), "command": "bass",
+            "verdict": _verdict_json(verdict)}
 
 
 def cmd_bass(args):
@@ -344,7 +389,8 @@ def cmd_bass(args):
         if not args.assume_chi_invariant:
             raise UsageError("bass on a family needs --assume-chi-invariant")
         parts = _analyze_family(args, need_graph=True)
-        return _family_output(args, *parts, with_verdicts=True)
+        verdicts = [bass_verdict(fiber.table) for fiber in parts[-1].fibers]
+        return _family_text, _family_json, (args.parameter, *parts, verdicts)
     # single input: must be quasi-homogeneous, so the table is fully exact
     f = parse(args.polynomial, VARIABLES)
     order = _ORDERS[args.order]
@@ -357,15 +403,8 @@ def cmd_bass(args):
                           else None)
     table = build_table(profile.tjurina, profile.p_g, info["g"], info["l"],
                         graded=True)
-    verdict = bass_verdict(table)
-    text = _profile_text(profile)
-    text.extend(_graph_text(info))
-    text.append(table.render_text())
-    text.extend(_verdict_text(verdict))
-    doc = {"command": "bass", "profile": _profile_json(profile),
-           "graph": _graph_json(info), "table": table.to_json(),
-           "verdict": _verdict_json(verdict)}
-    return text, doc
+    return _bass_text, _bass_json, (profile, info, table,
+                                    bass_verdict(table))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -443,10 +482,11 @@ def _glue_negative_values(argv):
 def run(argv):
     parser = _build_parser()
     args = parser.parse_args(_glue_negative_values(argv))
-    text, doc = _COMMANDS[args.command](args)
+    text_view, json_view, results = _COMMANDS[args.command](args)
     if args.json:
-        return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
-    return "\n".join(text)
+        return json.dumps(json_view(*results), indent=2, sort_keys=True,
+                          ensure_ascii=False)
+    return "\n".join(text_view(*results))
 
 
 def main(argv=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import PolynomialSyntaxError, UnknownVariableError
 from .kernel import MonomialOrder
@@ -39,7 +39,7 @@ class WeightSystem:
             raise ValueError("weighted degree must be positive")
 
     def weighted_degree(self, exp):
-        return sum(w * e for w, e in zip(self.weights, exp))
+        return sum(map(mul, self.weights, exp))
 
 
 def _times(a, b):
@@ -47,7 +47,7 @@ def _times(a, b):
     acc = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             v = acc.get(e, 0) + c1 * c2
             if v:
                 acc[e] = v
@@ -68,6 +68,9 @@ def _power(terms, n, width):
     return result
 
 
+_GREVLEX = MonomialOrder.grevlex()  # the order terms() and str() list
+
+
 class Polynomial:
     """Immutable sparse polynomial.
 
@@ -85,13 +88,16 @@ class Polynomial:
             exp = tuple(exp)
             if len(exp) != width:
                 raise ValueError(f"exponent width {len(exp)} != {width}")
-            if any(e < 0 for e in exp):
+            if min(exp, default=0) < 0:
                 raise ValueError("negative exponent")
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff:
-                c = clean.get(exp, 0) + coeff
-                if c:
-                    clean[exp] = c
+                old = clean.get(exp)
+                if old is None:
+                    clean[exp] = coeff
+                elif coeff := old + coeff:
+                    clean[exp] = coeff
                 else:
                     del clean[exp]
         object.__setattr__(self, "variables", variables)
@@ -119,7 +125,7 @@ class Polynomial:
     def terms(self):
         """Term pairs (exponent, coefficient), descending in grevlex."""
         return [(e, self._terms[e]) for e in
-                sorted(self._terms, key=MonomialOrder.grevlex().descending)]
+                sorted(self._terms, key=_GREVLEX.descending)]
 
     def term_map(self):
         return dict(self._terms)
@@ -232,27 +238,25 @@ class Polynomial:
 # -- parsing -----------------------------------------------------------------
 
 NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a name the grammar can spell
-_TOKEN = re.compile(r"\s*(?:(\d+)|(" + NAME.pattern + r")|([-+*/^()]))")
+# the last group catches any other character, so the matches of finditer
+# tile the text up to trailing whitespace
+_TOKEN = re.compile(
+    r"\s*(?:(\d+)|(" + NAME.pattern + r")|([-+*/^()])|(\S))")
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise PolynomialSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
+    for m in _TOKEN.finditer(text):
+        number, name, op, stray = m.groups()
+        if number is not None:
+            tokens.append(("int", int(number), m.start(1)))
+        elif name is not None:
+            tokens.append(("name", name, m.start(2)))
+        elif op is not None:
+            tokens.append(("op", op, m.start(3)))
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+            raise PolynomialSyntaxError(f"unexpected character {stray!r}",
+                                        m.start(4))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -354,6 +358,9 @@ class _Parser:
             k, v, p = self.next()
             if k != "int":
                 raise PolynomialSyntaxError("expected a non-negative integer exponent", p)
+            if len(terms) == 1:
+                (exp, c), = terms.items()
+                return {tuple(e * v for e in exp): c ** v}
             return _power(terms, v, len(self.variables))
         return terms
 
@@ -375,12 +382,12 @@ def partial_derivative(f, var):
     """Formal partial derivative with respect to the var-th ring variable."""
     if not 0 <= var < len(f.variables):
         raise ValueError("variable index out of range")
-    acc = {}
-    for exp, c in f.term_map().items():
+    acc = {}  # lowering exponent var is one-to-one: no two terms meet
+    for exp, c in f._terms.items():
         e = exp[var]
         if e:
-            nexp = exp[:var] + (e - 1,) + exp[var + 1:]
-            acc[nexp] = acc.get(nexp, 0) + c * e
+            acc[exp[:var] + (e - 1,) + exp[var + 1:]] = Fraction(
+                c.numerator * e, c.denominator)
     return Polynomial(acc, f.variables)
 
 

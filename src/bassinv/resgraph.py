@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GraphFormatError
 
@@ -147,11 +146,13 @@ def intersection_matrix(graph):
 
 
 def is_negative_definite(matrix):
-    """Sylvester's test in exact arithmetic: (-1)^k det(M_k) > 0 for all k.
+    """Sylvester's test in exact arithmetic: (-1)^k D_k > 0 for every
+    leading minor D_k of the integer matrix.
 
-    One Gaussian elimination without row swaps: pivot k is D_k / D_(k-1)
-    for the leading minors D_k, so the test holds exactly when every pivot
-    is negative, and a pivot >= 0 ends it.
+    Fraction-free Bareiss elimination without row swaps (Bareiss 1968):
+    after step k the pivot is D_k itself, and every division is exact, so
+    the test fails at the first (-1)^k D_k <= 0, before a zero pivot is
+    divided by.
     """
     n = len(matrix)
     for row in matrix:
@@ -161,13 +162,16 @@ def is_negative_definite(matrix):
         for j in range(i):
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [list(row) for row in matrix]
+    prev, sign = 1, -1
     for k in range(n):
         pivot = rows[k][k]
-        if pivot >= 0:
+        if sign * pivot <= 0:
             return False
-        for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
-            if factor:
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+        top = rows[k]
+        for row in rows[k + 1:]:
+            a = row[k]
+            row[k + 1:] = [(x * pivot - a * t) // prev
+                           for x, t in zip(row[k + 1:], top[k + 1:])]
+        prev, sign = pivot, -sign
     return True

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 from bassinv import cli, groebner, singularity
 from bassinv.errors import UsageError
 from bassinv.groebner import MonomialOrder
+from bassinv.invariants import DuBoisTable
 from bassinv.polynomials import parse, substitute_parameter
 
 from conftest import REPO, VARS, WAHL_GRAPH, WAHL_FAMILY
@@ -530,6 +532,100 @@ class TestDeterminismAndConsistency:
 
     def test_family_fixture_file_matches_flag_form(self):
         assert WAHL_FAMILY == "z^2+y^3+x^10+t*x^7*y"
+
+
+_REL_GRAPH = "fixtures/wahl_resolution.json"
+_EIGHT_FIBERS = ["bass", WAHL_FAMILY, "--values=-2,-1/3,0,1/2,1,2,3,7/5",
+                 "--graph", _REL_GRAPH, "--assume-chi-invariant"]
+
+# (id, argv, sha256 of stdout in text, sha256 of stdout with --json), run
+# from the repository root; each run exits 0 and prints the same bytes
+# under grevlex and lex.  Recorded before the commands rendered only the
+# view they print.
+_VIEW_DIGESTS = [
+    ("analyze-graded", ["analyze", "z^2+y^3+x^10"],
+     "ff77f163640b931591ee5076337d6faab42de33492cd9bdfc5173f0698884f06",
+     "06e6d22ac1a50524efd83d0e76c25d0f0a89e42e7cca6d0841a0c0c5a44a6005"),
+    ("analyze-graded-graph",
+     ["analyze", "z^2+y^3+x^10", "--graph", _REL_GRAPH],
+     "5f47faf2ee031e0a2cc1aab3f9559f03e20d9305bbf9a5c53ac22b6db1084ebd",
+     "efc718bc9756c6cad9debac216c77f9febcc7fa1cb37244c77abb25ee1163405"),
+    ("analyze-linear", ["analyze", "(x+y)^2+z^3+y^5"],
+     "4f49eaae84016663c09dc499a11373e33a84380bac38ec0c5a89ecce41887a68",
+     "d4eab9dd1e8786cffd2bc25a37914c40be812118d85b98951db6111fcdca0f60"),
+    ("analyze-linear-graph",
+     ["analyze", "(x+y)^2+z^3+y^5", "--graph", _REL_GRAPH],
+     "fb3caee7759dddcb84900824bf9f469a0449387dcad239d8de9debeca8f973cd",
+     "93e3851dc417016a837de4b6a22ff79736e46ad3611c47d962ec8bd34e46624b"),
+    ("analyze-nonqh", ["analyze", "z^2+y^3+x^10+x^7*y"],
+     "ab38b487747de309eeae2c42d551311cb006938209816967cc17af0188049986",
+     "8a399c877ff5f203ff1f70ed7d224381cac42b1fa5ef445d548f752e72d8daf2"),
+    ("analyze-nonqh-graph",
+     ["analyze", "z^2+y^3+x^10+x^7*y", "--graph", _REL_GRAPH],
+     "aec4eea9a6f3265094a0825ae3a4edaf7bc62c4ffcc90821255ed9e40165e1dd",
+     "95c037f90842e931a3b07a485c273e7d91866573d5fc722d741c717e0fbdc46b"),
+    ("family", ["family", WAHL_FAMILY, "--values=-1/3,0,1",
+                "--assume-chi-invariant"],
+     "984433c695232c53b8a09cfd2d9064df3d23c286d723974be640621458a63ac9",
+     "bbdc91abc086447bcc8b7b62659b4ab15a8c0646a85ce695cd1214c8459ff9f2"),
+    ("family-graph", ["family", WAHL_FAMILY, "--values=-1/3,0,1",
+                      "--graph", _REL_GRAPH, "--assume-chi-invariant"],
+     "7c266179ab48a9b37c1514012c49f1e6ec17d8ffd18edf35d7fabc97732429f6",
+     "0a46923c25f5af412d61dbab2ac86e36a92aaefeb93036dbc689d69ee1f1a11b"),
+    ("graph", ["graph", _REL_GRAPH],
+     "ab64cd3e948e913b802f9243e1439ccb87f46ff1122281f14de67f05430dc824",
+     "e0e88977ba3a5be7ab8b90fae3f76c2416d335bb60c2a87cc747668a2fa7c49c"),
+    ("bass-single", ["bass", "z^2+y^3+x^10", "--graph", _REL_GRAPH],
+     "a3d3085b2d6c641555ae3f96586e275f8f02e5356839b436e1eb8e88bf8ad15f",
+     "1079b9e0d47583d778714ef8eb26b70d205d18c0f83002630a131ad6a453c35d"),
+    ("bass-8fibers", _EIGHT_FIBERS,
+     "12e279ddcbbe60a5854d57e030f537112dddbb89e33b11beee36d61bb5af1d44",
+     "c8198496ed50363908189d18e889f1c76cdd9445a22f2c05b3bf5db534110cc7"),
+]
+
+
+class TestViews:
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("view", ["text", "json"])
+    @pytest.mark.parametrize("argv, text_sha, json_sha",
+                             [case[1:] for case in _VIEW_DIGESTS],
+                             ids=[case[0] for case in _VIEW_DIGESTS])
+    def test_stdout_digest(self, capsys, monkeypatch, argv, text_sha,
+                           json_sha, view, order):
+        monkeypatch.chdir(REPO)
+        extra = ["--json"] if view == "json" else []
+        code = cli.main([*argv, "--order", order, *extra])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == (0, json_sha if extra else text_sha)
+
+    @pytest.mark.parametrize("json_view", [False, True],
+                             ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        _EIGHT_FIBERS,
+        ["bass", "z^2+y^3+x^10", "--graph", _REL_GRAPH],
+        ["family", WAHL_FAMILY, "--values=-1/3,0,1", "--graph", _REL_GRAPH,
+         "--assume-chi-invariant"],
+        ["analyze", "z^2+y^3+x^10", "--graph", _REL_GRAPH],
+        ["analyze", "z^2+y^3+x^10+x^7*y", "--graph", _REL_GRAPH],
+        ["graph", _REL_GRAPH],
+    ], ids=["bass-8fibers", "bass-single", "family", "analyze-graded",
+            "analyze-nonqh", "graph"])
+    def test_only_the_printed_view_is_built(self, capsys, monkeypatch, argv,
+                                            json_view):
+        def refuse(*args):
+            raise AssertionError("built the view that is not printed")
+
+        if json_view:
+            unused = ("_profile_text", "_graph_text", "_verdict_text")
+            monkeypatch.setattr(DuBoisTable, "render_text", refuse)
+        else:
+            unused = ("_profile_json", "_graph_json", "_verdict_json")
+            monkeypatch.setattr(DuBoisTable, "to_json", refuse)
+        for name in unused:
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.chdir(REPO)
+        code = cli.main(argv + ["--json"] * json_view)
+        assert code == 0 and capsys.readouterr().out
 
 
 def _readme_commands():

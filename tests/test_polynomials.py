@@ -77,6 +77,93 @@ class TestParse:
         with pytest.raises(PolynomialSyntaxError):
             poly("x^-2")
 
+    @pytest.mark.parametrize("text, error, message, position", [
+        ("x +  $y", PolynomialSyntaxError,
+         "syntax error at position 5: unexpected character '$'", 5),
+        ("x^2   @  ", PolynomialSyntaxError,
+         "syntax error at position 6: unexpected character '@'", 6),
+        ("x^2.5", PolynomialSyntaxError,
+         "syntax error at position 3: unexpected character '.'", 3),
+        ("x +   ", PolynomialSyntaxError,
+         "syntax error at position 6: unexpected None", 6),
+        ("   ", PolynomialSyntaxError,
+         "syntax error at position 3: unexpected None", 3),
+        ("x^", PolynomialSyntaxError, "syntax error at position 2: "
+         "expected a non-negative integer exponent", 2),
+        ("1/0", PolynomialSyntaxError,
+         "syntax error at position 2: zero denominator", 2),
+        ("x^-1", PolynomialSyntaxError, "syntax error at position 2: "
+         "expected a non-negative integer exponent", 2),
+        ("x**2", PolynomialSyntaxError,
+         "syntax error at position 2: unexpected '*'", 2),
+        ("2/3/4", PolynomialSyntaxError,
+         "syntax error at position 3: unexpected '/'", 3),
+        ("x + w", UnknownVariableError, "unknown variable 'w' at position 4",
+         None),
+    ])
+    def test_malformed_inputs(self, text, error, message, position):
+        with pytest.raises(error) as exc:
+            poly(text)
+        assert type(exc.value) is error and str(exc.value) == message
+        assert getattr(exc.value, "position", None) == position
+
+    @pytest.mark.parametrize("text", ["x + y   ", "\tx + y\n", " x+y"])
+    def test_surrounding_whitespace_accepted(self, text):
+        assert poly(text) == poly("x+y")
+
+    def test_power_of_a_single_term(self):
+        assert poly("(2/3*x*y^2)^3") == poly("8/27*x^3*y^6")
+        assert poly("(-x)^0") == poly("1")
+        assert poly("0^0") == poly("1") and poly("0^2").is_zero()
+
+
+def _term_text(c, exp, rng):
+    """c*x^a*y^b*z^c spelled out by hand, with a leading sign; a unit
+    coefficient is left out, and x^1 is sometimes written x."""
+    factors = [name if e == 1 and rng.random() < 0.5 else f"{name}^{e}"
+               for name, e in zip(VARS, exp) if e]
+    if abs(c) != 1 or not factors:
+        factors.insert(0, str(abs(c)))
+    return ("- " if c < 0 else "+ ") + rng.choice(["*", " "]).join(factors)
+
+
+class TestConstructorAndParserOracle:
+    @given(st.lists(st.tuples(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+        st.integers(-2 ** 80, 2 ** 80).map(Fraction)
+        | st.fractions(-2 ** 80, 2 ** 80, max_denominator=2 ** 40)),
+        max_size=8), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_parse_of_term_text_equals_constructor(self, pairs, rng):
+        text = " ".join(_term_text(c, e, rng) for e, c in pairs if c) or "0"
+        assert parse(text, VARS) == Polynomial(pairs, VARS)
+
+    def test_repeated_and_cancelling_exponents(self):
+        f = Polynomial([((1, 0), 1), ((0, 1), 2), ((1, 0), -1),
+                        ((0, 1), "1/2"), ((1, 0), Fraction(3, 4))], ("x", "y"))
+        assert f.term_map() == {(0, 1): Fraction(5, 2), (1, 0): Fraction(3, 4)}
+        assert Polynomial([((1, 0), 1), ((1, 0), -1)], ("x", "y")).is_zero()
+        assert Polynomial({(1, 2): 0}, ("x", "y")).is_zero()
+
+    @pytest.mark.parametrize("coeff", [3, Fraction(3), "3", "6/2", "3.0"])
+    def test_coefficient_types(self, coeff):
+        f = Polynomial([([1, 0], coeff)], ("x", "y"))
+        (c,) = f.term_map().values()
+        assert type(c) is Fraction and c == 3
+        assert f == Polynomial({(1, 0): Fraction(3)}, ("x", "y"))
+
+    @pytest.mark.parametrize("terms, message", [
+        ([((1,), 1)], "exponent width 1 != 2"),
+        ([((1, 0, 0), 1)], "exponent width 3 != 2"),
+        ([((-1, 0), 1)], "negative exponent"),
+        ([((2, 0), 0), ((0, -3), 0)], "negative exponent"),
+        ([((1, 0), "abc")], "Invalid literal for Fraction: 'abc'"),
+    ])
+    def test_rejected_terms(self, terms, message):
+        with pytest.raises(ValueError) as exc:
+            Polynomial(terms, ("x", "y"))
+        assert str(exc.value) == message
+
 
 # random small polynomials for the algebra laws
 coeffs = st.integers(-9, 9).map(Fraction) | st.fractions(
@@ -117,6 +204,13 @@ class TestDerivative:
 
     def test_constant(self):
         assert partial_derivative(poly("5"), 1).is_zero()
+
+    def test_rational_terms(self):
+        f = poly("(1/6)*x^3 + 2/3*x*y^2 - 5/4*y")
+        assert partial_derivative(f, 0) == poly("(1/2)*x^2 + 2/3*y^2")
+        assert partial_derivative(f, 1) == poly("4/3*x*y - 5/4")
+        assert partial_derivative(poly("(1/6)*x^3"), 0).term_map() == {
+            (2, 0, 0): Fraction(1, 2)}
 
     @given(polys, polys)
     @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bassinv.errors import GraphFormatError
 from bassinv.resgraph import (genus_sum, intersection_matrix,
@@ -196,3 +197,40 @@ class TestNegativeDefinite:
                     v = rng.randint(-3, 3)
                     m[i][j] = m[j][i] = v
             assert is_negative_definite(m) == _definite_by_sampling(m, 3)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.integers(-4, 4), min_size=n * (n + 1) // 2,
+        max_size=n * (n + 1) // 2).map(lambda v: _symmetric(n, v))))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_agrees_with_cofactor_minors(self, m):
+        minors = [_cofactor_det([row[:k] for row in m[:k]])
+                  for k in range(1, len(m) + 1)]
+        expected = all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
+        assert is_negative_definite(m) == expected
+
+    @pytest.mark.parametrize("m, definite", [
+        ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], True),   # A_3
+        ([[-1, 1, 0], [1, -1, 0], [0, 0, -1]], False),  # D_2 = 0
+        ([[0, 1], [1, 0]], False),                      # D_1 = 0
+    ])
+    def test_zero_leading_minor(self, m, definite):
+        assert is_negative_definite(m) is definite
+
+
+def _symmetric(n, values):
+    """The n x n symmetric matrix whose lower triangle is `values`."""
+    it = iter(values)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = next(it)
+    return m
+
+
+def _cofactor_det(m):
+    """Determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _cofactor_det([row[:j] + row[j + 1:]
+                                               for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
