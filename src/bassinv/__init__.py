@@ -15,8 +15,8 @@ from .errors import (BassinvError, GraphFormatError, InconsistentDeductionError,
 from .groebner import (GroebnerBasis, MonomialOrder, Staircase, buchberger,
                        normal_form, quotient_dimension, staircase,
                        supported_only_at_origin)
-from .invariants import (BassVerdict, Bound, DuBoisTable, FamilyReport, Fiber,
-                         bass_verdict, build_table, deduce_family)
+from .invariants import (BassVerdict, Bound, DuBoisTable, bass_verdict,
+                         build_table, deduce_family)
 from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
                           find_weights, parse, partial_derivative,
                           scaling_weights, substitute_parameter)

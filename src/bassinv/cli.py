@@ -34,8 +34,7 @@ from . import resgraph, singularity
 from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
                      SmoothInput, UsageError)
 from .groebner import MonomialOrder
-from .invariants import (FamilyReport, Fiber, bass_verdict, build_table,
-                         deduce_family)
+from .invariants import bass_verdict, build_table, deduce_family
 from .polynomials import (NAME, Polynomial, parse, scaling_weights,
                           substitute_parameter)
 
@@ -272,23 +271,18 @@ def _analyze_family(args, need_graph):
         raise NoGradedFiberError(
             "no quasi-homogeneous fiber among the given values; the family "
             "deduction needs one graded fiber")
-    report = None
+    tables = None
     if info is not None:
         if need_graph:
             _verdict_graph(info)
         g, l = info["g"], info["l"]
         p_g = profiles[graded_index].p_g
         _check_p_g_reuse(name, values, profiles, graded_index)
-        fibers = []
-        for i, (v, profile) in enumerate(zip(values, profiles)):
-            table = build_table(profile.tjurina, p_g, g, l,
-                                graded=(i == graded_index))
-            fibers.append(Fiber(v, profile, table))
-        report = FamilyReport(family=f, fibers=tuple(fibers),
-                              graded_fiber_index=graded_index,
-                              chi_assumed_invariant=True)
-        report = deduce_family(report)
-    return f, values, profiles, graded_index, info, report
+        tables = deduce_family(
+            values, [build_table(profile.tjurina, p_g, g, l,
+                                 graded=(i == graded_index))
+                     for i, profile in enumerate(profiles)], graded_index)
+    return f, values, profiles, graded_index, info, tables
 
 
 def _check_p_g_reuse(name, values, profiles, graded_index):
@@ -324,7 +318,7 @@ _NO_GRAPH_NOTE = ("no --graph given: reporting fiber profiles only (tables "
                   "and deduction need g and l from a resolution graph)")
 
 
-def _family_text(name, f, values, profiles, graded_index, info, report,
+def _family_text(name, f, values, profiles, graded_index, info, tables,
                  verdicts):
     """The family or bass transcript; `verdicts` is None for family."""
     text = [f"family: {f}   (parameter {name})",
@@ -338,14 +332,14 @@ def _family_text(name, f, values, profiles, graded_index, info, report,
         text.append("")
         text.append(f"fiber {name} = {v}:{tag}")
         text.extend("  " + line for line in _profile_text(profile))
-        if report is not None:
-            text.append(report.fibers[i].table.render_text())
+        if tables is not None:
+            text.append(tables[i].render_text())
             if verdicts is not None:
                 text.extend(_verdict_text(verdicts[i]))
     return text
 
 
-def _family_json(name, f, values, profiles, graded_index, info, report,
+def _family_json(name, f, values, profiles, graded_index, info, tables,
                  verdicts):
     doc = {
         "command": "family" if verdicts is None else "bass",
@@ -362,8 +356,8 @@ def _family_json(name, f, values, profiles, graded_index, info, report,
     for i, (v, profile) in enumerate(zip(values, profiles)):
         fiber_doc = {"value": str(v), "graded": i == graded_index,
                      "profile": _profile_json(profile)}
-        if report is not None:
-            fiber_doc["table"] = report.fibers[i].table.to_json()
+        if tables is not None:
+            fiber_doc["table"] = tables[i].to_json()
             if verdicts is not None:
                 fiber_doc["verdict"] = _verdict_json(verdicts[i])
         doc["fibers"].append(fiber_doc)
@@ -389,7 +383,7 @@ def cmd_bass(args):
         if not args.assume_chi_invariant:
             raise UsageError("bass on a family needs --assume-chi-invariant")
         parts = _analyze_family(args, need_graph=True)
-        verdicts = [bass_verdict(fiber.table) for fiber in parts[-1].fibers]
+        verdicts = [bass_verdict(table) for table in parts[-1]]
         return _family_text, _family_json, (args.parameter, *parts, verdicts)
     # single input: must be quasi-homogeneous, so the table is fully exact
     f = parse(args.polynomial, VARIABLES)
@@ -491,6 +485,10 @@ def run(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if hasattr(sys, "set_int_max_str_digits"):
+        # a coefficient past CPython's 4300-digit default is valid input,
+        # and the tool must be able to parse and print it
+        sys.set_int_max_str_digits(0)
     try:
         try:
             text, code = run(argv), 0

@@ -7,14 +7,15 @@ b^{2,0} = tau - p_g.  A non-negative grading forces the alternating column
 sums to vanish, pinning b^{1,1} and b^{1,0} as well; without it b^{1,0} is
 only bounded by tau and b^{1,1} stays unknown until the deformation argument
 supplies the Euler characteristics chi^p, which are constant in suitably
-nice families.  The Bass verdict reads NK_0 from b^{1,1} and NK_{-1} from
-b^{0,1}.
+nice families.  `deduce_family(values, tables, graded_index)` carries
+chi^p from the graded table `tables[graded_index]` to the table of every
+fiber and returns the tightened tables in the order of `values`.  The Bass
+verdict reads NK_0 from b^{1,1} and NK_{-1} from b^{0,1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import (InconsistentDeductionError, InconsistentInputsError,
                      NoGradedFiberError)
@@ -209,21 +210,6 @@ def build_table(tau, p_g, g, l, graded):
     )
 
 
-@dataclass(frozen=True)
-class Fiber:
-    value: Fraction
-    profile: object  # SingularityProfile
-    table: DuBoisTable
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    family: object  # the Polynomial in Q[x,y,z,<parameter>]
-    fibers: tuple
-    graded_fiber_index: int
-    chi_assumed_invariant: bool
-
-
 def _empty_range(what, lo, hi):
     return InconsistentDeductionError(
         f"{what}: empty range [{lo}, {hi}] "
@@ -260,28 +246,24 @@ def _tighten(table, chi, what):
                    chi0=chi0, chi1=chi1, chi2=chi2)
 
 
-def deduce_family(report):
+def deduce_family(values, tables, graded_index):
     """Transport chi^p from the graded fiber and squeeze b^{1,1}, b^{1,0}.
 
-    Intervals only shrink; exact entries are never altered (a contradiction
-    raises InconsistentDeductionError instead).  Idempotent.
+    `tables[i]` is the table of the fiber at `values[i]`; the one at
+    `graded_index` must be graded and fully exact.  Returns the tightened
+    tables as a list in the order of `values`.  Intervals only shrink;
+    exact entries are never altered (a contradiction raises
+    InconsistentDeductionError instead).  Idempotent.
     """
-    if not report.chi_assumed_invariant:
-        raise InconsistentDeductionError(
-            "family deduction requires the chi-invariance acknowledgment")
-    idx = report.graded_fiber_index
-    if not 0 <= idx < len(report.fibers):
+    if not 0 <= graded_index < len(tables):
         raise NoGradedFiberError("no designated graded fiber")
-    graded = report.fibers[idx].table
+    graded = tables[graded_index]
     if not (graded.graded and graded.fully_exact()):
         raise NoGradedFiberError(
             "the designated graded fiber's table is not fully exact")
     chi = (graded.chi0, graded.chi1, graded.chi2)
-    fibers = []
-    for i, fiber in enumerate(report.fibers):
-        what = f"fiber {fiber.value}"
-        fibers.append(replace(fiber, table=_tighten(fiber.table, chi, what)))
-    return replace(report, fibers=tuple(fibers))
+    return [_tighten(table, chi, f"fiber {v}")
+            for v, table in zip(values, tables, strict=True)]
 
 
 @dataclass(frozen=True)

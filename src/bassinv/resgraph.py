@@ -7,10 +7,11 @@ for this tool).  File format: a JSON object
      "edges": [[id, id], ...]}
 
 with distinct integer ids, strictly negative self-intersections, and edges
-between existing distinct vertices.  Multi-edges are allowed (two components
-may meet more than once); self-loops are not, because the components of a
-good resolution are smooth and cross normally.  Keys starting with "_" are
-ignored, so fixtures can carry commentary.
+between existing distinct vertices; true and false are not integers here.
+Multi-edges are allowed (two components may meet more than once); self-loops
+are not, because the components of a good resolution are smooth and cross
+normally.  Keys starting with "_" are ignored, so fixtures can carry
+commentary.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class ResolutionGraph:
 
     def vertex_ids(self):
         return [v.id for v in self.vertices]
+
+
+def _is_int(x):
+    """A JSON integer; Python counts the bools true and false as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_graph(source):
@@ -75,7 +81,7 @@ def load_graph(source):
         vid = entry["id"]
         genus = entry["genus"]
         self_int = entry["self_intersection"]
-        if not all(isinstance(x, int) for x in (vid, genus, self_int)):
+        if not all(map(_is_int, (vid, genus, self_int))):
             raise GraphFormatError(f"vertex {entry}: fields must be integers")
         if vid in seen:
             raise GraphFormatError(f"duplicate vertex id {vid}")
@@ -89,7 +95,7 @@ def load_graph(source):
     edges = []
     for pair in raw_edges:
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
+                or not all(map(_is_int, pair))):
             raise GraphFormatError(f"edge {pair!r}: expected [id, id]")
         a, b = pair
         if a == b:

@@ -16,8 +16,7 @@ from bassinv.errors import (InconsistentDeductionError, NotIsolatedError,
                             SingularLocusNotAtOriginError, SmoothInput)
 from bassinv.groebner import (MonomialOrder, buchberger, normal_form,
                               quotient_dimension, staircase)
-from bassinv.invariants import (Bound, FamilyReport, Fiber, bass_verdict,
-                                build_table, deduce_family)
+from bassinv.invariants import Bound, bass_verdict, build_table, deduce_family
 from bassinv.polynomials import (WeightSystem, parse, substitute_parameter)
 from bassinv.resgraph import (genus_sum, intersection_matrix,
                               is_negative_definite, load_graph, loop_count)
@@ -85,15 +84,13 @@ def test_criterion_3_theorem_41():
               Fraction(-3)]
     profiles = [analyze(substitute_parameter(fam, "t", v)) for v in values]
     p_g = profiles[0].p_g
-    fibers = tuple(
-        Fiber(v, prof, build_table(prof.tjurina, p_g, g, l,
-                                   graded=(i == 0)))
-        for i, (v, prof) in enumerate(zip(values, profiles)))
-    report = deduce_family(FamilyReport(fam, fibers, 0, True))
-    for fiber in report.fibers[1:]:
-        assert fiber.table.b01 == Bound.exact(1)
-        assert fiber.table.b11 == Bound.exact(0)
-        verdict = bass_verdict(fiber.table)
+    tables = deduce_family(
+        values, [build_table(prof.tjurina, p_g, g, l, graded=(i == 0))
+                 for i, prof in enumerate(profiles)], 0)
+    for table in tables[1:]:
+        assert table.b01 == Bound.exact(1)
+        assert table.b11 == Bound.exact(0)
+        verdict = bass_verdict(table)
         assert verdict.answer_to_bass == "negative"
         assert "K_0(R) ⊕ stF[s,t]" in verdict.k0_polynomial_ring_description
 
@@ -170,23 +167,21 @@ def test_criterion_6_property_suite():
     # (v) deduction is idempotent and only shrinks intervals
     graded = build_table(18, 1, 0, 0, True)
     deformed = build_table(16, 1, 0, 0, False)
-    report = FamilyReport(None, (Fiber(Fraction(0), None, graded),
-                                 Fiber(Fraction(1), None, deformed)), 0, True)
-    once = deduce_family(report)
-    assert deduce_family(once) == once
-    for f0, f1 in zip(report.fibers, once.fibers):
+    values = [Fraction(0), Fraction(1)]
+    before = [graded, deformed]
+    once = deduce_family(values, before, 0)
+    assert deduce_family(values, once, 0) == once
+    for t0, t1 in zip(before, once):
         for name in ("b01", "b10", "b11"):
-            lo0, hi0 = getattr(f0.table, name).bounds_or(0, None)
-            lo1, hi1 = getattr(f1.table, name).bounds_or(0, None)
+            lo0, hi0 = getattr(t0, name).bounds_or(0, None)
+            lo1, hi1 = getattr(t1, name).bounds_or(0, None)
             assert lo1 >= lo0
             assert hi0 is None or (hi1 is not None and hi1 <= hi0)
 
     # (vi) a hypothetical tau=15 fiber contradicts chi-invariance
-    bad = FamilyReport(None, (Fiber(Fraction(0), None, graded),
-                              Fiber(Fraction(1), None,
-                                    build_table(15, 1, 0, 0, False))), 0, True)
+    bad = [graded, build_table(15, 1, 0, 0, False)]
     with pytest.raises(InconsistentDeductionError) as exc:
-        deduce_family(bad)
+        deduce_family(values, bad, 0)
     assert str(exc.value) == (
         "fiber 1 b11: empty range [0, -1] "
         "(the chi-invariance assumption fails for this input)")

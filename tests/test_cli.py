@@ -37,6 +37,19 @@ def run_err(capsys, *argv):
     return code, err
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Run a test under CPython's default limit on int/str conversions
+    (4300 digits), whatever an earlier cli.main set, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
 class TestAnalyze:
     def test_example_43(self, capsys):
         doc = run_json(capsys, "analyze", "z^2+y^3+x^10", "--graph", GRAPH)
@@ -118,6 +131,19 @@ class TestAnalyze:
         assert err == ("error [StaircaseLimitError]: staircase exceeds the "
                        "enumeration cap (100000); raise BASSINV_MAX_STAIRCASE "
                        "to allow larger quotients\n")
+
+    @pytest.mark.parametrize("json_view", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("text,coefficient", [
+        ("2^20000*x^2+y^2+z^2", 2 ** 20000),
+        ("1" * 5000 + "*x^2+y^2+z^2", (10 ** 5000 - 1) // 9),
+    ], ids=["power", "literal"])
+    def test_coefficient_past_the_digit_limit(self, capsys,
+                                              default_digit_limit, text,
+                                              coefficient, json_view):
+        out = run_ok(capsys, "analyze", text, *["--json"] * json_view)
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)  # to spell the expected digits
+        assert f"{coefficient}*x^2 + y^2 + z^2" in out
 
     @pytest.mark.parametrize("text", ["z^2+y^3+x^10", "x+y^2+z^2"])
     def test_closed_stdout_exits_1_without_traceback(self, text):
@@ -471,6 +497,13 @@ class TestGraphCommand:
         bad.write_text('{"vertices": [{"id": 1}]}')
         code, _ = run_err(capsys, "graph", str(bad))
         assert code == 3
+
+    def test_boolean_genus_exit_3(self, capsys, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"vertices": [{"id": 1, "genus": true, '
+                       '"self_intersection": -2}]}')
+        code, err = run_err(capsys, "graph", str(bad))
+        assert code == 3 and "GraphFormatError" in err
 
 
 class TestDeterminismAndConsistency:

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bassinv.errors import (InconsistentDeductionError, InconsistentInputsError,
                             NoGradedFiberError)
-from bassinv.invariants import (Bound, FamilyReport, Fiber, bass_verdict,
-                                build_table, deduce_family)
+from bassinv.invariants import Bound, bass_verdict, build_table, deduce_family
 
 
 def wahl_graded():
@@ -18,11 +17,16 @@ def wahl_deformed():
     return build_table(16, 1, 0, 0, graded=False)
 
 
-def wahl_report(deformed=None):
-    fibers = (Fiber(Fraction(0), None, wahl_graded()),
-              Fiber(Fraction(1), None, deformed or wahl_deformed()))
-    return FamilyReport(family=None, fibers=fibers, graded_fiber_index=0,
-                        chi_assumed_invariant=True)
+WAHL_VALUES = (Fraction(0), Fraction(1))
+
+
+def wahl_tables(deformed=None):
+    """The tables of the Wahl fibers t = 0 (graded) and t = 1."""
+    return [wahl_graded(), deformed or wahl_deformed()]
+
+
+def deduce_wahl(tables=None):
+    return deduce_family(WAHL_VALUES, tables or wahl_tables(), 0)
 
 
 class TestBound:
@@ -136,8 +140,7 @@ class TestTablePattern:
 
 class TestDeduceFamily:
     def test_wahl_deduction(self):
-        out = deduce_family(wahl_report())
-        t = out.fibers[1].table
+        t = deduce_wahl()[1]
         assert t.b11 == Bound.exact(0)
         assert t.b10 == Bound.exact(16)
         assert t.b01 == Bound.exact(1)
@@ -145,43 +148,55 @@ class TestDeduceFamily:
         assert t.alpha() == Bound.exact(1)
 
     def test_graded_fiber_not_contradicted(self):
-        out = deduce_family(wahl_report())
-        t = out.fibers[0].table
+        t = deduce_wahl()[0]
         assert t.b11 == Bound.exact(1)
         assert t.b10 == Bound.exact(17)
 
     def test_idempotent(self):
-        once = deduce_family(wahl_report())
-        twice = deduce_family(once)
+        once = deduce_wahl()
+        twice = deduce_wahl(once)
         assert once == twice
 
     def test_intervals_only_shrink(self):
-        before = wahl_report()
-        after = deduce_family(before)
-        for f0, f1 in zip(before.fibers, after.fibers):
+        before = wahl_tables()
+        after = deduce_wahl(before)
+        for t0, t1 in zip(before, after):
             for name in ("b01", "b10", "b11"):
-                b0 = getattr(f0.table, name).bounds_or(0, None)
-                b1 = getattr(f1.table, name).bounds_or(0, None)
+                b0 = getattr(t0, name).bounds_or(0, None)
+                b1 = getattr(t1, name).bounds_or(0, None)
                 assert b1[0] >= b0[0]
                 assert b0[1] is None or (b1[1] is not None and b1[1] <= b0[1])
 
     def test_tau_15_is_inconsistent(self):
-        bad = wahl_report(deformed=build_table(15, 1, 0, 0, graded=False))
+        bad = wahl_tables(deformed=build_table(15, 1, 0, 0, graded=False))
         with pytest.raises(InconsistentDeductionError):
-            deduce_family(bad)
-
-    def test_requires_acknowledgment(self):
-        report = wahl_report()
-        report = FamilyReport(report.family, report.fibers, 0,
-                              chi_assumed_invariant=False)
-        with pytest.raises(InconsistentDeductionError):
-            deduce_family(report)
+            deduce_wahl(bad)
 
     def test_requires_fully_exact_graded_fiber(self):
-        fibers = (Fiber(Fraction(0), None, wahl_deformed()),)
-        report = FamilyReport(None, fibers, 0, True)
         with pytest.raises(NoGradedFiberError):
-            deduce_family(report)
+            deduce_family([Fraction(0)], [wahl_deformed()], 0)
+
+    @pytest.mark.parametrize("graded_index", [-1, 2])
+    def test_requires_a_graded_index_in_range(self, graded_index):
+        with pytest.raises(NoGradedFiberError):
+            deduce_family(WAHL_VALUES, wahl_tables(), graded_index)
+
+    def test_graded_fiber_in_the_middle(self):
+        """Tables come back in the order of the values, whichever the
+        graded one, and an error names the value of its own fiber."""
+        values = [Fraction(-1), Fraction(0), Fraction(1)]
+        tau_17 = build_table(17, 1, 0, 0, graded=False)
+        out = deduce_family(values, [wahl_deformed(), wahl_graded(), tau_17],
+                            1)
+        assert [t.tau for t in out] == [16, 18, 17]
+        assert out[0] == deduce_wahl()[1]
+        assert out[1] == wahl_graded()
+        assert (out[2].b10, out[2].b11) == \
+            (Bound.interval(16, 17), Bound.interval(0, 1))
+        tau_15 = build_table(15, 1, 0, 0, graded=False)
+        with pytest.raises(InconsistentDeductionError) as exc:
+            deduce_family(values, [tau_15, wahl_graded(), tau_17], 1)
+        assert str(exc.value).startswith("fiber -1 b11: empty range")
 
 
 def _contains(bound, v):
@@ -201,7 +216,8 @@ def _hand_set_bound(draw, tau, unknown):
 @st.composite
 def _deduction_cases(draw):
     """A graded fiber with chi^1 = n and one fiber of the same p_g, g, l
-    whose b10 and b11 are set by hand (b11 possibly unknown)."""
+    whose b10 and b11 are set by hand (b11 possibly unknown), in either
+    order."""
     g, l = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     p_g = g + l + draw(st.integers(0, 3))
     n = draw(st.integers(-(p_g - g - l), 20))
@@ -210,7 +226,7 @@ def _deduction_cases(draw):
     table = build_table(tau, p_g, g, l, graded=False)
     table = replace(table, b10=draw(_hand_set_bound(tau, False)),
                     b11=draw(_hand_set_bound(tau, True)))
-    return graded, table
+    return graded, table, draw(st.booleans())
 
 
 class TestDeductionOracle:
@@ -219,18 +235,21 @@ class TestDeductionOracle:
     @given(_deduction_cases())
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_hull_of_the_feasible_values(self, case):
-        graded, table = case
+        graded, table, graded_first = case
         n = graded.chi1.value
-        report = FamilyReport(None, (Fiber(Fraction(0), None, graded),
-                                     Fiber(Fraction(1), None, table)), 0, True)
+        values = [Fraction(0), Fraction(1)]
+        tables, graded_index = [graded, table], 0
+        if not graded_first:
+            tables, graded_index = tables[::-1], 1
         feasible = [v for v in range(table.tau + 1)
                     if _contains(table.b10, v) and v >= n
                     and _contains(table.b11, v - n)]
         if not feasible:
             with pytest.raises(InconsistentDeductionError):
-                deduce_family(report)
+                deduce_family(values, tables, graded_index)
             return
-        graded_out, out = (f.table for f in deduce_family(report).fibers)
+        deduced = deduce_family(values, tables, graded_index)
+        graded_out, out = deduced[graded_index], deduced[1 - graded_index]
         assert graded_out == graded
         assert out.b10 == Bound.interval(min(feasible), max(feasible))
         assert out.b11 == Bound.interval(min(feasible) - n,
@@ -242,8 +261,7 @@ class TestDeductionOracle:
 
 class TestBassVerdict:
     def test_negative_answer(self):
-        t = deduce_family(wahl_report()).fibers[1].table
-        v = bass_verdict(t)
+        v = bass_verdict(deduce_wahl()[1])
         assert v.nk0_vanishes == "yes"
         assert v.nk_minus1_rank == Bound.exact(1)
         assert v.answer_to_bass == "negative"
@@ -266,12 +284,8 @@ class TestBassVerdict:
         assert v.answer_to_bass == "undetermined"
 
     def test_higher_rank_description(self):
-        t = build_table(10, 3, 0, 0, graded=False)
-        t = deduce_family(FamilyReport(
-            None,
-            (Fiber(Fraction(0), None, build_table(10, 3, 0, 0, True)),
-             Fiber(Fraction(1), None, t)),
-            0, True)).fibers[1].table
+        t = deduce_wahl([build_table(10, 3, 0, 0, True),
+                         build_table(10, 3, 0, 0, graded=False)])[1]
         # chi1 = 7 - 3 = 4; tau = 10 gives b11 in [0, 6]: undetermined here
         assert bass_verdict(t).answer_to_bass == "undetermined"
 
@@ -284,7 +298,7 @@ class TestRendering:
 
     def test_json_and_text_agree(self):
         for table in (wahl_graded(), wahl_deformed(),
-                      deduce_family(wahl_report()).fibers[1].table):
+                      deduce_wahl()[1]):
             doc = table.to_json()
             for cell in doc["entries"]:
                 bound = table.entry(cell["p"], cell["q"])

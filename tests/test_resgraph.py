@@ -71,6 +71,22 @@ class TestLoad:
         g = load_graph(json.dumps(graph_doc([-2], [])))
         assert len(g.vertices) == 1
 
+    @pytest.mark.parametrize("field", ["id", "genus", "self_intersection"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_vertex_field_rejected(self, field, flag):
+        doc = graph_doc([-2, -2], [(1, 2)])
+        doc["vertices"][0][field] = flag
+        with pytest.raises(GraphFormatError, match="must be integers"):
+            load_graph(json.dumps(doc))
+
+    @pytest.mark.parametrize("edge", [[True, 0], [0, True], [False, 1]])
+    def test_boolean_edge_endpoint_rejected(self, edge):
+        doc = graph_doc([-2, -2], [])
+        doc["vertices"][0]["id"] = 0  # ids 0 and 1, which true/false equal
+        doc["edges"] = [edge]
+        with pytest.raises(GraphFormatError, match="expected \\[id, id\\]"):
+            load_graph(json.dumps(doc))
+
     def test_unknown_keys_rejected_but_comments_ok(self):
         doc = graph_doc([-2], [])
         doc["_note"] = "fine"
