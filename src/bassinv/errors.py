@@ -65,6 +65,12 @@ class NoGradedFiberError(BassinvError):
 class StaircaseLimitError(BassinvError):
     exit_code = 5
 
+    @classmethod
+    def over(cls, cap):
+        """The error for a staircase of more than `cap` monomials."""
+        return cls(f"staircase exceeds the enumeration cap ({cap}); "
+                   f"raise BASSINV_MAX_STAIRCASE to allow larger quotients")
+
 
 class UsageError(BassinvError):
     exit_code = 4

@@ -114,12 +114,18 @@ def _monic_from_raw(raw, variables):
     return Polynomial({e: Fraction(c, lc) for e, c in raw}, variables)
 
 
-def buchberger(generators, order=None, variables=None):
+def buchberger(generators, order=None, variables=None, until_finite=False):
     """Reduced Groebner basis of the ideal the generators span.
 
     Deterministic for a fixed generator list and order.  An empty or all-zero
     input yields the zero ideal (no generators); pass `variables` to name the
     ring when the generator list is empty.
+
+    With `until_finite`, the run stops as soon as the leads found so far
+    hold a pure power of every variable (the constant 1 is one of each) and
+    returns None: those leads already prove the quotient finite-dimensional.
+    A run that ends without them returns the reduced basis as usual, whose
+    staircase is then infinite.
     """
     order = order or MonomialOrder.grevlex()
     generators = list(generators)
@@ -153,11 +159,13 @@ def buchberger(generators, order=None, variables=None):
     G = []
     alive = {}  # queued pair (i, j) -> lcm of the two leads
     heap = []
+    powers = set()  # variables with a pure-power lead so far
 
     def lead(i):
         return G[i][0][0]
 
     def add_element(h):
+        """Queue h's pairs and append it; True when until_finite may stop."""
         t = len(G)
         lm_h = h[0][0]
         candidates = sorted(
@@ -190,11 +198,15 @@ def buchberger(generators, order=None, variables=None):
                 continue  # Buchberger's first criterion
             alive[i, t] = lcm_i
             heappush(heap, (sum(lcm_i), ascending(lcm_i), i, t))
+        support = [k for k, x in enumerate(lm_h) if x]
+        if len(support) <= 1:
+            powers.update(support or range(len(lm_h)))
+        return until_finite and len(powers) == len(lm_h)
 
     for raw in unique:
         reduced, _, _ = impl.reduce_full(raw, G, order)
-        if reduced:
-            add_element(reduced)
+        if reduced and add_element(reduced):
+            return None
 
     while heap:
         _, _, i, j = heappop(heap)
@@ -204,8 +216,8 @@ def buchberger(generators, order=None, variables=None):
         if not s:
             continue
         reduced, _, _ = impl.reduce_full(s, G, order)
-        if reduced:
-            add_element(reduced)
+        if reduced and add_element(reduced):
+            return None
 
     # minimize: drop generators whose lead another lead divides
     by_lead = sorted(range(len(G)), key=lambda i: ascending(lead(i)))

@@ -260,9 +260,7 @@ def enumerate_staircase(lead_exps, nvars, cap, order):
         r = min(lead[k] for lead, top in leads if top == k)
         if k == last:
             if len(out) + r > limit:
-                raise StaircaseLimitError(
-                    f"staircase exceeds the enumeration cap ({cap}); "
-                    f"raise BASSINV_MAX_STAIRCASE to allow larger quotients")
+                raise StaircaseLimitError.over(cap)
             out.extend([prefix + (j,) for j in range(r)])
             return
         for j in range(r):

@@ -217,14 +217,14 @@ class Polynomial:
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
-                    factors.append(f"{name}^{e}")
+                    factors.append(f"{name}^{_decimal(e)}")
             mag = abs(coeff)
             if not factors:
-                body = str(mag)
+                body = _decimal(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([_decimal(mag)] + factors)
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -233,6 +233,41 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self!s})"
+
+
+# -- decimal conversion ------------------------------------------------------
+
+# CPython 3.11 refuses int/str conversions past 4300 digits by default
+# (sys.set_int_max_str_digits).  Parsing and printing convert numbers with
+# these, in chunks below that limit, so a valid polynomial parses and
+# prints whatever the setting.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(q):
+    """str(q) for a non-negative int or Fraction of any size."""
+    if isinstance(q, Fraction):
+        if q.denominator != 1:
+            return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+        q = q.numerator
+    if q < _CHUNK:
+        return str(q)
+    chunks = []
+    while q >= _CHUNK:
+        q, r = divmod(q, _CHUNK)
+        chunks.append(str(r).zfill(_CHUNK_DIGITS))
+    chunks.append(str(q))
+    return "".join(reversed(chunks))
+
+
+def _integer(digits):
+    """The int of a decimal digit string of any length."""
+    value = 0
+    for i in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[i:i + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 # -- parsing -----------------------------------------------------------------
@@ -249,7 +284,7 @@ def _tokenize(text):
     for m in _TOKEN.finditer(text):
         number, name, op, stray = m.groups()
         if number is not None:
-            tokens.append(("int", int(number), m.start(1)))
+            tokens.append(("int", _integer(number), m.start(1)))
         elif name is not None:
             tokens.append(("name", name, m.start(2)))
         elif op is not None:
@@ -655,3 +690,95 @@ def linear_jacobian_multipliers(f):
     for p, row in echelon.items():
         a[p // n][p % n] = Fraction(row.get(rhs, 0), row[p])
     return a
+
+
+def positive_rational_eigenvalues(a):
+    """The eigenvalues of the rational square matrix `a`, with multiplicity
+    and largest first, when all of them are positive rationals and `a` is
+    diagonalisable over Q; None otherwise.
+
+    With D the common denominator of the entries, b = D*a is an integer
+    matrix whose characteristic polynomial P is monic with integer
+    coefficients, so its rational roots are integers and a's eigenvalues
+    are those roots over D.  The largest root is split off P by exact
+    division (_largest_integer_root) until P is used up.  An eigenvalue of
+    multiplicity m > 1 is diagonalisable when b - s*I has rank n - m, which
+    _integer_echelon counts.  No Fraction is formed before the answer.
+    """
+    n = len(a)
+    den = lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    poly = _characteristic_polynomial(b)
+    roots = []
+    while len(poly) > 1:
+        s = _largest_integer_root(poly)
+        if s is None or s <= 0:
+            return None
+        roots.append(s)
+        quotient = [1]  # P / (t - s) by synthetic division; P(s) = 0
+        for c in poly[1:-1]:
+            quotient.append(c + s * quotient[-1])
+        poly = quotient
+    for s in set(roots):
+        m = roots.count(s)
+        if m > 1:
+            rows = ({j: v - s * (i == j) for j, v in enumerate(row)
+                     if v - s * (i == j)} for i, row in enumerate(b))
+            if sum(1 for _ in _integer_echelon(rows, {})) != n - m:
+                return None
+    return [Fraction(s, den) for s in roots]
+
+
+def _characteristic_polynomial(b):
+    """Coefficients of det(t*I - b), highest first, for an integer matrix b.
+
+    Faddeev-LeVerrier: M_1 = I, M_(k+1) = b*M_k + c_k*I, and
+    c_k = -tr(b*M_k)/k, an exact division.
+    """
+    n = len(b)
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(b[i][l] * m[l][j] for l in range(n))
+              + (coeffs[-1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        trace = sum(b[i][l] * m[l][i] for i in range(n) for l in range(n))
+        coeffs.append(-trace // k)
+    return coeffs
+
+
+def _taylor_shift(poly, s):
+    """Coefficients of P(s + h) in h, highest first, for P's coefficients
+    highest first; the k-th from the end is the k-th derivative of P at s
+    over k!."""
+    c = list(poly)
+    for i in range(len(c) - 1):
+        for j in range(1, len(c) - i):
+            c[j] += s * c[j - 1]
+    return c
+
+
+def _largest_integer_root(poly):
+    """An integer root of the monic integer polynomial P, or None; the
+    largest root whenever all of P's roots are positive integers.
+
+    P(s + h) has coefficients >= 0, the derivatives of P at s over k!, on
+    a half-line [r, oo): they stay >= 0 as s grows.  When every root of P
+    is real, r is the largest one, and when every root is also positive,
+    their sum -poly[1] lies in the half-line and 0 does not.  The least
+    integer in it is found by bisection between the two and returned if
+    it is a root.
+    """
+    def above(s):
+        return min(_taylor_shift(poly, s)) >= 0
+
+    lo, hi = 0, -poly[1]
+    if above(lo) or not above(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi if _taylor_shift(poly, hi)[-1] == 0 else None

@@ -3,28 +3,33 @@
 Certification happens on the singular locus of the surface: the quotient by
 (f) + Jacobian ideal must be finite-dimensional and supported at the origin.
 The Milnor number is the length of the origin-local factor of the Jacobian
-quotient.  For a quasi-homogeneous f it equals the Tjurina number, and p_g
-is counted on the certification staircase, so one Groebner basis serves the
-whole analysis (see analyze).  So it does for an f that lies in its
-Jacobian ideal with linear multipliers, as every linear change of a
-quasi-homogeneous f does, though p_g is then not reported.  Otherwise mu is
-read off a local standard basis computed by Lazard's homogenisation method
-(Lazard 1983; Greuel-Pfister, A Singular Introduction to Commutative
-Algebra, 1.7), and critical points of f away from the surface, which the
-deformed fibers of the shipped family have, do not contribute.
+quotient.  A quasi-homogeneous f, and every linear change of one whose
+Jacobian multipliers have positive rational eigenvalues, takes the Euler
+route of analyze: one Buchberger run on the partials, stopped at the first
+pure-power leads, proves the quotient finite, and tau = mu and p_g come
+from closed forms (Milnor-Orlik 1970; Saito 1971), with no staircase.  An
+f that lies in its Jacobian ideal with other linear multipliers has
+mu = tau on the certification basis.  Otherwise mu is read off a local
+standard basis computed by Lazard's homogenisation method (Lazard 1983;
+Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7), and
+critical points of f away from the surface, which the deformed fibers of
+the shipped family have, do not contribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import prod
 
 from .errors import (NotIsolatedError, NotQuasiHomogeneousError,
-                     SingularLocusNotAtOriginError, SmoothInput)
-from .groebner import (MonomialOrder, _standard_monomials, buchberger,
-                       staircase, supported_only_at_origin)
+                     SingularLocusNotAtOriginError, SmoothInput,
+                     StaircaseLimitError)
+from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
+                       buchberger, staircase, supported_only_at_origin)
 from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
                           find_weights, linear_jacobian_multipliers,
-                          partial_derivative)
+                          partial_derivative, positive_rational_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,9 @@ def jacobian_ideal(f):
     return [partial_derivative(f, i) for i in range(3)]
 
 
+_POSITIVE_DIMENSIONAL = "the singular locus of {f=0} is positive-dimensional"
+
+
 def _certify_tjurina(f, partials, order):
     """Groebner basis of (f) + Jacobian ideal, certified isolated-at-origin.
 
@@ -56,8 +64,7 @@ def _certify_tjurina(f, partials, order):
     stairs = staircase(basis)
     dim = stairs.size
     if dim is None:
-        raise NotIsolatedError(
-            "the singular locus of {f=0} is positive-dimensional")
+        raise NotIsolatedError(_POSITIVE_DIMENSIONAL)
     if dim == 0:
         raise SmoothInput("the hypersurface {f=0} is smooth")
     if not supported_only_at_origin(basis, dim):
@@ -128,71 +135,117 @@ def _lazard_basis(generators):
 def geometric_genus_qh(f, ws):
     """Geometric genus of a quasi-homogeneous isolated singularity.
 
-    The number of standard monomials of the Jacobian ideal of weighted degree
-    at most d - (w1+w2+w3), counted on the staircase of its grevlex basis
-    (see _genus_count for why a global order gives the graded count).
+    After checking Euler's identity for `ws`, the closed forms of analyze's
+    Euler route (_closed_forms) show the singularity isolated, cap its tau,
+    and count p_g on the lattice.
     """
     if not euler_identity_check(f, ws):
         raise NotQuasiHomogeneousError(
             "the weight system does not satisfy the Euler identity for f")
-    return _genus_count(staircase(buchberger(jacobian_ideal(f))), ws)
-
-
-def _genus_count(stairs, ws):
-    """Monomials of weighted degree <= d - (w1+w2+w3) on a finite staircase.
-
-    The Jacobian ideal of a quasi-homogeneous f is weighted-homogeneous, and
-    primary to the maximal ideal when the singularity is isolated, so the
-    standard monomials of any monomial order, local ones included, have the
-    graded quotient's Hilbert function and the count is the graded one.
-    (The reduced basis of a weighted-homogeneous ideal is weighted-
-    homogeneous in every order, so its standard monomials of each weighted
-    degree span that degree's part of the quotient.)
-    """
-    if not stairs.is_finite:
+    lam = [Fraction(w, ws.degree) for w in ws.weights]
+    forms = _closed_forms(jacobian_ideal(f), MonomialOrder.grevlex(), lam, ws)
+    if forms is None:
         raise ValueError("the geometric genus needs an isolated singularity")
-    cutoff = ws.degree - sum(ws.weights)
-    return sum(1 for m in stairs.monomials if ws.weighted_degree(m) <= cutoff)
+    return forms[1]
+
+
+def _closed_forms(partials, order, lam, ws):
+    """(tau, p_g) by steps 2 and 3 of analyze's Euler route, or None.
+
+    `lam` are the eigenvalues of f's Jacobian multipliers and `ws` f's
+    weights, None after a linear change (p_g is then None too).  None when
+    the run on the partials ends without pure-power leads: the Jacobian
+    ideal is then not of finite colength.  tau past BASSINV_MAX_STAIRCASE
+    raises StaircaseLimitError before p_g <= tau is counted.
+    """
+    if buchberger(partials, order, until_finite=True) is not None:
+        return None
+    tau = prod(1 / x - 1 for x in lam)
+    assert tau.denominator == 1  # a regular sequence's Hilbert series
+    tau = tau.numerator
+    cap = _staircase_cap()
+    if tau > max(cap, 1):
+        raise StaircaseLimitError.over(cap)
+    p_g = None if ws is None else _lattice_genus(
+        ws.weights, ws.degree - sum(ws.weights))
+    return tau, p_g
+
+
+def _lattice_genus(weights, budget):
+    """#{e >= 0 componentwise : weights . e <= budget}.
+
+    With `budget` d - (w1+w2+w3) this is p_g of an isolated f of weights w
+    and degree d, #{m >= 1 : w . m <= d} (take m = e + 1): each generator
+    of its Jacobian ideal J has weighted degree d - w_i > d - (w1+w2+w3),
+    so up to that degree Q[x,y,z]/J is the polynomial ring, whose
+    monomials are the x^e.
+    """
+    w, rest = weights[0], weights[1:]
+    if not rest:
+        return max(budget // w + 1, 0)
+    return sum(_lattice_genus(rest, budget - w * i)
+               for i in range(budget // w + 1))
 
 
 def analyze(f, order=None):
     """Full numerical profile: mu, tau, weights, p_g, torsion lengths.
 
-    For a quasi-homogeneous f (find_weights gives weights w, degree d) the
-    certification basis is the only Groebner basis computed:
-      1. Euler's identity d*f = sum w_i x_i df/dx_i puts f in the Jacobian
-         ideal J, so the certified quotient is Q[x,y,z]/J and tau is its
-         dimension;
-      2. J is weighted-homogeneous, so its zero set is a cone; the quotient
-         is finite, so that set is finite, hence the origin alone, and the
-         global length tau is the origin-local length mu;
-      3. the reduced basis of J is weighted-homogeneous in every monomial
-         order, so the certification staircase has the graded Hilbert
-         function and p_g is counted on it (_genus_count).
-    Without weights, linear_jacobian_multipliers may still give an A with
-    f = sum_ij A[i][j] x_j df/dx_i (every linear change of a
-    quasi-homogeneous f has one).  A puts f in J, so the certified quotient
-    is again Q[x,y,z]/J; the certification proved it finite and supported
-    at the origin alone, so its global length tau is the origin-local
-    length mu.  weights and p_g stay None.  The certificate is read only
-    after the certification has passed, and is sufficient, not necessary:
-    (x+y^2)^2+y^3+z^5 has mu = tau but no A.
-    Otherwise mu comes from the origin-local staircase (_local_staircase).
-    The Jacobian ideal is built once.  The lengths of the degree-3 forms
-    module and of the torsion of the degree-2 forms both equal tau for
-    these singularities, so they are reported from it directly.
+    The Euler route covers a quasi-homogeneous f (find_weights gives
+    weights w, degree d) and every linear change of one.  It takes the
+    multipliers A of f = sum_ij A[i][j] x_j df/dx_i: diag(w)/d for a graded
+    f, else linear_jacobian_multipliers(f).  It applies when A's eigenvalues
+    lam are positive rationals and A is diagonalisable over Q
+    (positive_rational_eigenvalues), and builds no staircase:
+      1. with A*L = L*diag(lam), g = f o L satisfies g = sum lam_i y_i dg/dy_i,
+         so g is graded of weights lam, A puts f in its Jacobian ideal J, and
+         J is the Jacobian ideal of g after a linear change;
+      2. a Buchberger run on the partials alone stops as soon as its leads
+         hold a pure power of every variable, which proves J of finite
+         colength.  J is then a weighted cone of finite colength, so its
+         zero set is the origin alone, and f in J makes (f) + J = J:
+         tau = mu = dim Q[x,y,z]/J.  The partials of g then form a regular
+         sequence, and its Hilbert series gives the dimension
+         prod(1/lam_i - 1) (Milnor-Orlik 1970).  tau = 0 is the smooth
+         case, and BASSINV_MAX_STAIRCASE caps tau as it caps a staircase;
+      3. for a graded f, p_g is the lattice count _lattice_genus.  After a
+         change, weights and p_g stay None.
+    Steps 2 and 3 are _closed_forms, which geometric_genus_qh shares.  A run
+    that ends without pure powers has built the reduced basis of J, which
+    is that of (f) + J, and lacks a pure power of some variable: f is
+    rejected as not isolated, with no second basis.  Off the route (no A, or eigenvalues that are irrational, not
+    positive or not diagonalisable) the certification builds the basis of
+    (f) + J and proves it finite and supported at the origin.  An A still
+    puts f in J, so mu = tau; the certificate is sufficient, not necessary:
+    (x+y^2)^2+y^3+z^5 has mu = tau but no A.  Without A, mu comes from the
+    origin-local staircase (_local_staircase).
+    The Jacobian ideal and A are built once.  The lengths of the degree-3
+    forms module and of the torsion of the degree-2 forms both equal tau
+    for these singularities, so they are reported from it directly.
     """
     order = order or MonomialOrder.grevlex()
     partials = jacobian_ideal(f)
-    stairs = _certify_tjurina(f, partials, order)
-    tau = stairs.size
-    ws = find_weights(f)
+    # find_weights refuses f = 0, which the certification rejects as not
+    # isolated
+    ws = None if f.is_zero() else find_weights(f)
     if ws is not None:
-        mu, p_g = tau, _genus_count(stairs, ws)
-    elif linear_jacobian_multipliers(f) is not None:
-        mu, p_g = tau, None
+        a, lam = None, [Fraction(w, ws.degree) for w in ws.weights]
     else:
-        mu, p_g = _local_staircase(partials).size, None
+        a = linear_jacobian_multipliers(f)
+        lam = None if a is None else positive_rational_eigenvalues(a)
+    if lam is not None:
+        forms = _closed_forms(partials, order, lam, ws)
+        if forms is None:
+            raise NotIsolatedError(_POSITIVE_DIMENSIONAL)
+        tau, p_g = forms
+        if tau == 0:
+            raise SmoothInput("the hypersurface {f=0} is smooth")
+        return _profile(f, tau, tau, ws, p_g)
+    tau = _certify_tjurina(f, partials, order).size
+    mu = tau if a is not None else _local_staircase(partials).size
+    return _profile(f, mu, tau, None, None)
+
+
+def _profile(f, mu, tau, ws, p_g):
     return SingularityProfile(
         f=f, milnor=mu, tjurina=tau, weights=ws, p_g=p_g,
         torsion_omega2_length=tau, omega3_length=tau)

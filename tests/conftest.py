@@ -1,5 +1,7 @@
-import pytest
+import sys
 from pathlib import Path
+
+import pytest
 
 from bassinv.groebner import MonomialOrder, buchberger
 from bassinv.polynomials import parse, partial_derivative
@@ -46,3 +48,16 @@ def corpus_bases(corpus_polys):
         for order in (MonomialOrder.grevlex(), MonomialOrder.lex()):
             bases.append(buchberger(tjurina_generators(f), order))
     return bases
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run a test under CPython's default limit on int/str conversions
+    (4300 digits), whatever an earlier cli.main set, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(before)

@@ -37,19 +37,6 @@ def run_err(capsys, *argv):
     return code, err
 
 
-@pytest.fixture
-def default_digit_limit():
-    """Run a test under CPython's default limit on int/str conversions
-    (4300 digits), whatever an earlier cli.main set, and restore it after."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield
-    sys.set_int_max_str_digits(before)
-
-
 class TestAnalyze:
     def test_example_43(self, capsys):
         doc = run_json(capsys, "analyze", "z^2+y^3+x^10", "--graph", GRAPH)
@@ -144,6 +131,27 @@ class TestAnalyze:
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(0)  # to spell the expected digits
         assert f"{coefficient}*x^2 + y^2 + z^2" in out
+
+    @pytest.mark.parametrize("json_view", [False, True], ids=["text", "json"])
+    def test_library_run_past_the_digit_limit(self, default_digit_limit,
+                                              json_view):
+        # cli.run, unlike cli.main, leaves the interpreter's limit alone;
+        # the printed polynomial parses back to the input
+        text = "2^20000*x^2+y^2+z^2"
+        out = cli.run(["analyze", text, *["--json"] * json_view])
+        if json_view:
+            printed = json.loads(out)["profile"]["polynomial"]
+        else:
+            printed = out.splitlines()[0].removeprefix("polynomial: ")
+        assert parse(printed, VARS) == parse(text, VARS)
+
+    def test_malformed_staircase_cap_on_a_smooth_input_exit_4(self, capsys,
+                                                             monkeypatch):
+        # the cap is read before the smooth report, as when the unit
+        # ideal's empty staircase was enumerated
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "abc")
+        code, err = run_err(capsys, "analyze", "x+y+z^2")
+        assert code == 4 and "UsageError" in err
 
     @pytest.mark.parametrize("text", ["z^2+y^3+x^10", "x+y^2+z^2"])
     def test_closed_stdout_exits_1_without_traceback(self, text):
@@ -390,13 +398,15 @@ class TestFiberTransport:
         assert len(analyze_calls) == 2
 
     def test_wahl_bass_buchberger_calls(self, capsys, monkeypatch):
-        # t = 0 is graded: its certification basis is its only basis; the
-        # one analyzed nonzero fiber adds the Lazard basis to its own
+        # the one analyzed nonzero fiber takes its certification basis of
+        # (f) + J, 4 generators, and the Lazard basis of the 3 homogenised
+        # partials; t = 0 is graded, and its only basis is a run on the 3
+        # partials that stops at pure-power leads
         calls = []
         real = groebner.buchberger
 
         def counting(*args, **kwargs):
-            calls.append(args[0])
+            calls.append((len(args[0]), kwargs.get("until_finite", False)))
             return real(*args, **kwargs)
 
         for module in (groebner, singularity):
@@ -404,7 +414,7 @@ class TestFiberTransport:
         run_ok(capsys, "bass", WAHL_FAMILY,
                "--values", "-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
                "--assume-chi-invariant")
-        assert len(calls) == 3
+        assert calls == [(4, False), (3, False), (3, True)]
 
     def test_uncertified_family_analyzes_every_fiber(self, capsys,
                                                      analyze_calls):

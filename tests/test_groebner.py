@@ -103,6 +103,34 @@ class TestBuchberger:
             buchberger([poly("x"), parse("u", ("u", "v"))])
 
 
+class TestUntilFinite:
+    @pytest.mark.parametrize("order", [MonomialOrder.grevlex(),
+                                       MonomialOrder.lex()],
+                             ids=["grevlex", "lex"])
+    @pytest.mark.parametrize("text", CORPUS_TEXTS)
+    def test_stops_exactly_on_finite_quotients(self, text, order):
+        gens = jacobian(poly(text))
+        full = buchberger(gens, order)
+        stopped = buchberger(gens, order, until_finite=True)
+        assert (stopped is None) == (staircase(full).size is not None)
+
+    def test_stops_before_the_pairs(self, monkeypatch):
+        # pure powers among the generators: one reduction each, no pair
+        calls = count_reduce_full(monkeypatch)
+        assert buchberger([poly("20x^19"), poly("21y^20"), poly("5z^4")],
+                          until_finite=True) is None
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("gens", [["x*y", "x^2"], ["x^2-y^2", "x*z"],
+                                      ["0"]])
+    def test_infinite_quotient_gives_the_reduced_basis(self, gens):
+        gens = [poly(g) for g in gens]
+        assert buchberger(gens, until_finite=True) == buchberger(gens)
+
+    def test_unit_ideal_stops(self):
+        assert buchberger([poly("x"), poly("x+1")], until_finite=True) is None
+
+
 class TestNormalForm:
     def test_membership(self, corpus_bases):
         for basis in corpus_bases:

@@ -10,8 +10,9 @@ from bassinv.polynomials import (Polynomial, WeightSystem,
                                  _difference_nullspace, _positive_point,
                                  euler_identity_check,
                                  find_weights, linear_jacobian_multipliers,
-                                 parse, partial_derivative, scaling_weights,
-                                 substitute_parameter)
+                                 parse, partial_derivative,
+                                 positive_rational_eigenvalues,
+                                 scaling_weights, substitute_parameter)
 
 from conftest import VARS, poly
 
@@ -115,6 +116,13 @@ class TestParse:
         assert poly("(2/3*x*y^2)^3") == poly("8/27*x^3*y^6")
         assert poly("(-x)^0") == poly("1")
         assert poly("0^0") == poly("1") and poly("0^2").is_zero()
+
+    def test_literal_past_the_digit_limit(self, default_digit_limit):
+        # CPython's default limit refuses int() of more than 4300 digits
+        f = parse("1" * 5000 + "*x", ("x",))
+        assert f.term_map() == {(1,): Fraction((10 ** 5000 - 1) // 9)}
+        g = parse("1/" + "3" * 4400 + "*x^" + "7" * 4301 + "+y", ("x", "y"))
+        assert parse(str(g), ("x", "y")) == g
 
 
 def _term_text(c, exp, rng):
@@ -515,3 +523,84 @@ class TestLinearJacobianMultipliers:
             assert _multiplier_sum(f, m) == f
         if find_weights(f) is not None:
             assert m is not None  # Euler's identity gives one
+
+
+def _similar(eigenvalues, s, nilpotent=0):
+    """s * (diag(eigenvalues) + nilpotent * E_01) * s^-1, in Fractions."""
+    n = len(s)
+    d = [[Fraction(eigenvalues[i]) if i == j else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    d[0][1] = Fraction(nilpotent)
+    # s^-1 by Gauss-Jordan on [s | I]
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+           for i, row in enumerate(s)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    inv = [row[n:] for row in aug]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    return mul(mul([[Fraction(x) for x in row] for row in s], d), inv)
+
+
+class TestPositiveRationalEigenvalues:
+    """Matrices built as S D S^-1 from their eigenvalues: the answer is
+    read off the construction, not computed."""
+
+    SIMILARITIES = st.lists(st.integers(-2, 2), min_size=9, max_size=9).map(
+        lambda e: [e[0:3], e[3:6], e[6:9]]).filter(
+        lambda m: _det3(m) != 0)
+    POSITIVE = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5),
+                                Fraction(2, 7), Fraction(1), Fraction(3, 2)])
+
+    @given(st.lists(POSITIVE, min_size=3, max_size=3), SIMILARITIES)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_diagonalisable(self, eigenvalues, s):
+        assert positive_rational_eigenvalues(_similar(eigenvalues, s)) == \
+            sorted(eigenvalues, reverse=True)
+
+    @given(POSITIVE, POSITIVE, SIMILARITIES)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_jordan_block_is_not_diagonalisable(self, a, b, s):
+        # a repeated eigenvalue with a nilpotent part
+        assert positive_rational_eigenvalues(_similar([a, a, b], s, 1)) is None
+
+    @pytest.mark.parametrize("eigenvalues", [
+        [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)],
+        [Fraction(1, 2), Fraction(0), Fraction(1, 5)],
+        [Fraction(-1), Fraction(-1), Fraction(-1, 2)],
+    ])
+    def test_not_positive(self, eigenvalues):
+        s = [[1, 1, 0], [0, 1, 1], [1, 0, 2]]
+        assert positive_rational_eigenvalues(_similar(eigenvalues, s)) is None
+
+    @pytest.mark.parametrize("block,why", [
+        ([[0, 2], [1, 0]], "+-sqrt 2"),
+        ([[0, -1], [1, 0]], "+-i"),
+        ([[1, 1], [1, 0]], "the golden ratio and its conjugate"),
+        ([[3, 1], [1, 1]], "2 +- sqrt 2, both positive"),
+    ])
+    def test_irrational(self, block, why):
+        a = [[Fraction(x) for x in row] + [Fraction(0)] for row in block]
+        a.append([Fraction(0), Fraction(0), Fraction(1, 2)])
+        assert positive_rational_eigenvalues(a) is None, why
+
+    def test_sizes(self):
+        assert positive_rational_eigenvalues([[Fraction(2, 3)]]) == \
+            [Fraction(2, 3)]
+        assert positive_rational_eigenvalues([[Fraction(0)]]) is None
+        assert positive_rational_eigenvalues(
+            [[Fraction(1, 4)] * 2, [Fraction(0), Fraction(1, 4)]]) is None
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))

@@ -14,12 +14,27 @@ from bassinv.groebner import (MonomialOrder, buchberger, quotient_dimension,
                               staircase, supported_only_at_origin)
 from bassinv.polynomials import (Polynomial, WeightSystem, find_weights,
                                  linear_jacobian_multipliers, parse,
+                                 positive_rational_eigenvalues,
                                  substitute_parameter)
-from bassinv.singularity import (_genus_count, _local_staircase, analyze,
+from bassinv.singularity import (_local_staircase, analyze,
                                  geometric_genus_qh, jacobian_ideal,
                                  milnor_number, tjurina_number)
 
 from conftest import CORPUS_TEXTS, VARS, poly
+
+
+def staircase_genus(stairs, ws):
+    """Monomials of weighted degree <= d - (w1+w2+w3) on a finite staircase.
+
+    p_g counted monomial by monomial, an oracle for the engine's lattice
+    count: the Jacobian ideal of a quasi-homogeneous f is weighted-
+    homogeneous, and primary to the maximal ideal when the singularity is
+    isolated, so the standard monomials of any monomial order, local ones
+    included, have the graded quotient's Hilbert function.
+    """
+    assert stairs.is_finite
+    cutoff = ws.degree - sum(ws.weights)
+    return sum(1 for m in stairs.monomials if ws.weighted_degree(m) <= cutoff)
 
 
 def truncated_dimension(gens, n):
@@ -74,6 +89,16 @@ LINEAR_CHANGES_MU = (
     ("(x+y)^2+(x-y)^3+z^4", 6),
 )
 LINEAR_CHANGES = tuple(text for text, _ in LINEAR_CHANGES_MU)
+
+# graded, after dense changes with entries +-1 (the kind the benchmark's
+# dense-forms workload draws): x^4+y^5+z^6 after
+# [[-1, 1, 1], [1, -1, 1], [1, 1, -1]], whose Jacobian multipliers have
+# eigenvalues 1/4, 1/5, 1/6, and x^5+y^5+z^5 after
+# [[1, 1, 1], [-1, -1, 1], [-1, 1, 1]], which stays graded of weights 1
+DENSE_CHANGES = (
+    "(-x+y+z)^4+(x-y+z)^5+(x+y-z)^6",
+    "(x+y+z)^5+(-x-y+z)^5+(-x+y+z)^5",
+)
 
 # no linear Jacobian multipliers, so mu comes from the Lazard basis.  The
 # last two have mu = tau even so, and the last is quasi-homogeneous after a
@@ -257,9 +282,19 @@ class TestGeometricGenus:
         # the cutoff is d - (w1+w2+w3): degrees 27 and 62 on the weights
         # (3, 10, 15) move it to -1 and to 34, the top degree (x^8 y)
         stairs = _local_staircase(jacobian_ideal(poly("z^2+y^3+x^10")))
-        assert _genus_count(stairs, WeightSystem((3, 10, 15), 27)) == 0
-        assert _genus_count(stairs, WeightSystem((3, 10, 15), 62)) == 18
-        assert _genus_count(stairs, WeightSystem((3, 10, 15), 61)) == 17
+        assert staircase_genus(stairs, WeightSystem((3, 10, 15), 27)) == 0
+        assert staircase_genus(stairs, WeightSystem((3, 10, 15), 62)) == 18
+        assert staircase_genus(stairs, WeightSystem((3, 10, 15), 61)) == 17
+        # the engine's lattice count takes the cutoff as its budget.  It
+        # counts every monomial, so it agrees with the staircase below 15,
+        # the least weighted degree d - w_i of a partial (z), and not past it
+        lattice = singularity._lattice_genus
+        assert lattice((3, 10, 15), 27 - 28) == 0
+        assert lattice((3, 10, 15), 30 - 28) == 1
+        assert lattice((3, 10, 15), 14) == staircase_genus(
+            stairs, WeightSystem((3, 10, 15), 14 + 28)) == 7
+        assert lattice((3, 10, 15), 15) == 9 != staircase_genus(
+            stairs, WeightSystem((3, 10, 15), 15 + 28))
 
     @pytest.mark.parametrize("text", [t for t in CORPUS_TEXTS
                                       if find_weights(poly(t)) is not None])
@@ -292,6 +327,20 @@ class TestGeometricGenus:
         f = poly("x^2+y^2")
         with pytest.raises(ValueError):
             geometric_genus_qh(f, find_weights(f))
+
+    def test_cap_applies_before_the_lattice_count(self, monkeypatch):
+        # tau = 99999^3 and p_g about 1.7e14: the cap stops the count,
+        # which makes about budget^2/2 calls
+        f = poly("x^100000+y^100000+z^100000")
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "1000")
+        with pytest.raises(StaircaseLimitError,
+                           match=r"enumeration cap \(1000\)"):
+            geometric_genus_qh(f, WeightSystem((1, 1, 1), 100000))
+
+    def test_smooth_is_zero(self):
+        # weights (2, 1, 1), degree 2: the unit ideal, no lattice point
+        assert geometric_genus_qh(poly("x+y^2+z^2"),
+                                  WeightSystem((2, 1, 1), 2)) == 0
 
     def test_wrong_weights_reported(self):
         with pytest.raises(NotQuasiHomogeneousError):
@@ -339,34 +388,41 @@ class TestAnalyze:
             (b.milnor, b.tjurina, b.weights, b.p_g)
 
     # buchberger calls and kernel calls (reduce_full, spoly,
-    # enumerate_staircase) that analyze makes: a quasi-homogeneous input
-    # takes only its certification basis, whose staircase gives mu and p_g,
-    # and so does a linear change of one, whose linear Jacobian multipliers
-    # give mu = tau; the deformed fiber adds the Lazard basis and its local
-    # staircase.  A faster kernel must do the same operations, only cheaper.
+    # enumerate_staircase) that analyze makes: a quasi-homogeneous input,
+    # and a linear change of one whose Jacobian multipliers have positive
+    # rational eigenvalues, take one Buchberger run on the partials, stopped
+    # as soon as its leads hold a pure power of every variable, and no
+    # staircase; the deformed fiber takes the certification basis, the
+    # Lazard basis and both staircases.  A faster kernel must do the same
+    # operations, only cheaper.
     ENGINE_CALLS = {
-        ("x^2+y^2+z^2", "grevlex"): (1, 10, 0, 1),
-        ("x^2+y^2+z^2", "lex"): (1, 10, 0, 1),
-        ("z^2+y^3+x^10", "grevlex"): (1, 10, 0, 1),
-        ("z^2+y^3+x^10", "lex"): (1, 10, 0, 1),
+        ("x^2+y^2+z^2", "grevlex"): (1, 3, 0, 0),
+        ("x^2+y^2+z^2", "lex"): (1, 3, 0, 0),
+        ("z^2+y^3+x^10", "grevlex"): (1, 3, 0, 0),
+        ("z^2+y^3+x^10", "lex"): (1, 3, 0, 0),
         ("z^2+y^3+x^10+x^7*y", "grevlex"): (2, 34, 11, 2),
         ("z^2+y^3+x^10+x^7*y", "lex"): (2, 34, 11, 2),
-        ("z^2+y^3+x^7", "grevlex"): (1, 10, 0, 1),
-        ("z^2+y^3+x^7", "lex"): (1, 10, 0, 1),
-        ("x^3+y^4+z^5", "grevlex"): (1, 10, 0, 1),
-        ("x^3+y^4+z^5", "lex"): (1, 10, 0, 1),
-        ("x^2+y^3+z^3", "grevlex"): (1, 10, 0, 1),
-        ("x^2+y^3+z^3", "lex"): (1, 10, 0, 1),
-        ("x^3+y^3+z^3+x*y*z", "grevlex"): (1, 22, 8, 1),
-        ("x^3+y^3+z^3+x*y*z", "lex"): (1, 25, 10, 1),
-        ("(x+y)^2+z^3+y^5", "grevlex"): (1, 13, 0, 1),
-        ("(x+y)^2+z^3+y^5", "lex"): (1, 13, 0, 1),
-        ("(x+y)^2+(x-y)^3+z^4", "grevlex"): (1, 12, 1, 1),
-        ("(x+y)^2+(x-y)^3+z^4", "lex"): (1, 12, 1, 1),
+        ("z^2+y^3+x^7", "grevlex"): (1, 3, 0, 0),
+        ("z^2+y^3+x^7", "lex"): (1, 3, 0, 0),
+        ("x^3+y^4+z^5", "grevlex"): (1, 3, 0, 0),
+        ("x^3+y^4+z^5", "lex"): (1, 3, 0, 0),
+        ("x^2+y^3+z^3", "grevlex"): (1, 3, 0, 0),
+        ("x^2+y^3+z^3", "lex"): (1, 3, 0, 0),
+        ("x^3+y^3+z^3+x*y*z", "grevlex"): (1, 7, 4, 0),
+        ("x^3+y^3+z^3+x*y*z", "lex"): (1, 7, 5, 0),
+        ("(x+y)^2+z^3+y^5", "grevlex"): (1, 3, 0, 0),
+        ("(x+y)^2+z^3+y^5", "lex"): (1, 3, 0, 0),
+        ("(x+y)^2+(x-y)^3+z^4", "grevlex"): (1, 4, 1, 0),
+        ("(x+y)^2+(x-y)^3+z^4", "lex"): (1, 4, 1, 0),
+        (DENSE_CHANGES[0], "grevlex"): (1, 10, 7, 0),
+        (DENSE_CHANGES[0], "lex"): (1, 10, 7, 0),
+        (DENSE_CHANGES[1], "grevlex"): (1, 15, 12, 0),
+        (DENSE_CHANGES[1], "lex"): (1, 15, 12, 0),
     }
 
     @pytest.mark.parametrize("order", ["grevlex", "lex"])
-    @pytest.mark.parametrize("text", CORPUS_TEXTS + LINEAR_CHANGES)
+    @pytest.mark.parametrize("text",
+                             CORPUS_TEXTS + LINEAR_CHANGES + DENSE_CHANGES)
     def test_call_counts(self, text, order, monkeypatch):
         counts = count_engine_calls(monkeypatch)
         analyze(poly(text), getattr(MonomialOrder, order)())
@@ -515,10 +571,9 @@ GRADED_SHAPES = [(2, 2, 4), (2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 4, 8),
 
 
 class TestQuasiHomogeneousShortcut:
-    """For graded inputs analyze takes mu = tau and counts p_g on the
-    certification staircase.  Two oracles that do not take that shortcut:
-    the Lazard path (the local staircase, then the same count) and the
-    closed forms."""
+    """For graded inputs analyze takes mu = tau and p_g from closed forms.
+    Two oracles that do not take that shortcut: the Lazard path (the local
+    staircase, then p_g counted on it) and the closed forms of the shapes."""
 
     @pytest.mark.parametrize("order", ["grevlex", "lex"])
     @pytest.mark.parametrize("text", [t for t in CORPUS_TEXTS
@@ -528,7 +583,7 @@ class TestQuasiHomogeneousShortcut:
         p = analyze(f, getattr(MonomialOrder, order)())
         stairs = _local_staircase(jacobian_ideal(f))
         assert (p.milnor, p.p_g) == (stairs.size,
-                                     _genus_count(stairs, p.weights))
+                                     staircase_genus(stairs, p.weights))
 
     @given(st.data())
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -547,7 +602,107 @@ class TestQuasiHomogeneousShortcut:
         assert p.p_g == lattice_genus(a, b, c)
         stairs = _local_staircase(jacobian_ideal(f))
         assert stairs.size == p.milnor
-        assert _genus_count(stairs, p.weights) == p.p_g
+        assert staircase_genus(stairs, p.weights) == p.p_g
+
+
+class TestEulerRoute:
+    """tau = mu = prod(1/lam_i - 1) and the lattice p_g, against oracles
+    that share no code with them: the staircase of a full basis of the
+    Jacobian ideal, p_g counted on it monomial by monomial, and the path
+    analyze takes when the eigenvalue step fails."""
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("text", [t for t in CORPUS_TEXTS
+                                      if find_weights(poly(t)) is not None]
+                             + list(LINEAR_CHANGES + DENSE_CHANGES))
+    def test_closed_forms_match_the_staircase(self, text, order):
+        order = getattr(MonomialOrder, order)()
+        f = poly(text)
+        p = analyze(f, order)
+        stairs = staircase(buchberger(jacobian_ideal(f), order))
+        assert p.milnor == p.tjurina == stairs.size
+        if p.weights is not None:
+            assert p.p_g == staircase_genus(stairs, p.weights)
+
+    @given(BP_SHAPES, MATRIX_ENTRIES,
+           st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_tau_after_linear_change_matches_the_staircase(self, shape,
+                                                           entries, order):
+        f = brieskorn_pham_after_change(shape, entries)
+        p = analyze(f, order)
+        stairs = staircase(buchberger(jacobian_ideal(f), order))
+        assert p.milnor == p.tjurina == stairs.size
+        if p.weights is not None:
+            assert p.p_g == staircase_genus(stairs, p.weights)
+
+    def test_repeated_eigenvalue(self, monkeypatch):
+        # x^4+y^4+z^6 after a dense +-1 change: eigenvalues 1/4, 1/4, 1/6,
+        # the repeated one diagonalisable
+        f = poly("(x+y+z)^4+(x-y+z)^4+(x+y-z)^6")
+        assert find_weights(f) is None
+        assert positive_rational_eigenvalues(
+            linear_jacobian_multipliers(f)) == \
+            [Fraction(1, 4), Fraction(1, 4), Fraction(1, 6)]
+        counts = count_engine_calls(monkeypatch)
+        p = analyze(f)
+        assert (p.milnor, p.tjurina, p.weights, p.p_g) == (45, 45, None, None)
+        assert (counts["buchberger"], counts["enumerate_staircase"]) == (1, 0)
+        assert staircase(buchberger(jacobian_ideal(f))).size == 45
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("text", LINEAR_CHANGES + DENSE_CHANGES[:1] + (
+        "(x+y+z)^4+(x-y+z)^4+(x+y-z)^6",))
+    def test_failed_eigenvalue_step_gives_the_same_profile(self, text, order,
+                                                           monkeypatch):
+        # without eigenvalues analyze certifies (f) + J in full and takes
+        # mu = tau from the multipliers, as before the Euler route
+        order = getattr(MonomialOrder, order)()
+        f = poly(text)
+        route = analyze(f, order)
+        monkeypatch.setattr(singularity, "positive_rational_eigenvalues",
+                            lambda a: None)
+        counts = count_engine_calls(monkeypatch)
+        fallback = analyze(f, order)
+        assert counts["enumerate_staircase"] == 1
+        assert fallback == route
+
+    def test_cap_applies_to_the_closed_form(self, monkeypatch):
+        # tau = 18; a cap of 0 still allows the one monomial 1, as the
+        # enumeration does
+        f = poly("z^2+y^3+x^10")
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
+        with pytest.raises(StaircaseLimitError,
+                           match=r"enumeration cap \(17\)"):
+            analyze(f)
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "18")
+        assert analyze(f).tjurina == 18
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "0")
+        assert analyze(poly("x^2+y^2+z^2")).tjurina == 1
+
+    @pytest.mark.parametrize("text", ["x*y", "(x+y)^2*z^2"])
+    def test_not_isolated_builds_one_jacobian_basis(self, text, monkeypatch):
+        # the run on the partials ends without pure powers, and its reduced
+        # basis, that of (f) + J, lacks a pure power: no second basis
+        counts = count_engine_calls(monkeypatch)
+        with pytest.raises(NotIsolatedError):
+            analyze(poly(text))
+        assert (counts["buchberger"], counts["enumerate_staircase"]) == (1, 0)
+
+    def test_smooth_on_the_route(self, monkeypatch):
+        # weights (2, 2, 1) and degree 2: an eigenvalue 1, the unit ideal
+        counts = count_engine_calls(monkeypatch)
+        with pytest.raises(SmoothInput):
+            analyze(poly("x+y+z^2"))
+        assert (counts["buchberger"], counts["enumerate_staircase"]) == (1, 0)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (3, 3, 3), (4, 5, 6),
+                                       (2, 3, 10), (20, 21, 5)])
+    def test_lattice_genus_of_brieskorn_pham(self, shape):
+        weights, degree = graded_weights(shape)
+        assert geometric_genus_qh(poly("x^{}+y^{}+z^{}".format(*shape)),
+                                  WeightSystem(weights, degree)) == \
+            lattice_genus(*shape)
 
 
 class TestDegenerate:
