@@ -8,21 +8,18 @@ and applies deformation invariance to decide Bass' question
 
 from .errors import (BassinvError, GraphFormatError, InconsistentDeductionError,
                      InconsistentInputsError, NoGradedFiberError,
-                     NotIsolatedError, NotQuasiHomogeneousError,
-                     PolynomialSyntaxError, SingularLocusNotAtOriginError,
-                     SmoothInput, StaircaseLimitError, UnknownVariableError,
-                     UsageError)
+                     NotIsolatedError, PolynomialSyntaxError,
+                     SingularLocusNotAtOriginError, SmoothInput,
+                     StaircaseLimitError, UnknownVariableError, UsageError)
 from .groebner import (GroebnerBasis, MonomialOrder, Staircase, buchberger,
-                       normal_form, quotient_dimension, staircase,
-                       supported_only_at_origin)
+                       normal_form, staircase, supported_only_at_origin)
 from .invariants import (BassVerdict, Bound, DuBoisTable, bass_verdict,
                          build_table, deduce_family)
-from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
-                          find_weights, parse, partial_derivative,
-                          scaling_weights, substitute_parameter)
+from .polynomials import (Polynomial, WeightSystem, find_weights, parse,
+                          partial_derivative, scaling_weights,
+                          substitute_parameter)
 from .resgraph import (ResolutionGraph, genus_sum, intersection_matrix,
                        is_negative_definite, load_graph, loop_count)
-from .singularity import (SingularityProfile, analyze, geometric_genus_qh,
-                          jacobian_ideal, milnor_number, tjurina_number)
+from .singularity import SingularityProfile, analyze, jacobian_ideal
 
 __version__ = "0.1.0"

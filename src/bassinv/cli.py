@@ -70,13 +70,17 @@ def _load_graph_data(path):
     }
 
 
+# The length of the torsion of the degree-2 forms and that of the degree-3
+# forms module both equal tau for these singularities, so the profile views
+# report tau for them.
+
 def _profile_json(profile):
     out = {
         "polynomial": str(profile.f),
         "milnor": profile.milnor,
         "tjurina": profile.tjurina,
-        "torsion_omega2_length": profile.torsion_omega2_length,
-        "omega3_length": profile.omega3_length,
+        "torsion_omega2_length": profile.tjurina,
+        "omega3_length": profile.tjurina,
         "quasi_homogeneous": profile.weights is not None,
     }
     if profile.weights is not None:
@@ -99,8 +103,8 @@ def _profile_text(profile):
         lines.append(f"geometric genus p_g: {profile.p_g}")
     else:
         lines.append("quasi-homogeneous: no")
-    lines.append(f"torsion length of Omega^2: {profile.torsion_omega2_length}")
-    lines.append(f"length of Omega^3: {profile.omega3_length}")
+    lines.append(f"torsion length of Omega^2: {profile.tjurina}")
+    lines.append(f"length of Omega^3: {profile.tjurina}")
     return lines
 
 
@@ -417,8 +421,7 @@ def _build_parser():
         if poly:
             p.add_argument("polynomial", help="polynomial in x, y, z")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--order", default="grevlex",
-                       choices=("grevlex", "lex"),
+        p.add_argument("--order", default="grevlex", choices=_ORDERS,
                        help="monomial order for the engine")
 
     p_an = sub.add_parser("analyze", help="profile of one singularity")

@@ -46,10 +46,6 @@ class SmoothInput(BassinvError):
     exit_code = 0
 
 
-class NotQuasiHomogeneousError(BassinvError):
-    exit_code = 5
-
-
 class InconsistentInputsError(BassinvError):
     exit_code = 5
 

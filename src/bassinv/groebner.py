@@ -64,9 +64,6 @@ class GroebnerBasis:
     def leading_exponents(self):
         return [g[0][0] for g in self._raw]
 
-    def is_zero_ideal(self):
-        return not self._raw
-
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
                 and self.order == other.order
@@ -271,17 +268,11 @@ def _standard_monomials(leads, nvars, order):
         leads, nvars, _staircase_cap(), order)))
 
 
-def quotient_dimension(basis):
-    """dim_Q of the quotient ring; None when infinite."""
-    s = staircase(basis)
-    return s.size
-
-
 def supported_only_at_origin(basis, dim):
     """True iff every variable is nilpotent modulo the ideal.
 
     For a finite-dimensional quotient this says the ideal's zero set is the
-    origin alone.  `dim` is quotient_dimension(basis), which must be finite.
+    origin alone.  `dim` is staircase(basis).size, which must be finite.
 
     Each x_i is stepped through normal forms: start at x_i^m, where x_i^m is
     the smallest pure power of x_i among the basis leads (1, x_i, ...,

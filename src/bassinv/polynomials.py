@@ -273,6 +273,8 @@ def _integer(digits):
 # -- parsing -----------------------------------------------------------------
 
 NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a name the grammar can spell
+# bound on the bits of a coefficient power c^v that the parser computes
+_MAX_POWER_BITS = 1 << 20
 # the last group catches any other character, so the matches of finditer
 # tile the text up to trailing whitespace
 _TOKEN = re.compile(
@@ -395,6 +397,13 @@ class _Parser:
                 raise PolynomialSyntaxError("expected a non-negative integer exponent", p)
             if len(terms) == 1:
                 (exp, c), = terms.items()
+                # c^v has at most v times as many bits as c; c != 0 here
+                bits = max(abs(c.numerator).bit_length(),
+                           c.denominator.bit_length())
+                if abs(c) != 1 and v * bits > _MAX_POWER_BITS:
+                    raise PolynomialSyntaxError(
+                        f"the power's coefficient exceeds {_MAX_POWER_BITS} "
+                        f"bits", p)
                 return {tuple(e * v for e in exp): c ** v}
             return _power(terms, v, len(self.variables))
         return terms
@@ -628,17 +637,6 @@ def scaling_weights(f, name):
     if next(x for x in ints if x) < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-def euler_identity_check(f, ws):
-    """True iff sum_i w_i x_i df/dx_i == d*f.
-
-    The left side scales each term by its weighted degree, so over Q this
-    holds exactly when every term of f has weighted degree d.
-    """
-    if len(ws.weights) != len(f.variables):
-        raise ValueError("weight count does not match the variable count")
-    return all(ws.weighted_degree(e) == ws.degree for e in f.exponents())
 
 
 def linear_jacobian_multipliers(f):

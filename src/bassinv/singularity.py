@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import (NotIsolatedError, NotQuasiHomogeneousError,
-                     SingularLocusNotAtOriginError, SmoothInput,
-                     StaircaseLimitError)
+from .errors import (NotIsolatedError, SingularLocusNotAtOriginError,
+                     SmoothInput, StaircaseLimitError)
 from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
                        buchberger, staircase, supported_only_at_origin)
-from .polynomials import (Polynomial, WeightSystem, euler_identity_check,
-                          find_weights, linear_jacobian_multipliers,
-                          partial_derivative, positive_rational_eigenvalues)
+from .polynomials import (Polynomial, WeightSystem, find_weights,
+                          linear_jacobian_multipliers, partial_derivative,
+                          positive_rational_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,6 @@ class SingularityProfile:
     tjurina: int
     weights: WeightSystem | None
     p_g: int | None
-    torsion_omega2_length: int
-    omega3_length: int
 
 
 def jacobian_ideal(f):
@@ -71,22 +68,6 @@ def _certify_tjurina(f, partials, order):
         raise SingularLocusNotAtOriginError(
             "the singular locus of {f=0} is not the origin")
     return stairs
-
-
-def tjurina_number(f, order=None):
-    """length of Q[x,y,z]/((f) + Jacobian ideal), the Tjurina number."""
-    order = order or MonomialOrder.grevlex()
-    return _certify_tjurina(f, jacobian_ideal(f), order).size
-
-
-def milnor_number(f, order=None):
-    """Milnor number at the origin: analyze(f, order).milnor.
-
-    The length of the origin-local factor of the Jacobian quotient; it does
-    not depend on `order`.  Critical points of f away from {f=0} do not
-    contribute.
-    """
-    return analyze(f, order).milnor
 
 
 # -- origin-local staircase ---------------------------------------------------
@@ -132,45 +113,6 @@ def _lazard_basis(generators):
 
 # -- geometric genus and the full profile -------------------------------------
 
-def geometric_genus_qh(f, ws):
-    """Geometric genus of a quasi-homogeneous isolated singularity.
-
-    After checking Euler's identity for `ws`, the closed forms of analyze's
-    Euler route (_closed_forms) show the singularity isolated, cap its tau,
-    and count p_g on the lattice.
-    """
-    if not euler_identity_check(f, ws):
-        raise NotQuasiHomogeneousError(
-            "the weight system does not satisfy the Euler identity for f")
-    lam = [Fraction(w, ws.degree) for w in ws.weights]
-    forms = _closed_forms(jacobian_ideal(f), MonomialOrder.grevlex(), lam, ws)
-    if forms is None:
-        raise ValueError("the geometric genus needs an isolated singularity")
-    return forms[1]
-
-
-def _closed_forms(partials, order, lam, ws):
-    """(tau, p_g) by steps 2 and 3 of analyze's Euler route, or None.
-
-    `lam` are the eigenvalues of f's Jacobian multipliers and `ws` f's
-    weights, None after a linear change (p_g is then None too).  None when
-    the run on the partials ends without pure-power leads: the Jacobian
-    ideal is then not of finite colength.  tau past BASSINV_MAX_STAIRCASE
-    raises StaircaseLimitError before p_g <= tau is counted.
-    """
-    if buchberger(partials, order, until_finite=True) is not None:
-        return None
-    tau = prod(1 / x - 1 for x in lam)
-    assert tau.denominator == 1  # a regular sequence's Hilbert series
-    tau = tau.numerator
-    cap = _staircase_cap()
-    if tau > max(cap, 1):
-        raise StaircaseLimitError.over(cap)
-    p_g = None if ws is None else _lattice_genus(
-        ws.weights, ws.degree - sum(ws.weights))
-    return tau, p_g
-
-
 def _lattice_genus(weights, budget):
     """#{e >= 0 componentwise : weights . e <= budget}.
 
@@ -188,7 +130,7 @@ def _lattice_genus(weights, budget):
 
 
 def analyze(f, order=None):
-    """Full numerical profile: mu, tau, weights, p_g, torsion lengths.
+    """Full numerical profile: mu, tau, and for a graded f weights and p_g.
 
     The Euler route covers a quasi-homogeneous f (find_weights gives
     weights w, degree d) and every linear change of one.  It takes the
@@ -205,22 +147,21 @@ def analyze(f, order=None):
          zero set is the origin alone, and f in J makes (f) + J = J:
          tau = mu = dim Q[x,y,z]/J.  The partials of g then form a regular
          sequence, and its Hilbert series gives the dimension
-         prod(1/lam_i - 1) (Milnor-Orlik 1970).  tau = 0 is the smooth
-         case, and BASSINV_MAX_STAIRCASE caps tau as it caps a staircase;
-      3. for a graded f, p_g is the lattice count _lattice_genus.  After a
-         change, weights and p_g stay None.
-    Steps 2 and 3 are _closed_forms, which geometric_genus_qh shares.  A run
-    that ends without pure powers has built the reduced basis of J, which
-    is that of (f) + J, and lacks a pure power of some variable: f is
-    rejected as not isolated, with no second basis.  Off the route (no A, or eigenvalues that are irrational, not
-    positive or not diagonalisable) the certification builds the basis of
-    (f) + J and proves it finite and supported at the origin.  An A still
-    puts f in J, so mu = tau; the certificate is sufficient, not necessary:
+         prod(1/lam_i - 1) (Milnor-Orlik 1970).  BASSINV_MAX_STAIRCASE caps
+         tau as it caps a staircase, and tau = 0 is the smooth case;
+      3. for a graded f, p_g is the lattice count _lattice_genus, which the
+         cap bounds since p_g <= tau.  After a change, weights and p_g stay
+         None.
+    A run that ends without pure powers has built the reduced basis of J,
+    which is that of (f) + J, and lacks a pure power of some variable: f is
+    rejected as not isolated, with no second basis.  Off the route (no A,
+    or eigenvalues that are irrational, not positive or not
+    diagonalisable) the certification builds the basis of (f) + J and
+    proves it finite and supported at the origin.  An A still puts f in J,
+    so mu = tau; the certificate is sufficient, not necessary:
     (x+y^2)^2+y^3+z^5 has mu = tau but no A.  Without A, mu comes from the
-    origin-local staircase (_local_staircase).
-    The Jacobian ideal and A are built once.  The lengths of the degree-3
-    forms module and of the torsion of the degree-2 forms both equal tau
-    for these singularities, so they are reported from it directly.
+    origin-local staircase (_local_staircase).  The Jacobian ideal and A
+    are built once.
     """
     order = order or MonomialOrder.grevlex()
     partials = jacobian_ideal(f)
@@ -232,20 +173,20 @@ def analyze(f, order=None):
     else:
         a = linear_jacobian_multipliers(f)
         lam = None if a is None else positive_rational_eigenvalues(a)
-    if lam is not None:
-        forms = _closed_forms(partials, order, lam, ws)
-        if forms is None:
-            raise NotIsolatedError(_POSITIVE_DIMENSIONAL)
-        tau, p_g = forms
-        if tau == 0:
-            raise SmoothInput("the hypersurface {f=0} is smooth")
-        return _profile(f, tau, tau, ws, p_g)
-    tau = _certify_tjurina(f, partials, order).size
-    mu = tau if a is not None else _local_staircase(partials).size
-    return _profile(f, mu, tau, None, None)
-
-
-def _profile(f, mu, tau, ws, p_g):
-    return SingularityProfile(
-        f=f, milnor=mu, tjurina=tau, weights=ws, p_g=p_g,
-        torsion_omega2_length=tau, omega3_length=tau)
+    if lam is None:
+        tau = _certify_tjurina(f, partials, order).size
+        mu = tau if a is not None else _local_staircase(partials).size
+        return SingularityProfile(f, mu, tau, None, None)
+    if buchberger(partials, order, until_finite=True) is not None:
+        raise NotIsolatedError(_POSITIVE_DIMENSIONAL)
+    tau = prod(1 / x - 1 for x in lam)
+    assert tau.denominator == 1  # a regular sequence's Hilbert series
+    tau = tau.numerator
+    cap = _staircase_cap()
+    if tau > max(cap, 1):
+        raise StaircaseLimitError.over(cap)
+    if tau == 0:
+        raise SmoothInput("the hypersurface {f=0} is smooth")
+    p_g = None if ws is None else _lattice_genus(
+        ws.weights, ws.degree - sum(ws.weights))
+    return SingularityProfile(f, tau, tau, ws, p_g)

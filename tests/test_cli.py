@@ -78,6 +78,10 @@ class TestAnalyze:
         code, err = run_err(capsys, "analyze", "z^^2")
         assert code == 3 and "syntax" in err
 
+    def test_constant_power_past_the_bit_bound_exit_3(self, capsys):
+        code, err = run_err(capsys, "analyze", "1" * 5000 + "^" + "1" * 5000)
+        assert code == 3 and "syntax error at position 5001" in err
+
     def test_unknown_variable_exit_3(self, capsys):
         code, err = run_err(capsys, "analyze", "x+w")
         assert code == 3

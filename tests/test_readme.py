@@ -1,8 +1,10 @@
-"""The README's "Library layout" table against the package.
+"""The README against the package.
 
-Every function or class a row names in backticks must exist in that row's
-module, with the parameters it is shown with, so a deleted or re-signed
-name cannot stay in the docs.
+Every function or class a row of the "Library layout" table names in
+backticks must exist in that row's module, with the parameters it is shown
+with, and every backticked dotted reference anywhere in the README, such as
+`polynomials.scaling_weights`, must resolve to an attribute of that module,
+so a deleted or re-signed name cannot stay in the docs.
 """
 
 import importlib
@@ -13,17 +15,23 @@ import pytest
 
 from conftest import REPO
 
+README = (REPO / "README.md").read_text()
+
 # a backticked name, with its parameter list when the README gives one
 NAMED = re.compile(r"`([A-Za-z_]\w*)(?:\(([^)]*)\))?`")
+# a backticked dotted name, with its parameter list when the README gives one
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^)`]*\))?`")
 
 
 def layout_rows():
-    readme = (REPO / "README.md").read_text()
-    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    section = README.split("## Library layout", 1)[1].split("\n## ", 1)[0]
     return re.findall(r"^\| `(bassinv\.\w+)` \| (.*) \|$", section, re.M)
 
 
 ROWS = layout_rows()
+# file names such as `pyproject.toml` are not references
+REFERENCES = sorted({ref for ref in DOTTED.findall(README)
+                     if not (REPO / ref).exists()})
 
 
 def test_layout_table_is_found():
@@ -53,3 +61,21 @@ def test_layout_names_exist(module, contents):
         if params or f"`{name}()`" in contents:
             shown = [p.strip() for p in params.split(",") if p.strip()]
             assert list(inspect.signature(obj).parameters) == shown, name
+
+
+def test_dotted_references_are_found():
+    assert {"bassinv.kernel", "polynomials.scaling_weights",
+            "cli._analyze_family"} <= set(REFERENCES)
+    assert "pyproject.toml" not in REFERENCES
+
+
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_dotted_reference_resolves(reference):
+    # the first part is the package or one of its modules, the rest are
+    # attributes of it
+    first, *attributes = reference.split(".")
+    obj = importlib.import_module(
+        first if first == "bassinv" else f"bassinv.{first}")
+    for name in attributes:
+        assert hasattr(obj, name), f"{reference}: no {name}"
+        obj = getattr(obj, name)

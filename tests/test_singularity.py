@@ -6,21 +6,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bassinv import groebner, kernel, polynomials, singularity
-from bassinv.errors import (NotIsolatedError, NotQuasiHomogeneousError,
-                            SingularLocusNotAtOriginError, SmoothInput,
-                            StaircaseLimitError)
-from bassinv.groebner import (MonomialOrder, buchberger, quotient_dimension,
-                              staircase, supported_only_at_origin)
+from bassinv import cli, groebner, kernel, polynomials, singularity
+from bassinv.errors import (NotIsolatedError, SingularLocusNotAtOriginError,
+                            SmoothInput, StaircaseLimitError)
+from bassinv.groebner import (MonomialOrder, buchberger, staircase,
+                              supported_only_at_origin)
 from bassinv.polynomials import (Polynomial, WeightSystem, find_weights,
                                  linear_jacobian_multipliers, parse,
                                  positive_rational_eigenvalues,
                                  substitute_parameter)
-from bassinv.singularity import (_local_staircase, analyze,
-                                 geometric_genus_qh, jacobian_ideal,
-                                 milnor_number, tjurina_number)
+from bassinv.singularity import _local_staircase, analyze, jacobian_ideal
 
 from conftest import CORPUS_TEXTS, VARS, poly
+
+
+def certified_tau(f, order=MonomialOrder.grevlex()):
+    """tau on the certification basis of (f) + J, with its support test."""
+    return singularity._certify_tjurina(f, jacobian_ideal(f), order).size
 
 
 def staircase_genus(stairs, ws):
@@ -72,7 +74,7 @@ def brieskorn_pham_after_change(shape, entries):
 
 # x^a+y^b+z^c + q*x^i*y^j*z^k with i/a+j/b+k/c > 1: mu is the principal
 # part's (a-1)(b-1)(c-1), but the Jacobian quotient has points away from the
-# origin, so milnor_number takes the local-length path
+# origin, so analyze takes the local-length path
 NONQH_LADDER = (
     ("x^6+y^5+z^3+3/7*x^4*y^2", (6, 5, 3)),
     ("x^4+y^5+z^6-5*x^2*y^2*z", (4, 5, 6)),
@@ -134,17 +136,17 @@ class TestJacobianIdeal:
 
 class TestMilnor:
     def test_a1(self):
-        assert milnor_number(poly("x^2+y^2+z^2")) == 1
+        assert analyze(poly("x^2+y^2+z^2")).milnor == 1
 
     def test_graded_fiber(self):
-        assert milnor_number(poly("z^2+y^3+x^10")) == 18
+        assert analyze(poly("z^2+y^3+x^10")).milnor == 18
 
     def test_deformed_fiber_frozen_regression(self):
         # derived value, frozen: the origin-local factor of the Jacobian
         # quotient (the global quotient has dimension 19, one extra critical
         # point of f away from the surface); confirmed by the truncation
         # oracle below
-        assert milnor_number(poly("z^2+y^3+x^10+x^7*y")) == 18
+        assert analyze(poly("z^2+y^3+x^10+x^7*y")).milnor == 18
 
     def test_truncation_oracle_for_local_factor(self):
         # independent route: dim Q[x,y,z]/(J + m^N) stabilizes at the local
@@ -171,9 +173,9 @@ class TestMilnor:
     def test_nonqh_ladder_closed_form(self, text, shape, order):
         f = poly(text)
         basis = buchberger(jacobian_ideal(f))
-        assert not supported_only_at_origin(basis, quotient_dimension(basis))
+        assert not supported_only_at_origin(basis, staircase(basis).size)
         a, b, c = shape
-        assert milnor_number(f, order) == (a - 1) * (b - 1) * (c - 1)
+        assert analyze(f, order).milnor == (a - 1) * (b - 1) * (c - 1)
 
     @given(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3),
            st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
@@ -185,7 +187,7 @@ class TestMilnor:
         f = poly(f"x^{a}+y^{b}+z^{c}") + Polynomial({(i, j, k): q}, VARS)
         gens = jacobian_ideal(f)
         basis = buchberger(gens)
-        dim = quotient_dimension(basis)
+        dim = staircase(basis).size
         assume(dim is not None and not supported_only_at_origin(basis, dim))
         assert _local_staircase(gens).size == truncated_dimension(gens, dim)
 
@@ -209,7 +211,7 @@ class TestMilnorOrlikOracle:
             expected = Fraction(1)
             for w in ws.weights:
                 expected *= Fraction(ws.degree, w) - 1
-            assert milnor_number(f) == expected
+            assert analyze(f).milnor == expected
 
     @given(BP_SHAPES, MATRIX_ENTRIES)
     @settings(max_examples=12, deadline=None, derandomize=True)
@@ -217,7 +219,7 @@ class TestMilnorOrlikOracle:
         f = brieskorn_pham_after_change(shape, entries)
         a, b, c = shape
         mu = (a - 1) * (b - 1) * (c - 1)
-        assert milnor_number(f) == mu
+        assert analyze(f).milnor == mu
         # analyze reads mu = tau off the linear multipliers here: recheck
         # them by Polynomial arithmetic alone, and keep the Lazard path,
         # which analyze no longer takes on these inputs, under the oracle
@@ -238,41 +240,40 @@ class TestMilnorOrlikOracle:
         # reduces to 0 at once, so the support test has to step past it
         f = brieskorn_pham_after_change(shape, entries)
         a, b, c = shape
-        assert tjurina_number(f, order) == (a - 1) * (b - 1) * (c - 1)
+        assert certified_tau(f, order) == (a - 1) * (b - 1) * (c - 1)
 
 
 class TestTjurina:
     def test_graded_fiber(self):
-        assert tjurina_number(poly("z^2+y^3+x^10")) == 18
+        assert certified_tau(poly("z^2+y^3+x^10")) == 18
 
     @pytest.mark.parametrize("a", [1, 2, Fraction(1, 2), -3])
     def test_deformed_fiber(self, a):
         fam = parse("z^2+y^3+x^10+t*x^7*y", VARS + ("t",))
-        assert tjurina_number(substitute_parameter(fam, "t", a)) == 16
+        assert certified_tau(substitute_parameter(fam, "t", a)) == 16
 
     def test_a1(self):
-        assert tjurina_number(poly("x^2+y^2+z^2")) == 1
+        assert certified_tau(poly("x^2+y^2+z^2")) == 1
 
     def test_lex_gives_same_values(self):
-        assert tjurina_number(poly("z^2+y^3+x^10+x^7*y"),
-                              MonomialOrder.lex()) == 16
+        assert certified_tau(poly("z^2+y^3+x^10+x^7*y"),
+                             MonomialOrder.lex()) == 16
 
 
 class TestGeometricGenus:
     def test_paper_value(self):
-        ws = WeightSystem((3, 10, 15), 30)
-        assert geometric_genus_qh(poly("z^2+y^3+x^10"), ws) == 1
+        p = analyze(poly("z^2+y^3+x^10"))
+        assert (p.weights, p.p_g) == (WeightSystem((3, 10, 15), 30), 1)
 
     def test_a1_is_zero(self):
-        assert geometric_genus_qh(poly("x^2+y^2+z^2"),
-                                  WeightSystem((1, 1, 1), 2)) == 0
+        assert analyze(poly("x^2+y^2+z^2")).p_g == 0
 
     def test_e12(self):
         # weights (6,14,21), d = 42, cutoff 1: only the constant monomial
         f = poly("z^2+y^3+x^7")
         ws = find_weights(f)
         assert ws == WeightSystem((6, 14, 21), 42)
-        assert geometric_genus_qh(f, ws) == 1
+        assert analyze(f).p_g == 1
         # cross-check by explicit enumeration of staircase degrees
         gb = buchberger(jacobian_ideal(f), MonomialOrder.weighted(ws.weights))
         degs = sorted(ws.weighted_degree(m) for m in staircase(gb).monomials)
@@ -319,14 +320,13 @@ class TestGeometricGenus:
         for cutoff in range(-1, top + 1):
             expected = count(local, cutoff)
             assert [count(m, cutoff) for m in stairs] == [expected] * 3
-        assert count(local, top) == len(local) == milnor_number(f)
-        assert geometric_genus_qh(f, ws) == count(local,
-                                                  ws.degree - sum(ws.weights))
+        p = analyze(f)
+        assert count(local, top) == len(local) == p.milnor
+        assert p.p_g == count(local, ws.degree - sum(ws.weights))
 
     def test_not_isolated_rejected(self):
-        f = poly("x^2+y^2")
-        with pytest.raises(ValueError):
-            geometric_genus_qh(f, find_weights(f))
+        with pytest.raises(NotIsolatedError):
+            analyze(poly("x^2+y^2"))
 
     def test_cap_applies_before_the_lattice_count(self, monkeypatch):
         # tau = 99999^3 and p_g about 1.7e14: the cap stops the count,
@@ -335,17 +335,7 @@ class TestGeometricGenus:
         monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "1000")
         with pytest.raises(StaircaseLimitError,
                            match=r"enumeration cap \(1000\)"):
-            geometric_genus_qh(f, WeightSystem((1, 1, 1), 100000))
-
-    def test_smooth_is_zero(self):
-        # weights (2, 1, 1), degree 2: the unit ideal, no lattice point
-        assert geometric_genus_qh(poly("x+y^2+z^2"),
-                                  WeightSystem((2, 1, 1), 2)) == 0
-
-    def test_wrong_weights_reported(self):
-        with pytest.raises(NotQuasiHomogeneousError):
-            geometric_genus_qh(poly("z^2+y^3+x^10+x^7*y"),
-                               WeightSystem((3, 10, 15), 30))
+            analyze(f)
 
 
 class TestAnalyze:
@@ -354,15 +344,15 @@ class TestAnalyze:
         assert (p.milnor, p.tjurina) == (18, 18)
         assert p.weights == WeightSystem((3, 10, 15), 30)
         assert p.p_g == 1
-        assert p.torsion_omega2_length == 18
-        assert p.omega3_length == 18
+        assert cli._profile_json(p)["torsion_omega2_length"] == 18
+        assert cli._profile_json(p)["omega3_length"] == 18
 
     def test_deformed_fiber_profile(self):
         p = analyze(poly("z^2+y^3+x^10+x^7*y"))
         assert (p.milnor, p.tjurina) == (18, 16)
         assert p.weights is None and p.p_g is None
-        assert p.torsion_omega2_length == 16
-        assert p.omega3_length == 16
+        assert cli._profile_json(p)["torsion_omega2_length"] == 16
+        assert cli._profile_json(p)["omega3_length"] == 16
 
     def test_a1_profile(self):
         p = analyze(poly("x^2+y^2+z^2"))
@@ -699,10 +689,9 @@ class TestEulerRoute:
     @pytest.mark.parametrize("shape", [(2, 3, 5), (3, 3, 3), (4, 5, 6),
                                        (2, 3, 10), (20, 21, 5)])
     def test_lattice_genus_of_brieskorn_pham(self, shape):
-        weights, degree = graded_weights(shape)
-        assert geometric_genus_qh(poly("x^{}+y^{}+z^{}".format(*shape)),
-                                  WeightSystem(weights, degree)) == \
-            lattice_genus(*shape)
+        p = analyze(poly("x^{}+y^{}+z^{}".format(*shape)))
+        assert p.weights == WeightSystem(*graded_weights(shape))
+        assert p.p_g == lattice_genus(*shape)
 
 
 class TestDegenerate:
