@@ -14,6 +14,9 @@ NAME being the --parameter (default t), and its fibers come from
 substituting the rationals given in --values, like 1/2 or -3.
 Each command computes its results once, and a run renders only the view
 it prints: the text lines, or with --json the JSON document.
+Every command accepts --order grevlex|lex and ignores it: the invariants
+do not depend on the monomial order, and the engine is reached only
+through singularity.analyze with its grevlex default.
 Identical invocations produce byte-identical output.  Exit codes: 0 success
 (including the Smooth report), 2 input rejected (not isolated at the
 origin), 3 parse error, 4 usage error, 5 deduction/consistency error.
@@ -33,15 +36,11 @@ from fractions import Fraction
 from . import resgraph, singularity
 from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
                      SmoothInput, UsageError)
-from .groebner import MonomialOrder
 from .invariants import bass_verdict, build_table, deduce_family
 from .polynomials import (NAME, Polynomial, parse, scaling_weights,
                           substitute_parameter)
 
 VARIABLES = ("x", "y", "z")
-
-
-_ORDERS = {"grevlex": MonomialOrder.grevlex(), "lex": MonomialOrder.lex()}
 
 
 def _parse_values(text):
@@ -200,8 +199,7 @@ def _analyze_json(profile, info, table):
 
 def cmd_analyze(args):
     f = parse(args.polynomial, VARIABLES)
-    order = _ORDERS[args.order]
-    profile = singularity.analyze(f, order)
+    profile = singularity.analyze(f)
     info = table = None
     if args.graph:
         info = _load_graph_data(args.graph)
@@ -244,7 +242,6 @@ def _analyze_family(args, need_graph):
             "simultaneous good resolution smooth over the base, which is not "
             "machine-checked.  Pass --assume-chi-invariant to acknowledge")
     values = _parse_values(args.values)
-    order = _ORDERS[args.order]
     info = _load_graph_data(args.graph) if args.graph else None
     if need_graph and info is None:
         _verdict_graph(info)  # refuses before any fiber is analyzed
@@ -261,7 +258,7 @@ def _analyze_family(args, need_graph):
             profiles.append(replace(nonzero_profile, f=fiber_poly))
             continue
         try:
-            profile = singularity.analyze(fiber_poly, order)
+            profile = singularity.analyze(fiber_poly)
         except SmoothInput:
             raise InconsistentInputsError(
                 f"fiber {args.parameter} = {v} is smooth; "
@@ -391,8 +388,7 @@ def cmd_bass(args):
         return _family_text, _family_json, (args.parameter, *parts, verdicts)
     # single input: must be quasi-homogeneous, so the table is fully exact
     f = parse(args.polynomial, VARIABLES)
-    order = _ORDERS[args.order]
-    profile = singularity.analyze(f, order)
+    profile = singularity.analyze(f)
     if profile.weights is None:
         raise NoGradedFiberError(
             "bass on a single polynomial needs a quasi-homogeneous input; "
@@ -421,8 +417,10 @@ def _build_parser():
         if poly:
             p.add_argument("polynomial", help="polynomial in x, y, z")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--order", default="grevlex", choices=_ORDERS,
-                       help="monomial order for the engine")
+        p.add_argument("--order", default="grevlex",
+                       choices=("grevlex", "lex"),
+                       help="accepted for compatibility; selects nothing "
+                            "(the engine certifies in grevlex)")
 
     p_an = sub.add_parser("analyze", help="profile of one singularity")
     common(p_an)

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul, sub
 
 from .errors import PolynomialSyntaxError, UnknownVariableError
@@ -275,6 +275,10 @@ def _integer(digits):
 NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a name the grammar can spell
 # bound on the bits of a coefficient power c^v that the parser computes
 _MAX_POWER_BITS = 1 << 20
+# bound on the estimated size, terms times coefficient bits, of a power of
+# a sum that the parser expands; the expansion's time grows with the square
+# of its term count, so this bound is lower
+_MAX_EXPANSION_BITS = 1 << 16
 # the last group catches any other character, so the matches of finditer
 # tile the text up to trailing whitespace
 _TOKEN = re.compile(
@@ -405,6 +409,21 @@ class _Parser:
                         f"the power's coefficient exceeds {_MAX_POWER_BITS} "
                         f"bits", p)
                 return {tuple(e * v for e in exp): c ** v}
+            if len(terms) > 1:
+                # with q the lcm of the denominators, each coefficient of
+                # terms^v is N / q^v with |N| <= (q * sum |c|)^v, and there
+                # is at most one term per multiset of v base terms
+                q = lcm(*(c.denominator for c in terms.values()))
+                top = sum(abs(c.numerator) * (q // c.denominator)
+                          for c in terms.values())
+                # top >= 2, so bits >= v, and a huge v stops at the first
+                # test, before comb
+                bits = v * (max(top, q) - 1).bit_length()
+                if (bits > _MAX_EXPANSION_BITS or comb(len(terms) + v - 1, v)
+                        * bits > _MAX_EXPANSION_BITS):
+                    raise PolynomialSyntaxError(
+                        f"the expanded power exceeds {_MAX_EXPANSION_BITS} "
+                        f"coefficient bits", p)
             return _power(terms, v, len(self.variables))
         return terms
 

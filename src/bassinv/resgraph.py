@@ -44,17 +44,15 @@ def _is_int(x):
 
 
 def load_graph(source):
-    """Parse and validate a graph from a path, JSON text, or dict."""
+    """Parse and validate a graph from a file path or a dict."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if not str(source).lstrip().startswith("{"):
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise GraphFormatError(f"cannot read graph file: {exc}") from exc
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise GraphFormatError(f"cannot read graph file: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -82,6 +82,10 @@ class TestAnalyze:
         code, err = run_err(capsys, "analyze", "1" * 5000 + "^" + "1" * 5000)
         assert code == 3 and "syntax error at position 5001" in err
 
+    def test_sum_power_past_the_expansion_bound_exit_3(self, capsys):
+        code, err = run_err(capsys, "analyze", "(x+1)^4000+y^2+z^2")
+        assert code == 3 and "syntax error at position 6" in err
+
     def test_unknown_variable_exit_3(self, capsys):
         code, err = run_err(capsys, "analyze", "x+w")
         assert code == 3
@@ -99,6 +103,27 @@ class TestAnalyze:
     def test_lex_order_same_numbers(self, capsys):
         doc = run_json(capsys, "analyze", "z^2+y^3+x^10", "--order", "lex")
         assert doc["profile"]["milnor"] == 18
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "z^2+y^3+x^10+x^7*y"],
+        ["bass", WAHL_FAMILY, "--values", "0,1,2", "--graph", GRAPH,
+         "--assume-chi-invariant"],
+    ], ids=["analyze", "bass"])
+    def test_lex_option_reaches_no_lex_basis(self, capsys, monkeypatch,
+                                             argv):
+        # --order selects nothing: every basis the engine builds is in
+        # grevlex, or in the weighted order of the Lazard basis
+        orders = set()
+        real = groebner.buchberger
+
+        def recording(generators, order, *args, **kwargs):
+            orders.add(order)
+            return real(generators, order, *args, **kwargs)
+
+        monkeypatch.setattr(singularity, "buchberger", recording)
+        run_ok(capsys, *argv, "--order", "lex")
+        assert orders == {MonomialOrder.grevlex(),
+                          MonomialOrder.weighted((2, 1, 1, 1))}
 
     def test_staircase_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "5")
@@ -505,6 +530,16 @@ class TestGraphCommand:
         assert doc["g"] == 0 and doc["l"] == 0
         assert doc["negative_definite"] is True
         assert len(doc["intersection_matrix"]) == 7
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_path_starting_with_a_brace(self, capsys, tmp_path, monkeypatch,
+                                        extra):
+        (tmp_path / "{w}.json").write_bytes(WAHL_GRAPH.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        copy = run_ok(capsys, "graph", "{w}.json", *extra)
+        fixture = run_ok(capsys, "graph", GRAPH, *extra)
+        assert copy != fixture
+        assert copy.replace("{w}.json", GRAPH) == fixture
 
     def test_bad_file_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

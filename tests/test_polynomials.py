@@ -1,7 +1,7 @@
 import time
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +145,30 @@ class TestParse:
         assert poly("2^20000*x^2+y^2+z^2").term_map()[(2, 0, 0)] == 2 ** 20000
         assert poly("1^" + "1" * 5000 + "*x") == poly("x")
         assert poly("(-1)^" + "1" * 5000 + "*x") == poly("-x")
+
+    @pytest.mark.parametrize("text", ["(x+1)^4000+y^2+z^2",
+                                      "(x+1)^" + "9" * 5000])
+    def test_sum_power_past_the_expansion_bound(self, text):
+        t0 = time.perf_counter()
+        with pytest.raises(PolynomialSyntaxError, match="expanded power") \
+                as exc:
+            poly(text)
+        assert time.perf_counter() - t0 < 1.0
+        assert exc.value.position == 6
+
+    def test_expansion_bound_edge(self):
+        # (x+1)^n has n + 1 terms of at most n bits each (estimated)
+        bound = polynomials._MAX_EXPANSION_BITS
+        n = max(k for k in range(1, bound) if k * (k + 1) <= bound)
+        assert poly(f"(x+1)^{n}").term_map()[(n // 2, 0, 0)] == \
+            Fraction(comb(n, n // 2))
+        with pytest.raises(PolynomialSyntaxError, match="expanded power"):
+            poly(f"(x+1)^{n + 1}")
+        # the denominators count: the coefficients of (x/7+y/11)^v are
+        # N/77^v, of about 7v bits, where 7 + 11 = 18 alone gives 5v
+        assert len(poly("(1/7*x+1/11*y)^90").term_map()) == 91
+        with pytest.raises(PolynomialSyntaxError, match="expanded power"):
+            poly("(1/7*x+1/11*y)^100")
 
 
 def _term_text(c, exp, rng):

@@ -59,17 +59,24 @@ class TestLoad:
         with pytest.raises(GraphFormatError):
             load_graph(graph_doc([-2], [], genera=[-1]))
 
-    def test_malformed_json(self):
-        with pytest.raises(GraphFormatError):
-            load_graph("{not json")
+    def test_malformed_json(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        with pytest.raises(GraphFormatError, match="invalid JSON"):
+            load_graph(bad)
 
     def test_missing_file(self):
         with pytest.raises(GraphFormatError):
             load_graph("no/such/file.json")
 
-    def test_json_text_accepted(self):
-        g = load_graph(json.dumps(graph_doc([-2], [])))
-        assert len(g.vertices) == 1
+    def test_path_starting_with_a_brace(self, tmp_path):
+        # a string is always a path, never JSON text
+        text = json.dumps(graph_doc([-2], []))
+        path = tmp_path / "{w}.json"
+        path.write_text(text)
+        assert len(load_graph(str(path)).vertices) == 1
+        with pytest.raises(GraphFormatError, match="cannot read graph file"):
+            load_graph(text)
 
     @pytest.mark.parametrize("field", ["id", "genus", "self_intersection"])
     @pytest.mark.parametrize("flag", [True, False])
@@ -77,7 +84,7 @@ class TestLoad:
         doc = graph_doc([-2, -2], [(1, 2)])
         doc["vertices"][0][field] = flag
         with pytest.raises(GraphFormatError, match="must be integers"):
-            load_graph(json.dumps(doc))
+            load_graph(doc)
 
     @pytest.mark.parametrize("edge", [[True, 0], [0, True], [False, 1]])
     def test_boolean_edge_endpoint_rejected(self, edge):
@@ -85,7 +92,7 @@ class TestLoad:
         doc["vertices"][0]["id"] = 0  # ids 0 and 1, which true/false equal
         doc["edges"] = [edge]
         with pytest.raises(GraphFormatError, match="expected \\[id, id\\]"):
-            load_graph(json.dumps(doc))
+            load_graph(doc)
 
     def test_unknown_keys_rejected_but_comments_ok(self):
         doc = graph_doc([-2], [])
