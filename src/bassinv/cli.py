@@ -13,7 +13,10 @@ Polynomials live in Q[x,y,z]; a family polynomial lives in Q[x,y,z,NAME],
 NAME being the --parameter (default t), and its fibers come from
 substituting the rationals given in --values, like 1/2 or -3.
 Each command computes its results once, and a run renders only the view
-it prints: the text lines, or with --json the JSON document.
+it prints: the text lines, or with --json the JSON document.  A family
+renders each distinct table once.  The JSON document is byte for byte
+json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False), written by
+_dumps without the standard library's pure-Python indented encoder.
 Every command accepts --order grevlex|lex and ignores it: the invariants
 do not depend on the monomial order, and the engine is reached only
 through singularity.analyze with its grevlex default.
@@ -32,6 +35,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import resgraph, singularity
 from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
@@ -328,13 +332,16 @@ def _family_text(name, f, values, profiles, graded_index, info, tables,
         text.extend(_graph_text(info))
     else:
         text.append(f"note: {_NO_GRAPH_NOTE}")
+    # the fibers of a scaling family share one table: render each distinct
+    # table once (2 for the 8-fiber Wahl run, not 8)
+    rendered = {table: table.render_text() for table in set(tables or ())}
     for i, (v, profile) in enumerate(zip(values, profiles)):
         tag = " [graded]" if i == graded_index else ""
         text.append("")
         text.append(f"fiber {name} = {v}:{tag}")
         text.extend("  " + line for line in _profile_text(profile))
         if tables is not None:
-            text.append(tables[i].render_text())
+            text.append(rendered[tables[i]])
             if verdicts is not None:
                 text.extend(_verdict_text(verdicts[i]))
     return text
@@ -354,11 +361,12 @@ def _family_json(name, f, values, profiles, graded_index, info, tables,
         doc["graph"] = _graph_json(info)
     else:
         doc["note"] = _NO_GRAPH_NOTE
+    rendered = {table: table.to_json() for table in set(tables or ())}
     for i, (v, profile) in enumerate(zip(values, profiles)):
         fiber_doc = {"value": str(v), "graded": i == graded_index,
                      "profile": _profile_json(profile)}
         if tables is not None:
-            fiber_doc["table"] = tables[i].to_json()
+            fiber_doc["table"] = rendered[tables[i]]
             if verdicts is not None:
                 fiber_doc["verdict"] = _verdict_json(verdicts[i])
         doc["fibers"].append(fiber_doc)
@@ -474,13 +482,49 @@ def _glue_negative_values(argv):
     return out
 
 
+def _dumps(doc, newline="\n"):
+    """json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False).
+
+    With indent set, the standard library runs its pure-Python encoder;
+    this writes the same bytes from the C string encoder and one join per
+    container.  `newline` is the line break and indent of the level `doc`
+    sits at.  Dict keys must be strings; None, floats and anything not
+    serialisable take json.dumps, which raises TypeError on the last.
+    """
+    if isinstance(doc, dict):
+        keys = sorted(doc)
+        values = [doc[key] for key in keys]
+    elif isinstance(doc, (list, tuple)):
+        keys, values = None, doc
+    else:
+        return json.dumps(doc, ensure_ascii=False)
+    if not values:
+        return "[]" if keys is None else "{}"
+    inner = newline + "  "
+    parts = []
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            parts.append(encode_basestring(value))
+        elif kind is int:
+            parts.append(int.__repr__(value))
+        elif kind is bool:
+            parts.append("true" if value else "false")
+        else:
+            parts.append(_dumps(value, inner))
+    if keys is None:
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    parts = [encode_basestring(key) + ": " + part
+             for key, part in zip(keys, parts)]
+    return "{" + inner + ("," + inner).join(parts) + newline + "}"
+
+
 def run(argv):
     parser = _build_parser()
     args = parser.parse_args(_glue_negative_values(argv))
     text_view, json_view, results = _COMMANDS[args.command](args)
     if args.json:
-        return json.dumps(json_view(*results), indent=2, sort_keys=True,
-                          ensure_ascii=False)
+        return _dumps(json_view(*results))
     return "\n".join(text_view(*results))
 
 

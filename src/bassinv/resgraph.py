@@ -53,6 +53,8 @@ def load_graph(source):
                 text = fh.read()
         except OSError as exc:
             raise GraphFormatError(f"cannot read graph file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"graph file is not UTF-8: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bassinv import cli, groebner, singularity
 from bassinv.errors import UsageError
@@ -547,6 +548,14 @@ class TestGraphCommand:
         code, _ = run_err(capsys, "graph", str(bad))
         assert code == 3
 
+    def test_non_utf8_file_exit_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, err = run_err(capsys, "graph", str(bad))
+        assert code == 3
+        assert err.startswith("error [GraphFormatError]: graph file is not "
+                              "UTF-8: ")
+
     def test_boolean_genus_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bool.json"
         bad.write_text('{"vertices": [{"id": 1, "genus": true, '
@@ -708,6 +717,67 @@ class TestViews:
         monkeypatch.chdir(REPO)
         code = cli.main(argv + ["--json"] * json_view)
         assert code == 0 and capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("json_view", [False, True],
+                             ids=["text", "json"])
+    def test_each_distinct_table_is_rendered_once(self, capsys, monkeypatch,
+                                                  json_view):
+        # the 7 nonzero fibers share one table, t = 0 has the other
+        name = "to_json" if json_view else "render_text"
+        real = getattr(DuBoisTable, name)
+        rendered = []
+
+        def counting(table):
+            rendered.append(table)
+            return real(table)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the pure-Python JSON encoder")
+
+        monkeypatch.setattr(DuBoisTable, name, counting)
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps({}, indent=2)
+        monkeypatch.chdir(REPO)
+        code = cli.main(_EIGHT_FIBERS + ["--json"] * json_view)
+        assert code == 0 and capsys.readouterr().out
+        assert len(rendered) == len(set(rendered)) == 2
+
+
+# JSON trees, empty containers and top-level scalars included; strings mix
+# the characters that need escapes, the structural ones and non-ASCII text
+_JSON_TEXT = st.text(st.sampled_from('"\\{}[],: \n\t\x00\x1f\x7fé≅⊕\u2028')
+                     | st.characters())
+_JSON_LEAVES = (_JSON_TEXT | st.integers()
+                | st.sampled_from([2**64, -2**64 - 1, 10**40, -1, 0])
+                | st.booleans() | st.none() | st.floats())
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_JSON_TEXT, children, max_size=5)),
+    max_leaves=20)
+
+
+class TestDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_TREES)
+    def test_matches_the_indented_stdlib_encoder(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                             ensure_ascii=False)
+
+    def test_golden_document(self):
+        golden = (REPO / "fixtures" / "golden" /
+                  "wahl_bass_8fibers.json").read_text()
+        assert cli._dumps(json.loads(golden)) + "\n" == golden
+
+    @pytest.mark.parametrize("doc", [
+        {1: "a"}, {"a": [{"b": 1, 2: 3}]}, [object()], {"a": {1, 2}},
+        b"bytes", Fraction(1, 2)])
+    def test_non_string_key_or_unserialisable_value_raises(self, doc):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
 
 
 def _readme_commands():

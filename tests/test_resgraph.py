@@ -65,6 +65,14 @@ class TestLoad:
         with pytest.raises(GraphFormatError, match="invalid JSON"):
             load_graph(bad)
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"vertices": "\xe9"}'],
+                             ids=["utf16-bom", "latin1"])
+    def test_non_utf8_file(self, tmp_path, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        with pytest.raises(GraphFormatError, match="graph file is not UTF-8"):
+            load_graph(bad)
+
     def test_missing_file(self):
         with pytest.raises(GraphFormatError):
             load_graph("no/such/file.json")
