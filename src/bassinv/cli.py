@@ -36,15 +36,23 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import log2
 
 from . import resgraph, singularity
 from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
                      SmoothInput, UsageError)
 from .invariants import bass_verdict, build_table, deduce_family
-from .polynomials import (NAME, Polynomial, parse, scaling_weights,
-                          substitute_parameter)
+from .polynomials import (_MAX_POWER_BITS, NAME, Polynomial, parse,
+                          scaling_weights, substitute_parameter)
 
 VARIABLES = ("x", "y", "z")
+
+
+# the decimal exponent of a --values entry like 1e-5, whose power of 10
+# Fraction builds however large it is: |e| is bounded as the parser bounds
+# a coefficient power, |e|*log2(10) <= _MAX_POWER_BITS
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\Z")
+_MAX_EXPONENT = int(_MAX_POWER_BITS / log2(10))
 
 
 def _parse_values(text):
@@ -53,6 +61,15 @@ def _parse_values(text):
         chunk = chunk.strip()
         if not chunk:
             raise UsageError("empty entry in --values")
+        exponent = _EXPONENT.search(chunk)
+        if exponent:
+            # compare the digit count first: never convert a long exponent
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if (len(digits) > len(str(_MAX_EXPONENT))
+                    or int(digits or 0) > _MAX_EXPONENT):
+                raise UsageError(
+                    f"bad rational {chunk!r} in --values: its power of 10 "
+                    f"exceeds {_MAX_POWER_BITS} bits")
         try:
             values.append(Fraction(chunk))
         except (ValueError, ZeroDivisionError) as exc:

@@ -75,19 +75,11 @@ class GroebnerBasis:
         return f"GroebnerBasis[{self.order.kind}]({{{gens}}})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Staircase:
-    """Standard monomials of a basis; `monomials` is None when infinite."""
+    """The number of standard monomials of a basis; None when infinite."""
 
-    monomials: tuple
-
-    @property
-    def is_finite(self):
-        return self.monomials is not None
-
-    @property
-    def size(self):
-        return len(self.monomials) if self.is_finite else None
+    size: int | None
 
 
 def _to_raw(p, order):
@@ -209,7 +201,7 @@ def buchberger(generators, order=None, variables=None, until_finite=False):
         _, _, i, j = heappop(heap)
         if alive.pop((i, j), None) is None:
             continue
-        s = impl.spoly(G[i], G[j], order)
+        s = impl.spoly(G[i], G[j])
         if not s:
             continue
         reduced, _, _ = impl.reduce_full(s, G, order)
@@ -248,15 +240,15 @@ def normal_form(p, basis):
 
 
 def staircase(basis):
-    """Standard monomials under the basis' staircase, or the infinite marker."""
-    return _standard_monomials(basis.leading_exponents(), len(basis.variables),
-                              basis.order)
+    """The basis' staircase: its number of standard monomials, or None."""
+    return _standard_monomials(basis.leading_exponents(), len(basis.variables))
 
 
-def _standard_monomials(leads, nvars, order):
-    """Monomials in nvars variables that no lead divides, sorted by order.
+def _standard_monomials(leads, nvars):
+    """The number of monomials in nvars variables that no lead divides.
 
-    Infinite (the marker) unless, for each variable, some lead divides a
+    The count does not depend on a monomial order, only on the leads.  It
+    is infinite (size None) unless, for each variable, some lead divides a
     power of it; past the BASSINV_MAX_STAIRCASE cap StaircaseLimitError is
     raised.
     """
@@ -264,8 +256,8 @@ def _standard_monomials(leads, nvars, order):
         if not any(all(le[j] == 0 for j in range(nvars) if j != i)
                    for le in leads):
             return Staircase(None)
-    return Staircase(tuple(kernel.active().enumerate_staircase(
-        leads, nvars, _staircase_cap(), order)))
+    return Staircase(kernel.active().enumerate_staircase(
+        leads, nvars, _staircase_cap()))
 
 
 def supported_only_at_origin(basis, dim):

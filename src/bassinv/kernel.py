@@ -1,7 +1,7 @@
 """The term-arithmetic kernel and the monomial orders it sorts by.
 
 The operations that dominate a Buchberger run: complete fraction-free
-reduction, S-polynomials, and staircase enumeration.  The engine looks the
+reduction, S-polynomials, and staircase counting.  The engine looks the
 kernel up through `active()` on every call, so a test or a tracer can
 substitute a proxy (for counting or timing) by replacing `active`.
 
@@ -17,11 +17,13 @@ precision); scaling by rationals is tracked separately so reductions stay
 fraction-free.
 
 Per-term work runs in C-level builtins: exponent arithmetic is `map` over
-the `operator` functions, and sorts and the reduction heap use the order's
-`descending` key, built once per order from slices and sums.  Staircases
-are walked in runs along the last variable instead of monomial by monomial;
-the walk ends because the caller guarantees a pure power of every variable
-among the leads (see enumerate_staircase).
+the `operator` functions, and the reduction heap uses the order's
+`descending` key, built once per order from slices and sums.  Only
+reduce_full orders terms: an S-polynomial is an unsorted dict that
+reduce_full takes as it is.  Staircases are counted by adding whole runs
+along the last variable, with no monomial built; the walk ends because the
+caller guarantees a pure power of every variable among the leads (see
+enumerate_staircase).
 """
 
 import sys
@@ -146,6 +148,7 @@ def make_primitive(terms):
 def reduce_full(terms, basis, order):
     """Complete normal form of `terms` against `basis`, fraction-free.
 
+    `terms` is a term list or an {exponent: coefficient} dict in any order.
     Returns (reduced, num, den): the exact normal form of the input equals
     (num/den) * reduced, `reduced` is primitive with positive lead (or
     empty), and no term of `reduced` is divisible by any basis lead.
@@ -202,8 +205,10 @@ def reduce_full(terms, basis, order):
     return items, content // g, sd // g
 
 
-def spoly(f, g, order):
-    """Primitive S-polynomial of two nonzero term lists."""
+def spoly(f, g):
+    """S-polynomial of two nonzero term lists: an unsorted {exponent:
+    coefficient} dict, not made primitive, whose leads were scaled to
+    lc(f)*lc(g)/gcd(lc(f), lc(g)) and cancelled."""
     fe, fc = f[0]
     ge, gc = g[0]
     lcm = tuple(map(max, fe, ge))
@@ -221,51 +226,45 @@ def spoly(f, g, order):
             acc[ne] = v
         else:
             del acc[ne]
-    items = [(e, acc[e]) for e in sorted(acc, key=order.descending)]
-    items, _ = make_primitive(items)
-    return items
+    return acc
 
 
-def enumerate_staircase(lead_exps, nvars, cap, order):
-    """All standard monomials below the staircase of `lead_exps`.
+def enumerate_staircase(lead_exps, nvars, cap):
+    """The number of standard monomials below the staircase of `lead_exps`.
 
-    Output sorted ascending in the order.  The walk fixes exponents from
-    the first variable on, in runs: below a prefix p of the first k
-    exponents, the standard values of the k-th are 0, ..., r-1, where r is
-    the smallest k-th exponent among the leads whose first k exponents
-    divide p and whose exponents after the k-th are all 0.  Leads are
-    filtered as the prefix grows, each kept only while its first k
-    exponents divide p; at the last variable a run is the whole column of
-    standard monomials above p.  The caller guarantees a pure power of every
-    variable among the leads, so every r is finite and the walk ends.  It
-    costs O(prefixes x leads), not O(monomials x n x leads).
+    The walk fixes exponents from the first variable on, in runs: below a
+    prefix p of the first k exponents, the standard values of the k-th are
+    0, ..., r-1, where r is the smallest k-th exponent among the leads
+    whose first k exponents divide p and whose exponents after the k-th are
+    all 0.  Leads are filtered as the prefix grows, each kept only while
+    its first k exponents divide p; at the last variable a run is the whole
+    column of r standard monomials above p, and is added to the count as a
+    whole.  The caller guarantees a pure power of every variable among the
+    leads, so every r is finite and the walk ends.  It costs
+    O(prefixes x leads), not O(monomials x n x leads).
 
     Raises StaircaseLimitError when more than `cap` monomials appear (the
     origin, 1, is never counted against the cap).
     """
     for lead in lead_exps:
         if not any(lead):
-            return []  # unit ideal
+            return 0  # unit ideal
     if not nvars:
-        return [()]
+        return 1
     last = nvars - 1
     # (lead, index of its last nonzero exponent)
     leads = [(lead, max(i for i, x in enumerate(lead) if x))
              for lead in lead_exps]
     limit = max(cap, 1)
-    out = []
 
-    def walk(prefix, leads):
-        k = len(prefix)
+    def walk(k, leads, count):
         r = min(lead[k] for lead, top in leads if top == k)
         if k == last:
-            if len(out) + r > limit:
+            if count + r > limit:
                 raise StaircaseLimitError.over(cap)
-            out.extend([prefix + (j,) for j in range(r)])
-            return
+            return count + r
         for j in range(r):
-            walk(prefix + (j,), [t for t in leads if t[0][k] <= j])
+            count = walk(k + 1, [t for t in leads if t[0][k] <= j], count)
+        return count
 
-    walk((), leads)
-    out.sort(key=order.descending, reverse=True)
-    return out
+    return walk(0, leads, 0)

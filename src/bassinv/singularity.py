@@ -73,7 +73,7 @@ def _certify_tjurina(f, partials, order):
 # -- origin-local staircase ---------------------------------------------------
 
 def _local_staircase(generators):
-    """Standard monomials of Q[x]_(x) / (generators), the origin-local factor.
+    """Staircase of Q[x]_(x) / (generators), the origin-local factor.
 
     Lazard's method (Lazard 1983; Greuel-Pfister, A Singular Introduction to
     Commutative Algebra, 1.7): dropping t from the leads of _lazard_basis
@@ -89,8 +89,7 @@ def _local_staircase(generators):
     positive-dimensional; they miss the origin and do not count.
     """
     leads = [e[1:] for e in _lazard_basis(generators).leading_exponents()]
-    return _standard_monomials(leads, len(generators[0].variables),
-                               MonomialOrder.grevlex())
+    return _standard_monomials(leads, len(generators[0].variables))
 
 
 def _lazard_basis(generators):

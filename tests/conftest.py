@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from bassinv.groebner import MonomialOrder, buchberger
 from bassinv.polynomials import parse, partial_derivative
+from bassinv.singularity import _lazard_basis
 
 VARS = ("x", "y", "z")
 REPO = Path(__file__).resolve().parent.parent
@@ -33,6 +35,70 @@ def jacobian(f):
 
 def tjurina_generators(f):
     return [f] + jacobian(f)
+
+
+# -- a staircase oracle that shares no code with the engine -------------------
+#
+# The engine only counts standard monomials; tests that read them list them
+# here, by scanning a box, and sort them by an order key written from the
+# definitions of the orders.  An order is a kind ("grevlex", "lex",
+# "weighted") and, for "weighted", its weights.
+
+def reference_key(exp, kind, weights):
+    """The flat order key: the exponents for lex; otherwise (weighted
+    degree,) degree, then the negated exponents from the last one
+    (reverse-lex tiebreak)."""
+    n = len(exp)
+    degree = 0
+    weighted = 0
+    for i in range(n):
+        degree += exp[i]
+        if weights:
+            weighted += weights[i] * exp[i]
+    from_last_negated = [-exp[n - 1 - i] for i in range(n)]
+    if kind == "grevlex":
+        return tuple([degree] + from_last_negated)
+    if kind == "lex":
+        return tuple(exp)
+    return tuple([weighted, degree] + from_last_negated)
+
+
+def divides(a, b):
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def brute_force_staircase(leads, n, kind="grevlex", weights=None):
+    """Every monomial of the pure-power box that no lead divides, as a tuple
+    sorted ascending in the order; None when some variable has no pure
+    power among the leads (the staircase is infinite)."""
+    box = []
+    for i in range(n):
+        powers = [le[i] for le in leads
+                  if all(le[j] == 0 for j in range(n) if j != i)]
+        if not powers:
+            return None
+        box.append(min(powers))
+    standard = [e for e in itertools.product(*[range(b) for b in box])
+                if not any(divides(le, e) for le in leads)]
+    return tuple(sorted(standard,
+                        key=lambda e: reference_key(e, kind, weights)))
+
+
+def standard_monomials(basis):
+    """The standard monomials of a Groebner basis, in its order."""
+    return brute_force_staircase(basis.leading_exponents(),
+                                 len(basis.variables), basis.order.kind,
+                                 basis.order.weights)
+
+
+def local_monomials(generators):
+    """The standard monomials of the origin-local factor: those of the
+    leads of the Lazard basis with t dropped, in grevlex."""
+    leads = [e[1:] for e in _lazard_basis(generators).leading_exponents()]
+    return brute_force_staircase(leads, len(generators[0].variables))
 
 
 @pytest.fixture(scope="session")

@@ -21,8 +21,8 @@ from bassinv.resgraph import (genus_sum, intersection_matrix,
                               is_negative_definite, load_graph, loop_count)
 from bassinv.singularity import analyze
 
-from conftest import (VARS, WAHL_GRAPH, jacobian, poly, tjurina_generators,
-                      CORPUS_TEXTS)
+from conftest import (VARS, WAHL_GRAPH, jacobian, poly, standard_monomials,
+                      tjurina_generators, CORPUS_TEXTS)
 
 
 def criterion(number, description):
@@ -100,7 +100,7 @@ def test_criterion_4_geometric_genus():
     ws = WeightSystem((3, 10, 15), 30)
     f = poly("z^2+y^3+x^10")
     basis = buchberger(jacobian(f), MonomialOrder.weighted(ws.weights))
-    assert sum(1 for m in staircase(basis).monomials
+    assert sum(1 for m in standard_monomials(basis)
                if ws.weighted_degree(m) <= 2) == 1
     assert analyze(f).p_g == 1
 
@@ -156,7 +156,7 @@ def test_criterion_6_property_suite():
             raws = basis._raw
             for i in range(len(raws)):
                 for j in range(i + 1, len(raws)):
-                    s = impl.spoly(raws[i], raws[j], basis.order)
+                    s = impl.spoly(raws[i], raws[j])
                     reduced, _, _ = impl.reduce_full(s, raws, basis.order)
                     assert reduced == []
             probe = poly("x^4*y^3 + 5*z^5 - 1/3*x*y*z + 7")

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,29 @@ class TestFamily:
         code, _ = run_err(capsys, "family", WAHL_FAMILY, "--values", "0,oops",
                           "--assume-chi-invariant")
         assert code == 4
+
+    @pytest.mark.parametrize("command", ["family", "bass"])
+    @pytest.mark.parametrize("value", ["1e10000000", "1e-10000000",
+                                       "0,-2E+1_000_000"])
+    def test_huge_decimal_exponent_exit_4_at_once(self, capsys, command,
+                                                  value):
+        # Fraction would build 10^|e| first: 1e10000000 alone takes seconds
+        start = time.perf_counter()
+        code, err = run_err(capsys, command, WAHL_FAMILY, "--values", value,
+                            "--graph", GRAPH, "--assume-chi-invariant")
+        assert time.perf_counter() - start < 1
+        assert code == 4
+        assert "bad rational" in err and "power of 10 exceeds" in err
+
+    def test_decimal_exponent_bound(self):
+        # |e|*log2(10) <= 2^20, the parser's bound on a coefficient power
+        assert cli._parse_values("1e5,0.5,-1/3,2.5E-3") == sorted(
+            map(Fraction, ("1e5", "0.5", "-1/3", "2.5E-3")))
+        assert cli._parse_values("1e315652,-1e-315652") == [
+            Fraction(-1, 10 ** 315652), Fraction(10 ** 315652)]
+        for text in ("1e315653", "1e-315653", "1e" + "9" * 5000):
+            with pytest.raises(UsageError, match="bad rational"):
+                cli._parse_values(text)
 
     def test_without_graph_reports_profiles_only(self, capsys):
         doc = run_json(capsys, "family", WAHL_FAMILY, "--values", "0,1",

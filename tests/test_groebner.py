@@ -12,7 +12,8 @@ from bassinv.groebner import (MonomialOrder, buchberger, normal_form,
                               staircase, supported_only_at_origin)
 from bassinv.polynomials import Polynomial, WeightSystem, parse
 
-from conftest import CORPUS_TEXTS, VARS, jacobian, poly, tjurina_generators
+from conftest import (CORPUS_TEXTS, VARS, jacobian, poly,
+                      standard_monomials, tjurina_generators)
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
@@ -170,21 +171,19 @@ class TestNormalForm:
 class TestStaircase:
     def test_paper_staircase_18(self):
         gb = buchberger([poly("z"), poly("y^2"), poly("x^9")])
-        s = staircase(gb)
-        assert s.size == 18
+        assert staircase(gb).size == 18
         expected = {(i, j, 0) for i in range(9) for j in range(2)}
-        assert set(s.monomials) == expected
+        assert set(standard_monomials(gb)) == expected
 
     def test_maximal_ideal(self):
         gb = buchberger([poly("x"), poly("y"), poly("z")])
-        assert staircase(gb).monomials == ((0, 0, 0),)
+        assert staircase(gb).size == 1
+        assert standard_monomials(gb) == ((0, 0, 0),)
 
     def test_positive_dimensional_is_infinite(self):
         gb = buchberger([poly("x")])
-        s = staircase(gb)
-        assert not s.is_finite
-        assert s.size is None
         assert staircase(gb).size is None
+        assert standard_monomials(gb) is None
 
     def test_dimension_matches_order(self, corpus_polys):
         for f in corpus_polys:
@@ -228,8 +227,8 @@ class TestSupportAtOrigin:
         # power of y in the ideal
         gb = buchberger([poly("x-y^2"), poly("y^3"), poly("z")], order)
         if order == GREVLEX:
-            assert staircase(gb).monomials == ((0, 0, 0), (0, 1, 0),
-                                               (1, 0, 0))
+            assert standard_monomials(gb) == ((0, 0, 0), (0, 1, 0),
+                                              (1, 0, 0))
         assert supported_only_at_origin(gb, staircase(gb).size)
 
     def test_first_power_at_dimension(self, monkeypatch):
@@ -304,7 +303,8 @@ class TestGradedCount:
         self.ws = WeightSystem((3, 10, 15), 30)
         gb = buchberger(jacobian(poly("z^2+y^3+x^10")),
                         MonomialOrder.weighted(self.ws.weights))
-        self.monomials = staircase(gb).monomials
+        assert staircase(gb).size == 18
+        self.monomials = standard_monomials(gb)
 
     def count(self, cutoff):
         return sum(1 for m in self.monomials
@@ -385,7 +385,7 @@ class TestBuchbergerPostconditions:
             raws = basis._raw
             for i in range(len(raws)):
                 for j in range(i + 1, len(raws)):
-                    s = impl.spoly(raws[i], raws[j], basis.order)
+                    s = impl.spoly(raws[i], raws[j])
                     reduced, _, _ = impl.reduce_full(s, raws, basis.order)
                     assert reduced == []
 

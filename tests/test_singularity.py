@@ -17,7 +17,8 @@ from bassinv.polynomials import (Polynomial, WeightSystem, find_weights,
                                  substitute_parameter)
 from bassinv.singularity import _local_staircase, analyze, jacobian_ideal
 
-from conftest import CORPUS_TEXTS, VARS, poly
+from conftest import (CORPUS_TEXTS, VARS, local_monomials, poly,
+                      standard_monomials)
 
 
 def certified_tau(f, order=MonomialOrder.grevlex()):
@@ -25,7 +26,7 @@ def certified_tau(f, order=MonomialOrder.grevlex()):
     return singularity._certify_tjurina(f, jacobian_ideal(f), order).size
 
 
-def staircase_genus(stairs, ws):
+def staircase_genus(monomials, ws):
     """Monomials of weighted degree <= d - (w1+w2+w3) on a finite staircase.
 
     p_g counted monomial by monomial, an oracle for the engine's lattice
@@ -34,9 +35,9 @@ def staircase_genus(stairs, ws):
     isolated, so the standard monomials of any monomial order, local ones
     included, have the graded quotient's Hilbert function.
     """
-    assert stairs.is_finite
+    assert monomials is not None
     cutoff = ws.degree - sum(ws.weights)
-    return sum(1 for m in stairs.monomials if ws.weighted_degree(m) <= cutoff)
+    return sum(1 for m in monomials if ws.weighted_degree(m) <= cutoff)
 
 
 def truncated_dimension(gens, n):
@@ -276,13 +277,13 @@ class TestGeometricGenus:
         assert analyze(f).p_g == 1
         # cross-check by explicit enumeration of staircase degrees
         gb = buchberger(jacobian_ideal(f), MonomialOrder.weighted(ws.weights))
-        degs = sorted(ws.weighted_degree(m) for m in staircase(gb).monomials)
+        degs = sorted(ws.weighted_degree(m) for m in standard_monomials(gb))
         assert sum(1 for d in degs if d <= 1) == 1
 
     def test_cutoff_override(self):
         # the cutoff is d - (w1+w2+w3): degrees 27 and 62 on the weights
         # (3, 10, 15) move it to -1 and to 34, the top degree (x^8 y)
-        stairs = _local_staircase(jacobian_ideal(poly("z^2+y^3+x^10")))
+        stairs = local_monomials(jacobian_ideal(poly("z^2+y^3+x^10")))
         assert staircase_genus(stairs, WeightSystem((3, 10, 15), 27)) == 0
         assert staircase_genus(stairs, WeightSystem((3, 10, 15), 62)) == 18
         assert staircase_genus(stairs, WeightSystem((3, 10, 15), 61)) == 17
@@ -307,8 +308,9 @@ class TestGeometricGenus:
         f = poly(text)
         ws = find_weights(f)
         gens = jacobian_ideal(f)
-        local = _local_staircase(gens).monomials
-        stairs = [staircase(buchberger(gens, order)).monomials
+        local = local_monomials(gens)
+        assert _local_staircase(gens).size == len(local)
+        stairs = [standard_monomials(buchberger(gens, order))
                   for order in (MonomialOrder.grevlex(), MonomialOrder.lex(),
                                 MonomialOrder.weighted(ws.weights))]
 
@@ -571,9 +573,11 @@ class TestQuasiHomogeneousShortcut:
     def test_corpus_matches_lazard_path(self, text, order):
         f = poly(text)
         p = analyze(f, getattr(MonomialOrder, order)())
-        stairs = _local_staircase(jacobian_ideal(f))
-        assert (p.milnor, p.p_g) == (stairs.size,
-                                     staircase_genus(stairs, p.weights))
+        partials = jacobian_ideal(f)
+        local = local_monomials(partials)
+        assert (p.milnor, p.p_g) == (_local_staircase(partials).size,
+                                     staircase_genus(local, p.weights))
+        assert len(local) == p.milnor
 
     @given(st.data())
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -590,9 +594,9 @@ class TestQuasiHomogeneousShortcut:
         assert p.weights == WeightSystem(weights, degree)
         assert p.milnor == p.tjurina == (a - 1) * (b - 1) * (c - 1)
         assert p.p_g == lattice_genus(a, b, c)
-        stairs = _local_staircase(jacobian_ideal(f))
-        assert stairs.size == p.milnor
-        assert staircase_genus(stairs, p.weights) == p.p_g
+        partials = jacobian_ideal(f)
+        assert _local_staircase(partials).size == p.milnor
+        assert staircase_genus(local_monomials(partials), p.weights) == p.p_g
 
 
 class TestEulerRoute:
@@ -609,10 +613,11 @@ class TestEulerRoute:
         order = getattr(MonomialOrder, order)()
         f = poly(text)
         p = analyze(f, order)
-        stairs = staircase(buchberger(jacobian_ideal(f), order))
-        assert p.milnor == p.tjurina == stairs.size
+        basis = buchberger(jacobian_ideal(f), order)
+        assert p.milnor == p.tjurina == staircase(basis).size
         if p.weights is not None:
-            assert p.p_g == staircase_genus(stairs, p.weights)
+            assert p.p_g == staircase_genus(standard_monomials(basis),
+                                            p.weights)
 
     @given(BP_SHAPES, MATRIX_ENTRIES,
            st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
@@ -621,10 +626,11 @@ class TestEulerRoute:
                                                            entries, order):
         f = brieskorn_pham_after_change(shape, entries)
         p = analyze(f, order)
-        stairs = staircase(buchberger(jacobian_ideal(f), order))
-        assert p.milnor == p.tjurina == stairs.size
+        basis = buchberger(jacobian_ideal(f), order)
+        assert p.milnor == p.tjurina == staircase(basis).size
         if p.weights is not None:
-            assert p.p_g == staircase_genus(stairs, p.weights)
+            assert p.p_g == staircase_genus(standard_monomials(basis),
+                                            p.weights)
 
     def test_repeated_eigenvalue(self, monkeypatch):
         # x^4+y^4+z^6 after a dense +-1 change: eigenvalues 1/4, 1/4, 1/6,
@@ -656,6 +662,30 @@ class TestEulerRoute:
         fallback = analyze(f, order)
         assert counts["enumerate_staircase"] == 1
         assert fallback == route
+
+    # linear changes of A_k singularities, mu(A_k) = k: f lies in its
+    # Jacobian ideal with linear multipliers A, but the A that
+    # linear_jacobian_multipliers finds fails the eigenvalue step (the
+    # second has a zero row), so analyze takes the multiplier route
+    # unpatched: the certification basis and its staircase, mu = tau, and
+    # no Lazard basis
+    MULTIPLIER_ROUTE = (
+        ("(2*x+2*y+z)^2+(-x+y+z)^2+(x-y+2*z)^5", 4),
+        ("(2*x+2*z)*(2*z)+(2*x-y)^5", 4),
+        ("(2*x)^2+(2*x-y)^2+(-y-z)^4", 3),
+    )
+
+    @pytest.mark.parametrize("text,k", MULTIPLIER_ROUTE)
+    def test_multiplier_route_without_patching(self, text, k, monkeypatch):
+        f = poly(text)
+        a = linear_jacobian_multipliers(f)
+        assert find_weights(f) is None and a is not None
+        assert positive_rational_eigenvalues(a) is None
+        counts = count_engine_calls(monkeypatch)
+        p = analyze(f)
+        assert (p.milnor, p.tjurina, p.weights, p.p_g) == (k, k, None, None)
+        assert (counts["buchberger"], counts["enumerate_staircase"]) == (1, 1)
+        assert _local_staircase(jacobian_ideal(f)).size == k
 
     def test_cap_applies_to_the_closed_form(self, monkeypatch):
         # tau = 18; a cap of 0 still allows the one monomial 1, as the
