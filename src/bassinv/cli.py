@@ -468,7 +468,8 @@ def _build_parser():
     p_bass.add_argument("--values", help="comma-separated rational values")
     p_bass.add_argument("--graph", help="resolution graph JSON file")
     p_bass.add_argument("--parameter", default="t")
-    p_bass.add_argument("--assume-chi-invariant", action="store_true")
+    p_bass.add_argument("--assume-chi-invariant", action="store_true",
+                        help="acknowledge the chi-invariance hypotheses")
 
     return parser
 

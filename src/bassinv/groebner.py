@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappush, heappop
 from math import lcm
+from operator import add, le
 
 from . import kernel
 from .errors import UsageError
@@ -158,18 +159,18 @@ def buchberger(generators, order=None, variables=None, until_finite=False):
         t = len(G)
         lm_h = h[0][0]
         candidates = sorted(
-            ((i, impl.exp_lcm(lead(i), lm_h)) for i in range(t)),
+            ((i, tuple(map(max, lead(i), lm_h))) for i in range(t)),
             key=lambda item: (ascending(item[1]), item[0]))
         kept = []  # (index, lcm, coprime)
         for pos, (i, lcm_i) in enumerate(candidates):
-            coprime = lcm_i == impl.exp_add(lead(i), lm_h)
+            coprime = lcm_i == tuple(map(add, lead(i), lm_h))
             if coprime:
                 kept.append((i, lcm_i, True))
                 continue
-            dominated = any(impl.exp_divides(lcm_j, lcm_i)
+            dominated = any(all(map(le, lcm_j, lcm_i))
                             for _, lcm_j in candidates[pos + 1:])
             if not dominated:
-                dominated = any(impl.exp_divides(lcm_j, lcm_i)
+                dominated = any(all(map(le, lcm_j, lcm_i))
                                 for _, lcm_j, _ in kept)
             if not dominated:
                 kept.append((i, lcm_i, False))
@@ -177,9 +178,9 @@ def buchberger(generators, order=None, variables=None, until_finite=False):
         # (each pair's test reads only its own leads and h, so the visiting
         # order does not matter)
         for (i, j), lcm_ij in list(alive.items()):
-            if (impl.exp_divides(lm_h, lcm_ij)
-                    and impl.exp_lcm(lead(i), lm_h) != lcm_ij
-                    and impl.exp_lcm(lead(j), lm_h) != lcm_ij):
+            if (all(map(le, lm_h, lcm_ij))
+                    and tuple(map(max, lead(i), lm_h)) != lcm_ij
+                    and tuple(map(max, lead(j), lm_h)) != lcm_ij):
                 del alive[i, j]
         G.append(h)
         for i, lcm_i, coprime in kept:
@@ -212,7 +213,7 @@ def buchberger(generators, order=None, variables=None, until_finite=False):
     by_lead = sorted(range(len(G)), key=lambda i: ascending(lead(i)))
     kept_idx = []
     for i in by_lead:
-        if not any(impl.exp_divides(lead(k), lead(i)) for k in kept_idx):
+        if not any(all(map(le, lead(k), lead(i))) for k in kept_idx):
             kept_idx.append(i)
     minimal = [G[i] for i in kept_idx]
     # inter-reduce tails; leads survive because they are pairwise indivisible
@@ -252,10 +253,6 @@ def _standard_monomials(leads, nvars):
     power of it; past the BASSINV_MAX_STAIRCASE cap StaircaseLimitError is
     raised.
     """
-    for i in range(nvars):
-        if not any(all(le[j] == 0 for j in range(nvars) if j != i)
-                   for le in leads):
-            return Staircase(None)
     return Staircase(kernel.active().enumerate_staircase(
         leads, nvars, _staircase_cap()))
 
@@ -283,14 +280,14 @@ def supported_only_at_origin(basis, dim):
     impl = kernel.active()
     for i in range(nvars):
         step = tuple(1 if j == i else 0 for j in range(nvars))
-        m = min(le[i] for le in basis.leading_exponents()
-                if all(le[j] == 0 for j in range(nvars) if j != i))
+        m = min(e[i] for e in basis.leading_exponents()
+                if all(e[j] == 0 for j in range(nvars) if j != i))
         terms = [(tuple(m * x for x in step), 1)]
         for _ in range(m, dim + 1):
             terms, _, _ = impl.reduce_full(terms, basis._raw, basis.order)
             if not terms:
                 break
-            terms = [(impl.exp_add(e, step), c) for e, c in terms]
+            terms = [(tuple(map(add, e, step)), c) for e, c in terms]
         else:
             return False
     return True

@@ -21,8 +21,8 @@ the `operator` functions, and the reduction heap uses the order's
 `descending` key, built once per order from slices and sums.  Only
 reduce_full orders terms: an S-polynomial is an unsorted dict that
 reduce_full takes as it is.  Staircases are counted by adding whole runs
-along the last variable, with no monomial built; the walk ends because the
-caller guarantees a pure power of every variable among the leads (see
+along the last variable, with no monomial built; a staircase without a pure
+power of some variable among its leads is infinite and is not walked (see
 enumerate_staircase).
 """
 
@@ -112,18 +112,6 @@ class MonomialOrder:
             weights = self.weights
             return lambda e: (-sum(map(mul, weights, e)), -sum(e), e[::-1])
         raise ValueError(f"unknown order kind {self.kind!r}")
-
-
-def exp_divides(a, b):
-    return all(map(le, a, b))
-
-
-def exp_add(a, b):
-    return tuple(map(add, a, b))
-
-
-def exp_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 def make_primitive(terms):
@@ -230,7 +218,12 @@ def spoly(f, g):
 
 
 def enumerate_staircase(lead_exps, nvars, cap):
-    """The number of standard monomials below the staircase of `lead_exps`.
+    """The number of standard monomials below the staircase of `lead_exps`,
+    or None when it is infinite.
+
+    It is finite exactly when, for each variable, some lead is a pure power
+    of it (the constant 1 is a pure power of every variable); that is
+    checked before the walk, so an infinite staircase never meets the cap.
 
     The walk fixes exponents from the first variable on, in runs: below a
     prefix p of the first k exponents, the standard values of the k-th are
@@ -239,9 +232,8 @@ def enumerate_staircase(lead_exps, nvars, cap):
     all 0.  Leads are filtered as the prefix grows, each kept only while
     its first k exponents divide p; at the last variable a run is the whole
     column of r standard monomials above p, and is added to the count as a
-    whole.  The caller guarantees a pure power of every variable among the
-    leads, so every r is finite and the walk ends.  It costs
-    O(prefixes x leads), not O(monomials x n x leads).
+    whole.  Those pure powers make every r finite, so the walk ends.  It
+    costs O(prefixes x leads), not O(monomials x n x leads).
 
     Raises StaircaseLimitError when more than `cap` monomials appear (the
     origin, 1, is never counted against the cap).
@@ -255,6 +247,8 @@ def enumerate_staircase(lead_exps, nvars, cap):
     # (lead, index of its last nonzero exponent)
     leads = [(lead, max(i for i, x in enumerate(lead) if x))
              for lead in lead_exps]
+    if len({top for lead, top in leads if not any(lead[:top])}) < nvars:
+        return None  # some variable has no pure power: infinite
     limit = max(cap, 1)
 
     def walk(k, leads, count):

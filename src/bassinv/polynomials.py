@@ -78,7 +78,7 @@ class Polynomial:
     variable.
     """
 
-    __slots__ = ("variables", "_terms", "_hash")
+    __slots__ = ("variables", "_terms")
 
     def __init__(self, terms, variables):
         variables = tuple(variables)
@@ -102,7 +102,6 @@ class Polynomial:
                     del clean[exp]
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     # -- construction helpers ------------------------------------------------
 
@@ -200,10 +199,7 @@ class Polynomial:
                 and self._terms == other._terms)
 
     def __hash__(self):
-        if self._hash is None:
-            h = hash((self.variables, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash((self.variables, frozenset(self._terms.items())))
 
     # -- printing ------------------------------------------------------------
 

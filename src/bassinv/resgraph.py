@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import GraphFormatError
+from .polynomials import _integer_echelon
 
 
 @dataclass(frozen=True)
@@ -152,13 +153,16 @@ def intersection_matrix(graph):
 
 
 def is_negative_definite(matrix):
-    """Sylvester's test in exact arithmetic: (-1)^k D_k > 0 for every
-    leading minor D_k of the integer matrix.
+    """Sylvester's test in exact arithmetic: D_k(-M) > 0 for every leading
+    minor of -M, M the integer matrix.
 
-    Fraction-free Bareiss elimination without row swaps (Bareiss 1968):
-    after step k the pivot is D_k itself, and every division is exact, so
-    the test fails at the first (-1)^k D_k <= 0, before a zero pivot is
-    divided by.
+    The rows of -M go to _integer_echelon in order.  When the k-th yields
+    pivot k, it enters as a positive multiple of its Gaussian-elimination
+    row, whose k-th entry is D_k(-M)/D_(k-1)(-M): _clear only multiplies
+    by a positive lcm and divides by a positive gcd.  Clearing later pivots
+    from it never changes that entry's sign, because each later row is zero
+    at column k.  So M is negative definite exactly when the pivots are
+    0, ..., n-1 and every row is positive at its own pivot.
     """
     n = len(matrix)
     for row in matrix:
@@ -168,16 +172,8 @@ def is_negative_definite(matrix):
         for j in range(i):
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    rows = [list(row) for row in matrix]
-    prev, sign = 1, -1
-    for k in range(n):
-        pivot = rows[k][k]
-        if sign * pivot <= 0:
-            return False
-        top = rows[k]
-        for row in rows[k + 1:]:
-            a = row[k]
-            row[k + 1:] = [(x * pivot - a * t) // prev
-                           for x, t in zip(row[k + 1:], top[k + 1:])]
-        prev, sign = pivot, -sign
-    return True
+    echelon = {}
+    rows = ({j: -x for j, x in enumerate(row) if x} for row in matrix)
+    if list(_integer_echelon(rows, echelon)) != list(range(n)):
+        return False
+    return all(row[p] > 0 for p, row in echelon.items())

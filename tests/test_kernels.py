@@ -106,6 +106,20 @@ def finite_staircases(draw):
 
 
 @st.composite
+def any_staircases(draw):
+    """A number of variables 1-4 and leads that may lack a pure power of
+    some variable, or hold the unit ideal's lead 0."""
+    n = draw(st.integers(1, 4))
+    leads = [tuple(draw(st.integers(1, 6)) if j == i else 0
+                   for j in range(n))
+             for i in range(n) if draw(st.booleans())]
+    leads += draw(st.lists(exponents(n, 4).filter(any), max_size=5))
+    if draw(st.integers(0, 9)) == 0:
+        leads.append((0,) * n)  # the unit ideal
+    return n, draw(st.permutations(leads))
+
+
+@st.composite
 def term_lists(draw, n, kind, weights, min_terms=0, positive_lead=False):
     """A kernel term list: distinct exponents sorted descending, nonzero
     integer coefficients."""
@@ -199,6 +213,20 @@ class TestPythonKernelOracles:
         n, leads = case
         assert (kernel.enumerate_staircase(leads, n, 10 ** 6)
                 == len(brute_force_staircase(leads, n)))
+
+    @given(any_staircases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_enumerate_staircase_is_none_when_infinite(self, case):
+        n, leads = case
+        stairs = brute_force_staircase(leads, n)
+        assert (kernel.enumerate_staircase(leads, n, 10 ** 6)
+                == (None if stairs is None else len(stairs)))
+
+    def test_missing_pure_power_is_infinite(self):
+        # no pure power of either variable, then none of y; a cap of 0
+        # is not reached before finiteness is decided
+        assert kernel.enumerate_staircase([(1, 1)], 2, 10) is None
+        assert kernel.enumerate_staircase([(3, 0), (1, 1)], 2, 0) is None
 
     def test_unit_ideal_and_no_variables(self):
         assert kernel.enumerate_staircase([(2, 0), (0, 0)], 2, 10) == 0

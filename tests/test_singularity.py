@@ -192,6 +192,24 @@ class TestMilnor:
         assume(dim is not None and not supported_only_at_origin(basis, dim))
         assert _local_staircase(gens).size == truncated_dimension(gens, dim)
 
+    # Kouchnirenko (1976): for a convenient, Newton non-degenerate f,
+    # mu = 3!V3 - 2!V2 + V1 - 1, with V3 the volume under the Newton
+    # diagram, V2 the areas it cuts off the coordinate planes and V1 the
+    # lengths on the axes.  Each compact face below is a simplex whose only
+    # support points are its vertices, so f is non-degenerate.
+    #   x^20+y^21+z^3+x^5*y^5: faces (20,0,0),(5,5,0),(0,0,3) and
+    #     (5,5,0),(0,21,0),(0,0,3); 3!V3 = 300 + 315 = 615,
+    #     2!V2 = (100 + 105) + 60 + 63 = 328, V1 = 44: mu = 330.
+    #   x^3+y^4+z^5+x*y*z: faces (1,1,1) with two of (3,0,0),(0,4,0),
+    #     (0,0,5); 3!V3 = 12 + 20 + 15 = 47, 2!V2 = 12 + 20 + 15 = 47,
+    #     V1 = 12: mu = 11.
+    @pytest.mark.parametrize("text,mu", [("x^20+y^21+z^3+x^5*y^5", 330),
+                                         ("x^3+y^4+z^5+x*y*z", 11)])
+    def test_kouchnirenko_newton_number(self, text, mu):
+        f = poly(text)
+        assert linear_jacobian_multipliers(f) is None  # the Lazard path
+        assert analyze(f).milnor == mu
+
     def test_local_staircase_honours_cap(self, monkeypatch):
         gens = jacobian_ideal(poly("z^2+y^3+x^10+x^7*y"))
         monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
