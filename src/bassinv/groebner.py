@@ -104,12 +104,12 @@ def _monic_from_raw(raw, variables):
     return Polynomial({e: Fraction(c, lc) for e, c in raw}, variables)
 
 
-def buchberger(generators, order=None, variables=None, until_finite=False):
+def buchberger(generators, order=None, until_finite=False):
     """Reduced Groebner basis of the ideal the generators span.
 
-    Deterministic for a fixed generator list and order.  An empty or all-zero
-    input yields the zero ideal (no generators); pass `variables` to name the
-    ring when the generator list is empty.
+    Deterministic for a fixed generator list and order.  The ring is the
+    first generator's; an empty list raises ValueError, and an all-zero one
+    yields the zero ideal (no generators).
 
     With `until_finite`, the run stops as soon as the leads found so far
     hold a pure power of every variable (the constant 1 is one of each) and
@@ -119,19 +119,17 @@ def buchberger(generators, order=None, variables=None, until_finite=False):
     """
     order = order or MonomialOrder.grevlex()
     generators = list(generators)
+    if not generators:
+        raise ValueError("empty generator list: the ring is unknown")
     ascending = order.key
-    variables = tuple(variables) if variables is not None else None
+    variables = generators[0].variables
     raws = []
     for g in generators:
-        if variables is None:
-            variables = g.variables
-        elif g.variables != variables:
+        if g.variables != variables:
             raise ValueError("generators live in different rings")
         raw, _ = _to_raw(g, order)
         if raw:
             raws.append(raw)
-    if variables is None:
-        raise ValueError("empty generator list: pass variables= for the ring")
     # canonical input order: results do not depend on it (the reduced basis
     # is unique) but the pair schedule becomes reproducible
     seen = set()

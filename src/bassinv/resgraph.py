@@ -116,22 +116,14 @@ def genus_sum(graph):
 
 
 def loop_count(graph):
-    """l: first Betti number of the incidence graph (edges - vertices + components)."""
-    ids = graph.vertex_ids()
-    parent = {i: i for i in ids}
+    """l: the first Betti number, edges minus the incidence matrix's rank.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in graph.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    components = len({find(i) for i in ids})
-    return len(graph.edges) - len(ids) + components
+    The edge [a, b] is the row e_a - e_b, and _integer_echelon yields one
+    pivot per row that raises the rank.  That rank is vertices minus
+    components, so l is also edges - vertices + components.
+    """
+    rows = ({a: 1, b: -1} for a, b in graph.edges)
+    return len(graph.edges) - sum(1 for _ in _integer_echelon(rows, {}))
 
 
 def intersection_matrix(graph):

@@ -1,19 +1,21 @@
 """Numerical profile of an isolated hypersurface surface singularity.
 
-Certification happens on the singular locus of the surface: the quotient by
-(f) + Jacobian ideal must be finite-dimensional and supported at the origin.
-The Milnor number is the length of the origin-local factor of the Jacobian
-quotient.  A quasi-homogeneous f, and every linear change of one whose
-Jacobian multipliers have positive rational eigenvalues, takes the Euler
-route of analyze: one Buchberger run on the partials, stopped at the first
-pure-power leads, proves the quotient finite, and tau = mu and p_g come
-from closed forms (Milnor-Orlik 1970; Saito 1971), with no staircase.  An
-f that lies in its Jacobian ideal with other linear multipliers has
-mu = tau on the certification basis.  Otherwise mu is read off a local
-standard basis computed by Lazard's homogenisation method (Lazard 1983;
-Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7), and
-critical points of f away from the surface, which the deformed fibers of
-the shipped family have, do not contribute.
+analyze runs one pipeline on every input.  tau is the length of the
+quotient by (f) + Jacobian ideal, which must be finite-dimensional and
+supported at the origin (certification on the singular locus of the
+surface); one rejection block turns an infinite, a zero or an off-origin
+quotient into its error.  A quasi-homogeneous f, and every linear change of
+one whose Jacobian multipliers have positive rational eigenvalues, reaches
+tau by the Euler route: one Buchberger run on the partials, stopped at the
+first pure-power leads, proves the quotient finite, and tau and p_g come
+from closed forms (Milnor-Orlik 1970; Saito 1971), with no staircase.  Any
+other f reaches tau on the certification basis.  The Milnor number is the
+length of the origin-local factor of the Jacobian quotient: it is tau when
+linear multipliers put f in its Jacobian ideal, and otherwise it is read
+off a local standard basis computed by Lazard's homogenisation method
+(Lazard 1983; Greuel-Pfister, A Singular Introduction to Commutative
+Algebra, 1.7), where critical points of f away from the surface, which the
+deformed fibers of the shipped family have, do not contribute.
 """
 
 from __future__ import annotations
@@ -45,29 +47,6 @@ def jacobian_ideal(f):
     if len(f.variables) != 3:
         raise ValueError("expected a polynomial in 3 variables")
     return [partial_derivative(f, i) for i in range(3)]
-
-
-_POSITIVE_DIMENSIONAL = "the singular locus of {f=0} is positive-dimensional"
-
-
-def _certify_tjurina(f, partials, order):
-    """Groebner basis of (f) + Jacobian ideal, certified isolated-at-origin.
-
-    `partials` is jacobian_ideal(f).  Returns the basis' Staircase, whose
-    size is tau.  Raises NotIsolatedError, SmoothInput, or
-    SingularLocusNotAtOriginError.
-    """
-    basis = buchberger([f] + partials, order)
-    stairs = staircase(basis)
-    dim = stairs.size
-    if dim is None:
-        raise NotIsolatedError(_POSITIVE_DIMENSIONAL)
-    if dim == 0:
-        raise SmoothInput("the hypersurface {f=0} is smooth")
-    if not supported_only_at_origin(basis, dim):
-        raise SingularLocusNotAtOriginError(
-            "the singular locus of {f=0} is not the origin")
-    return stairs
 
 
 # -- origin-local staircase ---------------------------------------------------
@@ -107,7 +86,7 @@ def _lazard_basis(generators):
         homogenised.append(Polynomial(
             {(top - sum(e),) + e: c for e, c in g.term_map().items()}, ring))
     order = MonomialOrder.weighted((2,) + (1,) * len(variables))
-    return buchberger(homogenised, order, ring)
+    return buchberger(homogenised, order)
 
 
 # -- geometric genus and the full profile -------------------------------------
@@ -128,40 +107,40 @@ def _lattice_genus(weights, budget):
                for i in range(budget // w + 1))
 
 
+
+
 def analyze(f, order=None):
     """Full numerical profile: mu, tau, and for a graded f weights and p_g.
 
-    The Euler route covers a quasi-homogeneous f (find_weights gives
-    weights w, degree d) and every linear change of one.  It takes the
-    multipliers A of f = sum_ij A[i][j] x_j df/dx_i: diag(w)/d for a graded
-    f, else linear_jacobian_multipliers(f).  It applies when A's eigenvalues
-    lam are positive rationals and A is diagonalisable over Q
-    (positive_rational_eigenvalues), and builds no staircase:
-      1. with A*L = L*diag(lam), g = f o L satisfies g = sum lam_i y_i dg/dy_i,
-         so g is graded of weights lam, A puts f in its Jacobian ideal J, and
-         J is the Jacobian ideal of g after a linear change;
-      2. a Buchberger run on the partials alone stops as soon as its leads
-         hold a pure power of every variable, which proves J of finite
-         colength.  J is then a weighted cone of finite colength, so its
-         zero set is the origin alone, and f in J makes (f) + J = J:
-         tau = mu = dim Q[x,y,z]/J.  The partials of g then form a regular
-         sequence, and its Hilbert series gives the dimension
-         prod(1/lam_i - 1) (Milnor-Orlik 1970).  BASSINV_MAX_STAIRCASE caps
-         tau as it caps a staircase, and tau = 0 is the smooth case;
-      3. for a graded f, p_g is the lattice count _lattice_genus, which the
-         cap bounds since p_g <= tau.  After a change, weights and p_g stay
-         None.
-    A run that ends without pure powers has built the reduced basis of J,
-    which is that of (f) + J, and lacks a pure power of some variable: f is
-    rejected as not isolated, with no second basis.  Off the route (no A,
-    or eigenvalues that are irrational, not positive or not
-    diagonalisable) the certification builds the basis of (f) + J and
-    proves it finite and supported at the origin.  An A still puts f in J,
-    so mu = tau; the certificate is sufficient, not necessary:
-    (x+y^2)^2+y^3+z^5 has mu = tau but no A.  Without A, mu comes from the
-    origin-local staircase (_local_staircase).  The Jacobian ideal and A
-    are built once.
+    One pipeline.  The BASSINV_MAX_STAIRCASE cap is read first, so a
+    malformed one is a UsageError before any basis.  Then the multipliers A
+    of f = sum_ij A[i][j] x_j df/dx_i are sought: diag(w)/d for a graded f
+    (find_weights gives weights w, degree d), else
+    linear_jacobian_multipliers(f).  An A puts f in its Jacobian ideal J.
+    tau, or None for an infinite quotient, comes from one of two routes:
+      * Euler, when A's eigenvalues lam are positive rationals and A is
+        diagonalisable over Q (positive_rational_eigenvalues).  With
+        A*L = L*diag(lam), g = f o L satisfies g = sum lam_i y_i dg/dy_i, so
+        g is graded of weights lam and J is its Jacobian ideal after a
+        linear change.  A Buchberger run on the partials stops as soon as
+        its leads hold a pure power of every variable, which proves J of
+        finite colength; a weighted cone of finite colength has the origin
+        alone as zero set.  The partials of g then form a regular sequence,
+        whose Hilbert series gives tau = prod(1/lam_i - 1) (Milnor-Orlik
+        1970), capped as a staircase is.  A run that ends without the pure
+        powers has built the basis of J = (f) + J, so tau is None.
+      * certification otherwise: tau is the staircase of the basis of
+        (f) + J.
+    One rejection block follows: None is NotIsolatedError, 0 SmoothInput,
+    and a certification basis whose variables are not all nilpotent
+    SingularLocusNotAtOriginError.  mu is tau when there is an A, since
+    then (f) + J = J, and else the origin-local staircase
+    (_local_staircase); the certificate is sufficient, not necessary:
+    (x+y^2)^2+y^3+z^5 has mu = tau but no A.  For a graded f, p_g is the
+    lattice count _lattice_genus, which the cap bounds since p_g <= tau;
+    otherwise weights and p_g are None.
     """
+    cap = _staircase_cap()
     order = order or MonomialOrder.grevlex()
     partials = jacobian_ideal(f)
     # find_weights refuses f = 0, which the certification rejects as not
@@ -172,20 +151,26 @@ def analyze(f, order=None):
     else:
         a = linear_jacobian_multipliers(f)
         lam = None if a is None else positive_rational_eigenvalues(a)
+    basis = tau = None
     if lam is None:
-        tau = _certify_tjurina(f, partials, order).size
-        mu = tau if a is not None else _local_staircase(partials).size
-        return SingularityProfile(f, mu, tau, None, None)
-    if buchberger(partials, order, until_finite=True) is not None:
-        raise NotIsolatedError(_POSITIVE_DIMENSIONAL)
-    tau = prod(1 / x - 1 for x in lam)
-    assert tau.denominator == 1  # a regular sequence's Hilbert series
-    tau = tau.numerator
-    cap = _staircase_cap()
-    if tau > max(cap, 1):
-        raise StaircaseLimitError.over(cap)
+        basis = buchberger([f] + partials, order)
+        tau = staircase(basis).size
+    elif buchberger(partials, order, until_finite=True) is None:
+        tau = prod(1 / x - 1 for x in lam)
+        assert tau.denominator == 1  # a regular sequence's Hilbert series
+        tau = tau.numerator
+        if tau > max(cap, 1):
+            raise StaircaseLimitError.over(cap)
+    if tau is None:
+        raise NotIsolatedError(
+            "the singular locus of {f=0} is positive-dimensional")
     if tau == 0:
         raise SmoothInput("the hypersurface {f=0} is smooth")
+    if basis is not None and not supported_only_at_origin(basis, tau):
+        raise SingularLocusNotAtOriginError(
+            "the singular locus of {f=0} is not the origin")
+    mu = (tau if ws is not None or a is not None
+          else _local_staircase(partials).size)
     p_g = None if ws is None else _lattice_genus(
         ws.weights, ws.degree - sum(ws.weights))
-    return SingularityProfile(f, tau, tau, ws, p_g)
+    return SingularityProfile(f, mu, tau, ws, p_g)

@@ -184,6 +184,17 @@ class TestAnalyze:
         code, err = run_err(capsys, "analyze", "x+y+z^2")
         assert code == 4 and "UsageError" in err
 
+    @pytest.mark.parametrize("text", [
+        "x*y", "x^2*y^2+x^5*y+x^7", "z^2+y^3+x^10+x^7*y",
+    ], ids=["euler-not-isolated", "certification-not-isolated",
+            "certification"])
+    def test_malformed_staircase_cap_exit_4_on_both_routes(self, capsys,
+                                                           monkeypatch, text):
+        # the cap is read before any basis, so no rejection comes first
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "abc")
+        code, err = run_err(capsys, "analyze", text)
+        assert code == 4 and "UsageError" in err
+
     @pytest.mark.parametrize("text", ["z^2+y^3+x^10", "x+y^2+z^2"])
     def test_closed_stdout_exits_1_without_traceback(self, text):
         read_end, write_end = os.pipe()

@@ -371,10 +371,11 @@ class TestBasisIdentity:
             == buchberger([poly("x"), poly("x-y")])
 
     def test_zero_ideal(self):
-        gb = buchberger([], variables=VARS)
-        assert len(gb) == 0
+        gb = buchberger([poly("0")])
+        assert len(gb) == 0 and gb.variables == VARS
         assert gb.generators == () and repr(gb) == "GroebnerBasis[grevlex]({})"
-        assert gb == buchberger([poly("0")])
+        with pytest.raises(ValueError):
+            buchberger([])
 
 
 class TestBuchbergerPostconditions:

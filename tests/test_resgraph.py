@@ -155,6 +155,35 @@ class TestDerivedNumbers:
         assert loop_count(load_graph(doc)) == loop_count(load_graph(relabeled))
         assert genus_sum(load_graph(doc)) == genus_sum(load_graph(relabeled))
 
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(1, max(n, 1)),
+                           st.integers(1, max(n, 1))), max_size=14))))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_loops_against_components(self, graph):
+        # disconnected graphs, isolated vertices and repeated edges; the
+        # components come from a breadth-first search, not from a rank
+        n, pairs = graph
+        edges = [(a, b) for a, b in pairs if a != b]
+        neighbours = {v: [] for v in range(1, n + 1)}
+        for a, b in edges:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        seen, components = set(), 0
+        for v in neighbours:
+            if v in seen:
+                continue
+            components += 1
+            seen.add(v)
+            queue = [v]
+            while queue:
+                for w in neighbours[queue.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        g = load_graph(graph_doc([-2] * n, edges))
+        assert loop_count(g) == len(edges) - n + components
+
 
 class TestIntersectionMatrix:
     def test_single_vertex(self):

@@ -23,7 +23,10 @@ from conftest import (CORPUS_TEXTS, VARS, local_monomials, poly,
 
 def certified_tau(f, order=MonomialOrder.grevlex()):
     """tau on the certification basis of (f) + J, with its support test."""
-    return singularity._certify_tjurina(f, jacobian_ideal(f), order).size
+    basis = buchberger([f] + jacobian_ideal(f), order)
+    tau = staircase(basis).size
+    assert supported_only_at_origin(basis, tau)
+    return tau
 
 
 def staircase_genus(monomials, ws):
