@@ -3,6 +3,12 @@
 Coefficients are `fractions.Fraction` throughout (arbitrary-precision, always
 reduced, positive denominator), so every computation downstream is exact.  A
 polynomial lives in Q[vars]; each exponent vector has one entry per variable.
+
+`parse` reads the text grammar of _Parser: numbers in ASCII digits, names,
+`+ - * / ^`, parentheses and whitespace.  One regex `findall` splits the text
+into tokens, a term such as 3*x^2*y is multiplied out in place into one
+coefficient and one exponent, and a token's position is recomputed only for
+an error message.  `str` prints the same grammar, and parse(str(f)) == f.
 """
 
 from __future__ import annotations
@@ -10,9 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import comb, gcd, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import PolynomialSyntaxError, UnknownVariableError
 from .kernel import MonomialOrder
@@ -208,23 +214,22 @@ class Polynomial:
             return "0"
         parts = []
         for exp, coeff in self.terms():
-            factors = []
-            for name, e in zip(self.variables, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{_decimal(e)}")
-            mag = abs(coeff)
-            if not factors:
-                body = _decimal(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([_decimal(mag)] + factors)
+            # str() below _CHUNK, where it cannot meet the int/str limit
+            factors = [name if e == 1
+                       else f"{name}^{e if e < _CHUNK else _decimal(e)}"
+                       for name, e in zip(self.variables, exp) if e]
+            num, den = coeff.numerator, coeff.denominator
+            mag = abs(num)
+            if mag != 1 or den != 1 or not factors:
+                text = str(mag) if mag < _CHUNK else _decimal(mag)
+                if den != 1:
+                    text += f"/{den if den < _CHUNK else _decimal(den)}"
+                factors.insert(0, text)
+            body = "*".join(factors)
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                parts.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self):
@@ -275,153 +280,189 @@ _MAX_POWER_BITS = 1 << 20
 # a sum that the parser expands; the expansion's time grows with the square
 # of its term count, so this bound is lower
 _MAX_EXPANSION_BITS = 1 << 16
-# the last group catches any other character, so the matches of finditer
-# tile the text up to trailing whitespace
+# A token is a (number, name, op, stray) tuple of strings, one of them
+# non-empty.  The last group catches any other character, so the matches
+# tile the text up to trailing whitespace.  Numbers are ASCII digits only,
+# like names.
 _TOKEN = re.compile(
-    r"\s*(?:(\d+)|(" + NAME.pattern + r")|([-+*/^()])|(\S))")
+    r"\s*(?:([0-9]+)|(" + NAME.pattern + r")|([-+*/^()])|(\S))")
+_END = ("", "", "", "")  # the token after the last one
 
 
 def _tokenize(text):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        number, name, op, stray = m.groups()
-        if number is not None:
-            tokens.append(("int", _integer(number), m.start(1)))
-        elif name is not None:
-            tokens.append(("name", name, m.start(2)))
-        elif op is not None:
-            tokens.append(("op", op, m.start(3)))
-        else:
-            raise PolynomialSyntaxError(f"unexpected character {stray!r}",
-                                        m.start(4))
-    tokens.append(("end", None, len(text)))
+    tokens = _TOKEN.findall(text)
+    if any(map(itemgetter(3), tokens)):
+        i = next(i for i, tok in enumerate(tokens) if tok[3])
+        raise PolynomialSyntaxError(f"unexpected character {tokens[i][3]!r}",
+                                    _position(text, i))
+    tokens.append(_END)
     return tokens
+
+
+def _position(text, index):
+    """Where the index-th token of `text` starts; len(text) for the end."""
+    for m in islice(_TOKEN.finditer(text), index, None):
+        return m.start(m.lastindex)
+    return len(text)
 
 
 class _Parser:
     """Recursive descent for:  expr := ['+'|'-'] term (('+'|'-') term)*
-    term := factor (['*'] factor)*        factor := number | name ['^' int]
-            | '(' expr ')' ['^' int]      number := int ['/' int]
+    term := factor (['*'] factor)*     factor := int ['/' int] | int ['^' int]
+            | name ['^' int] | '(' expr ')' ['^' int]
+
+    A term multiplies its numbers and names into one coefficient and one
+    exponent list; only a parenthesised factor is an {exponent: coefficient}
+    dict, and only products and powers of those call _times.  A token's
+    position is found only for an error message.
     """
 
     def __init__(self, text, variables):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.variables = tuple(variables)
+        self.index = {name: k for k, name in enumerate(self.variables)}
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message, i):
+        return PolynomialSyntaxError(message, _position(self.text, i))
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise PolynomialSyntaxError(f"expected {op!r}", pos)
+    def unexpected(self, i):
+        return self.error(f"unexpected {self.tokens[i][2] or None!r}", i)
 
     def parse(self):
-        poly = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise PolynomialSyntaxError(f"unexpected {val!r}", pos)
-        return poly
+        acc = self.expr()
+        if self.tokens[self.i] is not _END:
+            raise self.unexpected(self.i)
+        return Polynomial(acc, self.variables)
 
     def expr(self):
-        acc = {}  # summed here: adding term by term rebuilds all terms so far
-        kind, val, _ = self.peek()
+        """The terms up to the first token that continues no sum, summed
+        into an {exponent: coefficient} dict; cancelled terms stay, at 0."""
+        acc = {}
+        tokens = self.tokens
+        op = tokens[self.i][2]
         while True:
-            sign = 1
-            if kind == "op" and val in "+-":
-                self.next()
-                sign = -1 if val == "-" else 1
-            for exp, c in self.term().items():
-                acc[exp] = acc.get(exp, 0) + sign * c
-            kind, val, _ = self.peek()
-            if not (kind == "op" and val in "+-"):
-                return Polynomial(acc, self.variables)
+            if op == "+" or op == "-":
+                self.i += 1
+            self.term(acc, -1 if op == "-" else 1)
+            op = tokens[self.i][2]
+            if op != "+" and op != "-":
+                return acc
 
-    # term, factor and maybe_power pass {exponent: coefficient} dicts with
-    # no zero coefficients; only expr builds a Polynomial
+    def exponent(self, i):
+        """The non-negative integer exponent at token i."""
+        digits = self.tokens[i][0]
+        if not digits:
+            raise self.error("expected a non-negative integer exponent", i)
+        return (int(digits) if len(digits) <= _CHUNK_DIGITS
+                else _integer(digits))
 
-    def term(self):
-        terms = self.factor()
+    def term(self, acc, coeff):
+        """Add coeff times the term that starts at token self.i to acc."""
+        tokens = self.tokens
+        index = self.index
+        i = self.i
+        exp = [0] * len(index)
+        expanded = None  # the product of the parenthesised factors
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                terms = _times(terms, self.factor())
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
-                terms = _times(terms, self.factor())  # implicit product
+            number, name, op, _ = tokens[i]
+            if name:
+                k = index.get(name)
+                if k is None:
+                    raise UnknownVariableError(
+                        f"unknown variable {name!r} at position "
+                        f"{_position(self.text, i)}")
+                if tokens[i + 1][2] == "^":
+                    exp[k] += self.exponent(i + 2)
+                    i += 3
+                else:
+                    exp[k] += 1
+                    i += 1
+            elif number:
+                c = (int(number) if len(number) <= _CHUNK_DIGITS
+                     else _integer(number))
+                op = tokens[i + 1][2]
+                if op == "/":
+                    den = tokens[i + 2][0]
+                    if not den:
+                        raise self.error("expected integer denominator", i + 2)
+                    den = _integer(den)
+                    if not den:
+                        raise self.error("zero denominator", i + 2)
+                    c = Fraction(c, den)
+                    i += 3
+                elif op == "^":
+                    v = self.exponent(i + 2)
+                    # c^v has at most v times as many bits as c
+                    if c > 1 and v * c.bit_length() > _MAX_POWER_BITS:
+                        raise self.error(f"the power's coefficient exceeds "
+                                         f"{_MAX_POWER_BITS} bits", i + 2)
+                    c **= v
+                    i += 3
+                else:
+                    i += 1
+                coeff *= c
+            elif op == "(":
+                self.i = i + 1
+                terms = {e: c for e, c in self.expr().items() if c}
+                i = self.i
+                if tokens[i][2] != ")":
+                    raise self.error("expected ')'", i)
+                if tokens[i + 1][2] == "^":
+                    terms = self.power(terms, i + 2)
+                    i += 3
+                else:
+                    i += 1
+                expanded = (terms if expanded is None
+                            else _times(expanded, terms))
             else:
-                return terms
+                raise self.unexpected(i)
+            number, name, op, _ = tokens[i]
+            if op == "*":
+                i += 1
+            elif not (number or name or op == "("):  # else implicit product
+                break
+        self.i = i
+        if not coeff:
+            return
+        if expanded is None:
+            e = tuple(exp)
+            acc[e] = acc.get(e, 0) + coeff
+        else:
+            for e, c in expanded.items():
+                e = tuple(map(add, e, exp))
+                acc[e] = acc.get(e, 0) + coeff * c
 
-    def constant(self, value):
-        return {(0,) * len(self.variables): value} if value else {}
-
-    def factor(self):
-        kind, val, pos = self.next()
-        if kind == "int":
-            num = val
-            k, v, _ = self.peek()
-            if k == "op" and v == "/":
-                self.next()
-                k2, v2, p2 = self.next()
-                if k2 != "int":
-                    raise PolynomialSyntaxError("expected integer denominator", p2)
-                if v2 == 0:
-                    raise PolynomialSyntaxError("zero denominator", p2)
-                return self.constant(Fraction(num, v2))
-            return self.maybe_power(self.constant(num))
-        if kind == "name":
-            if val not in self.variables:
-                raise UnknownVariableError(
-                    f"unknown variable {val!r} at position {pos}")
-            i = self.variables.index(val)
-            exp = tuple(1 if j == i else 0 for j in range(len(self.variables)))
-            return self.maybe_power({exp: 1})
-        if kind == "op" and val == "(":
-            terms = self.expr()._terms
-            self.expect_op(")")
-            return self.maybe_power(terms)
-        raise PolynomialSyntaxError(f"unexpected {val!r}", pos)
-
-    def maybe_power(self, terms):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            k, v, p = self.next()
-            if k != "int":
-                raise PolynomialSyntaxError("expected a non-negative integer exponent", p)
-            if len(terms) == 1:
-                (exp, c), = terms.items()
-                # c^v has at most v times as many bits as c; c != 0 here
-                bits = max(abs(c.numerator).bit_length(),
-                           c.denominator.bit_length())
-                if abs(c) != 1 and v * bits > _MAX_POWER_BITS:
-                    raise PolynomialSyntaxError(
-                        f"the power's coefficient exceeds {_MAX_POWER_BITS} "
-                        f"bits", p)
-                return {tuple(e * v for e in exp): c ** v}
-            if len(terms) > 1:
-                # with q the lcm of the denominators, each coefficient of
-                # terms^v is N / q^v with |N| <= (q * sum |c|)^v, and there
-                # is at most one term per multiset of v base terms
-                q = lcm(*(c.denominator for c in terms.values()))
-                top = sum(abs(c.numerator) * (q // c.denominator)
-                          for c in terms.values())
-                # top >= 2, so bits >= v, and a huge v stops at the first
-                # test, before comb
-                bits = v * (max(top, q) - 1).bit_length()
-                if (bits > _MAX_EXPANSION_BITS or comb(len(terms) + v - 1, v)
-                        * bits > _MAX_EXPANSION_BITS):
-                    raise PolynomialSyntaxError(
-                        f"the expanded power exceeds {_MAX_EXPANSION_BITS} "
-                        f"coefficient bits", p)
-            return _power(terms, v, len(self.variables))
-        return terms
+    def power(self, terms, i):
+        """terms ** v for the exponent v at token i, within the bounds."""
+        v = self.exponent(i)
+        if len(terms) == 1:
+            (exp, c), = terms.items()
+            # c^v has at most v times as many bits as c; c != 0 here
+            bits = max(abs(c.numerator).bit_length(),
+                       c.denominator.bit_length())
+            if abs(c) != 1 and v * bits > _MAX_POWER_BITS:
+                raise self.error(
+                    f"the power's coefficient exceeds {_MAX_POWER_BITS} "
+                    f"bits", i)
+            return {tuple(e * v for e in exp): c ** v}
+        if len(terms) > 1:
+            # with q the lcm of the denominators, each coefficient of
+            # terms^v is N / q^v with |N| <= (q * sum |c|)^v, and there
+            # is at most one term per multiset of v base terms
+            q = lcm(*(c.denominator for c in terms.values()))
+            top = sum(abs(c.numerator) * (q // c.denominator)
+                      for c in terms.values())
+            # top >= 2, so bits >= v, and a huge v stops at the first
+            # test, before comb
+            bits = v * (max(top, q) - 1).bit_length()
+            if (bits > _MAX_EXPANSION_BITS or comb(len(terms) + v - 1, v)
+                    * bits > _MAX_EXPANSION_BITS):
+                raise self.error(
+                    f"the expanded power exceeds {_MAX_EXPANSION_BITS} "
+                    f"coefficient bits", i)
+        return _power(terms, v, len(self.variables))
 
 
 def parse(text, variables):

@@ -18,6 +18,10 @@ from bassinv.polynomials import (Polynomial, WeightSystem,
 from conftest import VARS, poly
 
 
+# a valid 200-term prefix, so that an error position is found past it
+_PREFIX = " + ".join(f"{k}*x^{k}*y" for k in range(1, 201))
+
+
 class TestParse:
     def test_paper_polynomial(self):
         f = poly("z^2 + y^3 + x^10")
@@ -102,6 +106,24 @@ class TestParse:
          "syntax error at position 3: unexpected '/'", 3),
         ("x + w", UnknownVariableError, "unknown variable 'w' at position 4",
          None),
+        ("(x+y", PolynomialSyntaxError,
+         "syntax error at position 4: expected ')'", 4),
+        ("1/x", PolynomialSyntaxError,
+         "syntax error at position 2: expected integer denominator", 2),
+        ("2^3^2", PolynomialSyntaxError,
+         "syntax error at position 3: unexpected '^'", 3),
+        ("x^y", PolynomialSyntaxError, "syntax error at position 2: "
+         "expected a non-negative integer exponent", 2),
+        ("(x+w)^2", UnknownVariableError,
+         "unknown variable 'w' at position 3", None),
+        pytest.param(_PREFIX + " + $", PolynomialSyntaxError,
+                     f"syntax error at position {len(_PREFIX) + 3}: "
+                     f"unexpected character '$'", len(_PREFIX) + 3,
+                     id="stray-after-200-terms"),
+        # numbers are ASCII digits, like names: an Arabic-Indic three is
+        # a stray character, not the int 3
+        ("x^\u0663+y^3+z^3", PolynomialSyntaxError,
+         "syntax error at position 2: unexpected character '\u0663'", 2),
     ])
     def test_malformed_inputs(self, text, error, message, position):
         with pytest.raises(error) as exc:
@@ -217,6 +239,119 @@ class TestConstructorAndParserOracle:
         with pytest.raises(ValueError) as exc:
             Polynomial(terms, ("x", "y"))
         assert str(exc.value) == message
+
+
+# -- a grammar oracle: expression trees rendered as text and evaluated with
+# Fraction, sharing no code with the parser.  A tree is ("num", q),
+# ("var", name), ("pow", base, k) or ("sum", [(sign, [factor, ...]), ...]).
+
+_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+# an implicit product needs whitespace: "2 3" is 6, "23" is 23
+_PRODUCT = st.sampled_from(["*", " * ", " ", "\t", "  "])
+
+
+@st.composite
+def _factors(draw, depth):
+    """(text, tree) of a factor.  A parenthesised sum with a power holds
+    atoms only, which keeps every expansion under the parser's size bound;
+    parentheses nest two deep."""
+    sp = lambda: draw(_SPACES)  # noqa: E731
+    kind = draw(st.sampled_from(("int", "frac", "var", "paren")
+                                if depth < 2 else ("int", "frac", "var")))
+    if kind == "frac":
+        a, b = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+        return f"{a}{sp()}/{sp()}{b}", ("num", Fraction(a, b))
+    if kind == "int":
+        n = draw(st.integers(0, 12))
+        text, tree = str(n), ("num", Fraction(n))
+    elif kind == "var":
+        name = draw(st.sampled_from(VARS))
+        text, tree = name, ("var", name)
+    else:
+        powered = draw(st.booleans())
+        inner, sub = draw(_sums(depth + 1, atoms_only=powered))
+        text = f"({sp()}{inner}{sp()})"
+        if powered:
+            k = draw(st.integers(0, 3))
+            return f"{text}{sp()}^{sp()}{k}", ("pow", ("sum", sub), k)
+        return text, ("sum", sub)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        return f"{text}{sp()}^{sp()}{k}", ("pow", tree, k)
+    return text, tree
+
+
+@st.composite
+def _sums(draw, depth=0, atoms_only=False):
+    """(text, terms) of a sum with an optional leading sign."""
+    most = 3 if depth == 0 else 2
+    parts, terms = [], []
+    for i in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(("", "+", "-") if i == 0 else ("+", "-")))
+        body, factors = "", []
+        for j in range(draw(st.integers(1, most))):
+            text, tree = draw(_factors(2 if atoms_only else depth))
+            body += (draw(_PRODUCT) if j else "") + text
+            factors.append(tree)
+        parts.append(f"{sign}{draw(_SPACES)}{body}{draw(_SPACES)}")
+        terms.append((sign, factors))
+    return "".join(parts), terms
+
+
+def _value(tree, point):
+    kind = tree[0]
+    if kind == "num":
+        return tree[1]
+    if kind == "var":
+        return point[VARS.index(tree[1])]
+    if kind == "pow":
+        return _value(tree[1], point) ** tree[2]
+    total = Fraction(0)
+    for sign, factors in tree[1]:
+        v = Fraction(-1 if sign == "-" else 1)
+        for factor in factors:
+            v *= _value(factor, point)
+        total += v
+    return total
+
+
+def _evaluate(f, point):
+    total = Fraction(0)
+    for exp, c in f.term_map().items():
+        for x, e in zip(point, exp):
+            c *= x ** e
+        total += c
+    return total
+
+
+_points = st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 3)
+
+
+class TestGrammarOracle:
+    @given(_sums(), st.lists(_points, min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_parse_evaluates_like_the_tree(self, drawn, points):
+        text, terms = drawn
+        f = parse(text, VARS)
+        for point in points:
+            assert _evaluate(f, point) == _value(("sum", terms), point)
+        assert parse(str(f), VARS) == f
+
+    def test_monomial_terms_make_no_products(self, monkeypatch):
+        calls = []
+        times = polynomials._times
+
+        def counted(a, b):
+            calls.append(1)
+            return times(a, b)
+
+        # x^4+y^5+z^6 after x, y, z -> x+y+z, x-y+z, x+y-z: 64 terms
+        text = str(poly("(x+y+z)^4+(x-y+z)^5+(x+y-z)^6"))
+        monkeypatch.setattr(polynomials, "_times", counted)
+        assert len(poly(text).term_map()) == 64
+        assert len(calls) == 0
+        assert poly("(x+y)*(x-y)") == poly("x^2-y^2")
+        assert len(calls) <= 2  # one per parenthesised factor
 
 
 # random small polynomials for the algebra laws
