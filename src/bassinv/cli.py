@@ -500,14 +500,18 @@ def _glue_negative_values(argv):
     return out
 
 
-def _dumps(doc, newline="\n"):
+def _dumps(doc, newline="\n", memo=None):
     """json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False).
 
     With indent set, the standard library runs its pure-Python encoder;
     this writes the same bytes from the C string encoder and one join per
     container.  `newline` is the line break and indent of the level `doc`
-    sits at.  Dict keys must be strings; None, floats and anything not
-    serialisable take json.dumps, which raises TypeError on the last.
+    sits at.  A container that the document holds more than once at one
+    level, such as a family's shared table, is written once: `memo` maps
+    (id, newline) to its text, and ids are stable because every value is
+    alive while the dump runs.  Dict keys must be strings; None, floats
+    and anything not serialisable take json.dumps, which raises TypeError
+    on the last.
     """
     if isinstance(doc, dict):
         keys = sorted(doc)
@@ -518,6 +522,11 @@ def _dumps(doc, newline="\n"):
         return json.dumps(doc, ensure_ascii=False)
     if not values:
         return "[]" if keys is None else "{}"
+    if memo is None:
+        memo = {}
+    text = memo.get((id(doc), newline))
+    if text is not None:
+        return text
     inner = newline + "  "
     parts = []
     for value in values:
@@ -529,12 +538,15 @@ def _dumps(doc, newline="\n"):
         elif kind is bool:
             parts.append("true" if value else "false")
         else:
-            parts.append(_dumps(value, inner))
+            parts.append(_dumps(value, inner, memo))
     if keys is None:
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    parts = [encode_basestring(key) + ": " + part
-             for key, part in zip(keys, parts)]
-    return "{" + inner + ("," + inner).join(parts) + newline + "}"
+        text = "[" + inner + ("," + inner).join(parts) + newline + "]"
+    else:
+        parts = [encode_basestring(key) + ": " + part
+                 for key, part in zip(keys, parts)]
+        text = "{" + inner + ("," + inner).join(parts) + newline + "}"
+    memo[id(doc), newline] = text
+    return text
 
 
 def run(argv):

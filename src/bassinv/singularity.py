@@ -10,27 +10,33 @@ tau by the Euler route: one Buchberger run on the partials, stopped at the
 first pure-power leads, proves the quotient finite, and tau and p_g come
 from closed forms (Milnor-Orlik 1970; Saito 1971), with no staircase.  Any
 other f reaches tau on the certification basis.  The Milnor number is the
-length of the origin-local factor of the Jacobian quotient: it is tau when
-linear multipliers put f in its Jacobian ideal, and otherwise it is read
-off a local standard basis computed by Lazard's homogenisation method
-(Lazard 1983; Greuel-Pfister, A Singular Introduction to Commutative
-Algebra, 1.7), where critical points of f away from the surface, which the
-deformed fibers of the shipped family have, do not contribute.
+length of the origin-local factor of the Jacobian quotient, where critical
+points of f away from the surface, which the deformed fibers of the shipped
+family have, do not contribute.  It comes by one of three routes:
+  * multipliers: tau, when linear multipliers put f in its Jacobian ideal;
+  * principal part: the closed form of f_0, when f is semi-quasi-homogeneous
+    with an isolated principal part f_0 of weights lam (Arnold 1974), as the
+    shipped family's nonzero fibers are;
+  * Lazard: otherwise, a local standard basis computed by Lazard's
+    homogenisation method (Lazard 1983; Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 1.7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import product
+from math import lcm, prod
+from operator import mul
 
 from .errors import (NotIsolatedError, SingularLocusNotAtOriginError,
                      SmoothInput, StaircaseLimitError)
 from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
                        buchberger, staircase, supported_only_at_origin)
-from .polynomials import (Polynomial, WeightSystem, find_weights,
-                          linear_jacobian_multipliers, partial_derivative,
-                          positive_rational_eigenvalues)
+from .polynomials import (Polynomial, WeightSystem, _integer_echelon,
+                          find_weights, linear_jacobian_multipliers,
+                          partial_derivative, positive_rational_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,101 @@ def _lazard_basis(generators):
     return buchberger(homogenised, order)
 
 
+# -- closed forms --------------------------------------------------------------
+
+def _graded_length(lam, cap):
+    """prod(1/lam_i - 1), capped as a staircase is.
+
+    This is dim Q[x]/J for the Jacobian ideal J of an isolated f graded of
+    positive weights lam (Milnor-Orlik 1970): its partials form a regular
+    sequence, whose Hilbert series gives the product.  Past max(cap, 1)
+    StaircaseLimitError is raised, as the enumeration does.
+    """
+    length = prod(1 / x - 1 for x in lam)
+    assert length.denominator == 1  # a regular sequence's Hilbert series
+    if length > max(cap, 1):
+        raise StaircaseLimitError.over(cap)
+    return length.numerator
+
+
+def _degree_one_weights(exps):
+    """The lam with e . lam = 1 for each of the n exponents e in n
+    variables, or None when that system has no unique solution.
+
+    _integer_echelon reduces the rows (e | 1); the solution is unique
+    exactly when their pivots are the n variable columns.
+    """
+    n = len(exps)
+    rows = [{**{j: k for j, k in enumerate(e) if k}, n: 1} for e in exps]
+    echelon = {}
+    if sorted(_integer_echelon(rows, echelon)) != list(range(n)):
+        return None
+    return tuple(Fraction(echelon[p].get(n, 0), echelon[p][p])
+                 for p in range(n))
+
+
+def _principal_gradings(f):
+    """Positive integer weights w and a degree d under which every term of
+    f has weighted degree >= d; each grading once.
+
+    An isolated graded f_0 has, for each variable x_i, a term x_i^a or
+    x_i^a*x_j (Saito 1971).  If f_0 is the part of degree d of f, no term
+    of f has lower degree, so that term is f's smallest pure power of x_i
+    or its x_i^a*x_j with the least a.  The gradings are read off the
+    triples of such terms, one term per variable: at most 3 candidates per
+    variable, so at most 27 triples in Q[x,y,z].  Triples whose system is
+    singular, or whose weights are not all positive, give none.
+    """
+    n = len(f.variables)
+    exps = f.exponents()
+    candidates = []
+    for i in range(n):
+        least = {}  # key i: the pure power of x_i; key j: x_i^a*x_j
+        for e in exps:
+            rest = [j for j in range(n) if j != i and e[j]]
+            if not e[i] or len(rest) > 1 or (rest and e[rest[0]] > 1):
+                continue
+            key = rest[0] if rest else i
+            if key not in least or e[i] < least[key][i]:
+                least[key] = e
+        candidates.append([least[key] for key in sorted(least)])
+    seen = set()
+    for triple in product(*candidates):
+        lam = _degree_one_weights(triple)
+        if lam is None or lam in seen or min(lam) <= 0:
+            continue
+        seen.add(lam)
+        d = lcm(*(x.denominator for x in lam))
+        w = [x.numerator * (d // x.denominator) for x in lam]
+        if all(sum(map(mul, w, e)) >= d for e in exps):
+            yield w, d
+
+
+def _principal_milnor(f, partials, order, cap):
+    """mu of f from a principal part, or None when none is found.
+
+    f is semi-quasi-homogeneous when, under some grading of
+    _principal_gradings, its part f_0 of least degree d is isolated; then
+    mu(f) = mu(f_0) = prod(1/lam_i - 1) with lam = w/d (Arnold 1974), since
+    f - f_0 has degree above d.  The partials of f_0 are those of f cut to
+    their least weighted degree: each variable has a term in f_0, so none
+    of them is zero.  f_0 is isolated exactly when the Euler route's
+    Buchberger run on them stops at pure-power leads.
+    """
+    for w, d in _principal_gradings(f):
+        lowest = []
+        for p in partials:
+            terms = p.term_map()
+            degree = {e: sum(map(mul, w, e)) for e in terms}
+            least = min(degree.values())
+            lowest.append(Polynomial(
+                {e: c for e, c in terms.items() if degree[e] == least},
+                p.variables))
+        if buchberger(lowest, order, until_finite=True) is None:
+            return _graded_length([Fraction(x, d) for x in w], cap)
+    return None
+
+
 # -- geometric genus and the full profile -------------------------------------
 
 def _lattice_genus(weights, budget):
@@ -127,18 +228,24 @@ def analyze(f, order=None):
         finite colength; a weighted cone of finite colength has the origin
         alone as zero set.  The partials of g then form a regular sequence,
         whose Hilbert series gives tau = prod(1/lam_i - 1) (Milnor-Orlik
-        1970), capped as a staircase is.  A run that ends without the pure
-        powers has built the basis of J = (f) + J, so tau is None.
+        1970; _graded_length), capped as a staircase is.  A run that ends
+        without the pure powers has built the basis of J = (f) + J, so tau
+        is None.
       * certification otherwise: tau is the staircase of the basis of
         (f) + J.
     One rejection block follows: None is NotIsolatedError, 0 SmoothInput,
     and a certification basis whose variables are not all nilpotent
-    SingularLocusNotAtOriginError.  mu is tau when there is an A, since
-    then (f) + J = J, and else the origin-local staircase
-    (_local_staircase); the certificate is sufficient, not necessary:
-    (x+y^2)^2+y^3+z^5 has mu = tau but no A.  For a graded f, p_g is the
-    lattice count _lattice_genus, which the cap bounds since p_g <= tau;
-    otherwise weights and p_g are None.
+    SingularLocusNotAtOriginError.  mu then takes one of three routes:
+      * multipliers: mu is tau when there is an A, since then (f) + J = J;
+        the certificate is sufficient, not necessary: (x+y^2)^2+y^3+z^5 has
+        mu = tau but no A;
+      * principal part: without an A, mu is the closed form of an isolated
+        principal part when _principal_milnor finds one, with the cap that
+        tau has;
+      * Lazard: otherwise mu is the origin-local staircase
+        (_local_staircase).
+    For a graded f, p_g is the lattice count _lattice_genus, which the cap
+    bounds since p_g <= tau; otherwise weights and p_g are None.
     """
     cap = _staircase_cap()
     order = order or MonomialOrder.grevlex()
@@ -156,11 +263,7 @@ def analyze(f, order=None):
         basis = buchberger([f] + partials, order)
         tau = staircase(basis).size
     elif buchberger(partials, order, until_finite=True) is None:
-        tau = prod(1 / x - 1 for x in lam)
-        assert tau.denominator == 1  # a regular sequence's Hilbert series
-        tau = tau.numerator
-        if tau > max(cap, 1):
-            raise StaircaseLimitError.over(cap)
+        tau = _graded_length(lam, cap)
     if tau is None:
         raise NotIsolatedError(
             "the singular locus of {f=0} is positive-dimensional")
@@ -169,8 +272,12 @@ def analyze(f, order=None):
     if basis is not None and not supported_only_at_origin(basis, tau):
         raise SingularLocusNotAtOriginError(
             "the singular locus of {f=0} is not the origin")
-    mu = (tau if ws is not None or a is not None
-          else _local_staircase(partials).size)
+    if ws is not None or a is not None:
+        mu = tau
+    else:
+        mu = _principal_milnor(f, partials, order, cap)
+        if mu is None:
+            mu = _local_staircase(partials).size
     p_g = None if ws is None else _lattice_genus(
         ws.weights, ws.degree - sum(ws.weights))
     return SingularityProfile(f, mu, tau, ws, p_g)

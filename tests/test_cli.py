@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -106,15 +107,18 @@ class TestAnalyze:
         doc = run_json(capsys, "analyze", "z^2+y^3+x^10", "--order", "lex")
         assert doc["profile"]["milnor"] == 18
 
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "z^2+y^3+x^10+x^7*y"],
-        ["bass", WAHL_FAMILY, "--values", "0,1,2", "--graph", GRAPH,
-         "--assume-chi-invariant"],
-    ], ids=["analyze", "bass"])
+    @pytest.mark.parametrize("argv,lazard", [
+        (["analyze", "z^2+y^3+x^10+x^7*y"], False),
+        (["bass", WAHL_FAMILY, "--values", "0,1,2", "--graph", GRAPH,
+          "--assume-chi-invariant"], False),
+        (["analyze", "x^3+y^4+z^5+x*y*z"], True),
+    ], ids=["analyze", "bass", "lazard"])
     def test_lex_option_reaches_no_lex_basis(self, capsys, monkeypatch,
-                                             argv):
+                                             argv, lazard):
         # --order selects nothing: every basis the engine builds is in
-        # grevlex, or in the weighted order of the Lazard basis
+        # grevlex, or in the weighted order of the Lazard basis, which the
+        # Wahl fibers do not need (their mu comes from the principal part)
+        # and T_{3,4,5} does
         orders = set()
         real = groebner.buchberger
 
@@ -124,13 +128,23 @@ class TestAnalyze:
 
         monkeypatch.setattr(singularity, "buchberger", recording)
         run_ok(capsys, *argv, "--order", "lex")
-        assert orders == {MonomialOrder.grevlex(),
-                          MonomialOrder.weighted((2, 1, 1, 1))}
+        assert orders == {MonomialOrder.grevlex()} | (
+            {MonomialOrder.weighted((2, 1, 1, 1))} if lazard else set())
 
     def test_staircase_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "5")
         code, err = run_err(capsys, "analyze", "z^2+y^3+x^10")
         assert code == 5 and "BASSINV_MAX_STAIRCASE" in err
+
+    def test_staircase_cap_bounds_mu(self, capsys, monkeypatch):
+        # the deformed fiber: tau = 16 fits a cap of 17, mu = 18 does not
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
+        code, err = run_err(capsys, "analyze", "z^2+y^3+x^10+x^7*y")
+        assert code == 5 and "enumeration cap (17)" in err
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "18")
+        out = run_ok(capsys, "analyze", "z^2+y^3+x^10+x^7*y")
+        assert "milnor number (mu):   18" in out
+        assert "tjurina number (tau): 16" in out
 
     @pytest.mark.parametrize("raw", ["abc", "1e5", "10 000"])
     def test_malformed_staircase_cap_exit_4(self, capsys, monkeypatch, raw):
@@ -464,9 +478,9 @@ class TestFiberTransport:
 
     def test_wahl_bass_buchberger_calls(self, capsys, monkeypatch):
         # the one analyzed nonzero fiber takes its certification basis of
-        # (f) + J, 4 generators, and the Lazard basis of the 3 homogenised
-        # partials; t = 0 is graded, and its only basis is a run on the 3
-        # partials that stops at pure-power leads
+        # (f) + J, 4 generators, and for mu a run on the 3 partials of its
+        # principal part that stops at pure-power leads; t = 0 is graded,
+        # and its only basis is such a run on its own 3 partials
         calls = []
         real = groebner.buchberger
 
@@ -479,7 +493,7 @@ class TestFiberTransport:
         run_ok(capsys, "bass", WAHL_FAMILY,
                "--values", "-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
                "--assume-chi-invariant")
-        assert calls == [(4, False), (3, False), (3, True)]
+        assert calls == [(4, False), (3, True), (3, True)]
 
     def test_uncertified_family_analyzes_every_fiber(self, capsys,
                                                      analyze_calls):
@@ -801,6 +815,23 @@ class TestDumps:
     def test_matches_the_indented_stdlib_encoder(self, doc):
         assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
                                              ensure_ascii=False)
+
+    def test_shared_container_is_written_once_per_level(self, monkeypatch):
+        # a table shared by two fibers at one level, and again at another:
+        # its rows are written once per level, and the bytes do not change
+        table = {"name": "t", "rows": [[1, 2], [3, 4]]}
+        doc = {"fibers": [{"table": table}, {"table": table}], "top": table}
+        calls = Counter()
+        real = cli._dumps
+
+        def counting(value, *args):
+            calls[id(value)] += 1
+            return real(value, *args)
+
+        monkeypatch.setattr(cli, "_dumps", counting)
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                             ensure_ascii=False)
+        assert calls[id(table)] == 3 and calls[id(table["rows"])] == 2
 
     def test_golden_document(self):
         golden = (REPO / "fixtures" / "golden" /

@@ -1,17 +1,22 @@
 """analyze's mu and tau against the truncated-Macaulay-matrix oracle.
 
 The oracle (tests/macaulay.py) shares no code with the engine.  The inputs
-cover the four routes of analyze: graded (Euler), a linear change with
-positive rational eigenvalues (Euler), linear multipliers that fail the
-eigenvalue step (certification, mu = tau), and neither (certification and
-the Lazard basis for mu).
+cover the routes of analyze: graded (Euler), a linear change with positive
+rational eigenvalues (Euler), linear multipliers that fail the eigenvalue
+step (certification, mu = tau), and neither (certification, then mu from a
+principal part, or else from the Lazard basis).
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
-from bassinv.singularity import analyze, jacobian_ideal
+from bassinv.groebner import DEFAULT_STAIRCASE_CAP, MonomialOrder
+from bassinv.polynomials import Polynomial
+from bassinv.singularity import _principal_milnor, analyze, jacobian_ideal
 
-from conftest import poly
+from conftest import VARS, poly
 from macaulay import local_length
 
 ORACLE_INPUTS = (
@@ -34,6 +39,12 @@ ORACLE_INPUTS = (
     # linear changes of graded forms
     "(x+y)^2+z^3+y^5",
     "(x+y+z)^4+(x-y+z)^4+(x+y-z)^6",
+    # principal parts: one without a pure power of x, and one that a
+    # singular triple of candidate terms precedes
+    "x^2*y+y^4+z^3+x^3*y^2+x*z^4-y^3*z^2",
+    "x*y+z^2+x^3+y^3",
+    # a grading whose principal part is not isolated: the Lazard basis
+    "(x+y)^2+z^4+y^3+y^2*z^2",
 )
 
 
@@ -57,3 +68,37 @@ def test_oracle_refuses_an_infinite_local_length():
     f = poly("x*y")
     with pytest.raises(ValueError, match="no stable"):
         local_length([f] + jacobian_ideal(f), max_order=8)
+
+
+def random_set_draw(i):
+    """Draw i of the random set: x^a+y^b+z^c, a, b, c in 2..7, plus 1 to 3
+    terms with exponents in 0..4 of total degree >= 2 and coefficients
+    +-(1..20)/(1..9), added to any equal term, zeros dropped."""
+    rng = random.Random(f"rand:{i}")
+    a, b, c = (rng.randint(2, 7) for _ in range(3))
+    terms = {(a, 0, 0): 1, (0, b, 0): 1, (0, 0, c): 1}
+    for _ in range(rng.randint(1, 3)):
+        e = (0, 0, 0)
+        while sum(e) < 2:
+            e = tuple(rng.randint(0, 4) for _ in range(3))
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20),
+                     rng.randint(1, 9))
+        terms[e] = terms.get(e, 0) + q
+    return Polynomial(terms, VARS)
+
+
+# the draws without a principal part; 13, 21 and 27 have one, though their
+# certification or Lazard basis takes seconds
+NO_PRINCIPAL_PART = {2, 9, 11, 14}
+
+
+@pytest.mark.parametrize("i", range(40))
+def test_principal_part_mu_on_the_random_set(i):
+    f = random_set_draw(i)
+    partials = jacobian_ideal(f)
+    mu = _principal_milnor(f, partials, MonomialOrder.grevlex(),
+                           DEFAULT_STAIRCASE_CAP)
+    if i in NO_PRINCIPAL_PART:
+        assert mu is None
+    else:
+        assert mu == local_length(partials)

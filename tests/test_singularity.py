@@ -15,7 +15,9 @@ from bassinv.polynomials import (Polynomial, WeightSystem, find_weights,
                                  linear_jacobian_multipliers, parse,
                                  positive_rational_eigenvalues,
                                  substitute_parameter)
-from bassinv.singularity import _local_staircase, analyze, jacobian_ideal
+from bassinv.singularity import (_degree_one_weights, _local_staircase,
+                                 _principal_gradings, analyze,
+                                 jacobian_ideal)
 
 from conftest import (CORPUS_TEXTS, VARS, local_monomials, poly,
                       standard_monomials)
@@ -106,16 +108,35 @@ DENSE_CHANGES = (
     "(x+y+z)^5+(-x-y+z)^5+(-x+y+z)^5",
 )
 
-# no linear Jacobian multipliers, so mu comes from the Lazard basis.  The
-# last two have mu = tau even so, and the last is quasi-homogeneous after a
-# change of coordinates that is not linear: the certificate is sufficient,
-# not necessary
-LAZARD_INPUTS = tuple(
+# no linear Jacobian multipliers, but a principal part, so mu is its closed
+# form.  The last two have mu = tau even so, and the last is
+# quasi-homogeneous after a change of coordinates that is not linear: the
+# multiplier certificate is sufficient, not necessary.  The principal part
+# of x^2*y+y^4+z^3 has no pure power of x, and x*y+z^2+x^3+y^3 has one
+# triple of candidate terms, x*y, x*y, z^2, whose system is singular
+PRINCIPAL_PART_INPUTS = tuple(
     (text, (a - 1) * (b - 1) * (c - 1)) for text, (a, b, c) in NONQH_LADDER
 ) + (
     ("z^2+y^3+x^10+x^7*y", 18),
+    ("x^2*y+y^4+z^3+x^3*y^2+x*z^4-y^3*z^2", 10),
+    ("x*y+z^2+x^3+y^3", 1),
     ("x^2+y^2+z^2-x^3", 1),
     ("(x+y^2)^2+y^3+z^5", 8),
+)
+
+# neither multipliers nor a principal part, so mu comes from the Lazard
+# basis: T_{3,4,5}, and the supports of random-set draws 2, 9, 11 and 14
+# with unit coefficients (draws 2 and 11 less one term, which keeps their
+# certification to milliseconds)
+LAZARD_INPUTS = (
+    ("x^3+y^4+z^5+x*y*z", 11),
+    ("x^2*y^4*z+z^7+x^3+y^3-x^2*z^2", 22),
+    ("x^2*y^3*z^3+y^7+x^6+x^4*y^2+z^6+z^3", 56),
+    ("x^3*y^4*z^3+x^7-x^3*y^2+y^4+z^3", 32),
+    ("x^6+x*y^2*z^2+y^4+z^4+x*y*z", 13),
+    # a grading, weights (2, 2, 1) and degree 4, whose f_0 = (x+y)^2+z^4
+    # is not isolated
+    ("(x+y)^2+z^4+y^3+y^2*z^2", 6),
 )
 
 
@@ -405,16 +426,16 @@ class TestAnalyze:
     # and a linear change of one whose Jacobian multipliers have positive
     # rational eigenvalues, take one Buchberger run on the partials, stopped
     # as soon as its leads hold a pure power of every variable, and no
-    # staircase; the deformed fiber takes the certification basis, the
-    # Lazard basis and both staircases.  A faster kernel must do the same
-    # operations, only cheaper.
+    # staircase; the deformed fiber takes the certification basis and its
+    # staircase, and for mu the early-stopped run on its principal part's
+    # partials.  A faster kernel must do the same operations, only cheaper.
     ENGINE_CALLS = {
         ("x^2+y^2+z^2", "grevlex"): (1, 3, 0, 0),
         ("x^2+y^2+z^2", "lex"): (1, 3, 0, 0),
         ("z^2+y^3+x^10", "grevlex"): (1, 3, 0, 0),
         ("z^2+y^3+x^10", "lex"): (1, 3, 0, 0),
-        ("z^2+y^3+x^10+x^7*y", "grevlex"): (2, 34, 11, 2),
-        ("z^2+y^3+x^10+x^7*y", "lex"): (2, 34, 11, 2),
+        ("z^2+y^3+x^10+x^7*y", "grevlex"): (2, 26, 8, 1),
+        ("z^2+y^3+x^10+x^7*y", "lex"): (2, 26, 8, 1),
         ("z^2+y^3+x^7", "grevlex"): (1, 3, 0, 0),
         ("z^2+y^3+x^7", "lex"): (1, 3, 0, 0),
         ("x^3+y^4+z^5", "grevlex"): (1, 3, 0, 0),
@@ -456,13 +477,24 @@ class TestAnalyze:
         assert (p.milnor, p.tjurina, p.weights, p.p_g) == (mu, mu, None, None)
         assert _local_staircase(jacobian_ideal(f)).size == mu
 
-    @pytest.mark.parametrize("text,mu", LAZARD_INPUTS)
+    @pytest.mark.parametrize("text,mu",
+                             LAZARD_INPUTS + PRINCIPAL_PART_INPUTS)
     def test_no_multipliers_takes_lazard_path(self, text, mu, monkeypatch):
+        # without multipliers, the Lazard basis runs exactly when no
+        # principal part is found: on LAZARD_INPUTS as they are, and on
+        # the others once the search is made to find nothing, where it
+        # gives the closed form's mu
         f = poly(text)
+        assert find_weights(f) is None
         assert linear_jacobian_multipliers(f) is None
+        lazard = (text, mu) in LAZARD_INPUTS
         counts = count_engine_calls(monkeypatch)
         assert analyze(f).milnor == mu
-        assert counts["buchberger"] == 2
+        assert counts["_lazard_basis"] == lazard
+        monkeypatch.setattr(singularity, "_principal_milnor",
+                            lambda *args: None)
+        assert analyze(f).milnor == mu
+        assert counts["_lazard_basis"] == 1 + lazard
 
     def test_variable_permutation_invariance(self):
         a = analyze(poly("z^2+y^3+x^10"))
@@ -476,8 +508,9 @@ class TestAnalyze:
 
 def count_engine_calls(monkeypatch):
     """From here on, count calls of the kernel's three entry points (through
-    a proxy for kernel.active) and of partial_derivative, buchberger and
-    _monic_from_raw under every name the engine calls them by."""
+    a proxy for kernel.active) and of partial_derivative, buchberger,
+    _lazard_basis and _monic_from_raw under every name the engine calls
+    them by."""
     counts = Counter()
     impl = kernel.active()
 
@@ -499,6 +532,7 @@ def count_engine_calls(monkeypatch):
                          (singularity, "partial_derivative"),
                          (groebner, "buchberger"),
                          (singularity, "buchberger"),
+                         (singularity, "_lazard_basis"),
                          (groebner, "_monic_from_raw")):
         monkeypatch.setattr(module, name,
                             counted(name, getattr(module, name)))
@@ -743,6 +777,42 @@ class TestEulerRoute:
         p = analyze(poly("x^{}+y^{}+z^{}".format(*shape)))
         assert p.weights == WeightSystem(*graded_weights(shape))
         assert p.p_g == lattice_genus(*shape)
+
+
+class TestPrincipalPart:
+    """mu = prod(1/lam_i - 1) for a semi-quasi-homogeneous f without
+    multipliers, from the principal part's weights lam."""
+
+    def test_degree_one_weights(self):
+        assert _degree_one_weights([(10, 0, 0), (7, 1, 0), (0, 0, 2)]) == \
+            (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2))
+        # x*y twice: singular and consistent; x*y and x^2*y^2: inconsistent
+        assert _degree_one_weights([(1, 1, 0), (1, 1, 0), (0, 0, 2)]) is None
+        assert _degree_one_weights([(1, 1, 0), (2, 2, 0), (0, 0, 2)]) is None
+
+    @pytest.mark.parametrize("text,gradings", [
+        # x^7*y, y^3, z^2 gives weights 2/21, 1/3, 1/2, under which x^10
+        # has degree 20/21 < 1
+        ("z^2+y^3+x^10+x^7*y", [([3, 10, 15], 30)]),
+        # x^3, y^3, z^2 gives weights under which x*y has degree 2/3
+        ("x*y+z^2+x^3+y^3", [([2, 4, 3], 6), ([4, 2, 3], 6)]),
+        # x^2*y, y^4, z^3: no pure power of x
+        ("x^2*y+y^4+z^3+x^3*y^2", [([9, 6, 8], 24)]),
+        ("x^3+y^4+z^5+x*y*z", []),
+    ])
+    def test_gradings(self, text, gradings):
+        assert list(_principal_gradings(poly(text))) == gradings
+
+    def test_cap_applies_to_the_closed_form(self, monkeypatch):
+        # tau = 16 passes a cap of 17, mu = 18 does not
+        f = poly("z^2+y^3+x^10+x^7*y")
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
+        with pytest.raises(StaircaseLimitError,
+                           match=r"enumeration cap \(17\)"):
+            analyze(f)
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "18")
+        p = analyze(f)
+        assert (p.milnor, p.tjurina) == (18, 16)
 
 
 class TestDegenerate:
