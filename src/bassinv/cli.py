@@ -322,8 +322,10 @@ def _check_p_g_reuse(name, values, profiles, graded_index):
     for v, profile in zip(values, profiles):
         if profile.weights is not None and profile.p_g == graded.p_g:
             continue
-        low = [e for e in (profile.f - graded.f).exponents()
-               if ws.weighted_degree(e) <= ws.degree]
+        ours, theirs = profile.f.term_map(), graded.f.term_map()
+        low = sorted(e for e in ours.keys() | theirs.keys()
+                     if ours.get(e) != theirs.get(e)
+                     and ws.weighted_degree(e) <= ws.degree)
         if low:
             term = Polynomial({low[0]: 1}, graded.f.variables)
             raise InconsistentInputsError(

@@ -130,18 +130,11 @@ def buchberger(generators, order=None, until_finite=False):
         raw, _ = _to_raw(g, order)
         if raw:
             raws.append(raw)
-    # canonical input order: results do not depend on it (the reduced basis
-    # is unique) but the pair schedule becomes reproducible
-    seen = set()
-    unique = []
-    for raw in raws:
-        key = tuple(raw)
-        if key not in seen:
-            seen.add(key)
-            unique.append(raw)
+    # canonical input order: the reduced basis is unique, and a repeat reduces
+    # to 0 against its first copy, but the pair schedule becomes reproducible
     impl = kernel.active()
-    unique.sort(key=lambda raw: tuple((ascending(e), c) for e, c in raw))
-    if not unique:
+    raws.sort(key=lambda raw: tuple((ascending(e), c) for e, c in raw))
+    if not raws:
         return GroebnerBasis(order, variables, [])
 
     G = []
@@ -191,7 +184,7 @@ def buchberger(generators, order=None, until_finite=False):
             powers.update(support or range(len(lm_h)))
         return until_finite and len(powers) == len(lm_h)
 
-    for raw in unique:
+    for raw in raws:
         reduced, _, _ = impl.reduce_full(raw, G, order)
         if reduced and add_element(reduced):
             return None
@@ -261,31 +254,17 @@ def supported_only_at_origin(basis, dim):
     For a finite-dimensional quotient this says the ideal's zero set is the
     origin alone.  `dim` is staircase(basis).size, which must be finite.
 
-    Each x_i is stepped through normal forms: start at x_i^m, where x_i^m is
-    the smallest pure power of x_i among the basis leads (1, x_i, ...,
-    x_i^(m-1) are standard, so m <= dim), and for k = m, ..., dim replace
-    the current remainder r by NF(r) and stop at the first zero, else
-    multiply it by x_i.  NF is linear, so NF(x_i * NF(x_i^(k-1))) is
-    NF(x_i^k) up to a nonzero rational.  The bound dim is exact: in the
-    quotient A, the ideals x_i^k A of a nilpotent x_i shrink strictly until
-    they reach 0, so x_i^dim lies in the ideal iff x_i is nilpotent.
+    The test reduces x_i^dim once per variable.  In the quotient A, the
+    ideals x_i^k A of a nilpotent x_i shrink strictly until they reach 0,
+    so its nilpotency index is at most dim; the normal form is unique, so
+    x_i^dim lies in the ideal exactly when it reduces to 0.
     """
     if dim is None:
         raise ValueError("support test needs a finite-dimensional quotient")
-    if dim == 0:
-        return True
     nvars = len(basis.variables)
     impl = kernel.active()
     for i in range(nvars):
-        step = tuple(1 if j == i else 0 for j in range(nvars))
-        m = min(e[i] for e in basis.leading_exponents()
-                if all(e[j] == 0 for j in range(nvars) if j != i))
-        terms = [(tuple(m * x for x in step), 1)]
-        for _ in range(m, dim + 1):
-            terms, _, _ = impl.reduce_full(terms, basis._raw, basis.order)
-            if not terms:
-                break
-            terms = [(tuple(map(add, e, step)), c) for e, c in terms]
-        else:
+        power = tuple(dim if j == i else 0 for j in range(nvars))
+        if impl.reduce_full([(power, 1)], basis._raw, basis.order)[0]:
             return False
     return True

@@ -537,6 +537,9 @@ class TestGradedGenusReuse:
         (WAHL_PRINCIPAL + "+t*x^2*y", "x^2*y", 16, 30),
         (WAHL_PRINCIPAL + "+t*x^5", "x^5", 15, 30),
         (WAHL_PRINCIPAL + "+t*x^7", "x^7", 21, 30),
+        # a low term whose coefficient alone differs, and one that is gone
+        (WAHL_PRINCIPAL + "+t*x^7*y+t*z^2", "z^2", 30, 30),
+        (WAHL_PRINCIPAL + "+t*x^7*y-t*x^10+t^2*x^11", "x^10", 30, 30),
     ])
     def test_low_terms_refused(self, capsys, command, family, term, degree,
                                bound):

@@ -1,4 +1,4 @@
-"""analyze's mu and tau against the truncated-Macaulay-matrix oracle.
+"""analyze's mu, tau and support test against the Macaulay-matrix oracle.
 
 The oracle (tests/macaulay.py) shares no code with the engine.  The inputs
 cover the routes of analyze: graded (Euler), a linear change with positive
@@ -11,13 +11,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bassinv.errors import SingularLocusNotAtOriginError
 from bassinv.groebner import DEFAULT_STAIRCASE_CAP, MonomialOrder
 from bassinv.polynomials import Polynomial
 from bassinv.singularity import _principal_milnor, analyze, jacobian_ideal
 
-from conftest import VARS, poly
-from macaulay import local_length
+from conftest import VARS, poly, tjurina_generators
+from macaulay import local_length, maximal_power_in_span
 
 ORACLE_INPUTS = (
     # the paper's fibers: 18/18 at t = 0, 18/16 at t != 0
@@ -102,3 +104,69 @@ def test_principal_part_mu_on_the_random_set(i):
         assert mu is None
     else:
         assert mu == local_length(partials)
+
+
+# (N, D) found by searching D upward and N within it: m^N lies in the span
+# of the Tjurina ideal's rows of degree <= D, which shows that the singular
+# locus is the origin with no Groebner basis
+SUPPORT_CERTIFICATES = (
+    # (f) + J = (x^2, y, z): the nilpotency index of x is tau itself
+    ("x^3+x^4+y^2+z^2", 2, 4),
+    ("x^3+y^4+z^5+x*y*z", 5, 8),
+    ("x^6+7/3*x^4*y^2+y^5+z^3", 8, 9),
+    ("z^2+y^3+x^10+x^7*y", 10, 17),
+)
+
+
+@pytest.mark.parametrize("text, power, degree", SUPPORT_CERTIFICATES)
+def test_support_certificate(text, power, degree):
+    gens = tjurina_generators(poly(text))
+    assert maximal_power_in_span(gens, power, degree)
+    assert not maximal_power_in_span(gens, power - 1, degree)
+    assert not maximal_power_in_span(gens, power, degree - 1)
+    analyze(poly(text))  # accepted: no error
+
+
+def test_no_support_certificate_off_the_origin():
+    # the singular point (1, 0, 0) keeps every x^N out of the ideal
+    gens = tjurina_generators(poly("x^2*(x-1)^2+y^2+z^2"))
+    assert not any(maximal_power_in_span(gens, power, degree)
+                   for degree in range(1, 11)
+                   for power in range(1, degree + 1))
+
+
+def _value(terms, point):
+    total = Fraction(0)
+    for e, c in terms.items():
+        for x, k in zip(point, e):
+            c *= x ** k
+        total += c
+    return total
+
+
+def _nonzero(bound, denominator):
+    return st.fractions(min_value=-bound, max_value=bound,
+                        max_denominator=denominator).filter(bool)
+
+
+# f = x^(a+1)*(x-r)^b + y^c + z^d, b >= 2, and maybe a term q*x^i*y^j with
+# i >= 1 and j >= 2: f and its partials vanish at (r, 0, 0), r != 0.  The
+# term has no z, as y^4 + 2*y^2*z + z^2 is a square, and a power of x, as
+# q*y^j could cancel y^c: either would make the singular locus a curve.
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(2, 4),
+       st.integers(2, 4), _nonzero(3, 4),
+       st.one_of(st.none(), st.tuples(st.integers(1, 2), st.integers(2, 3),
+                                      _nonzero(2, 3))))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_singular_point_off_the_origin_is_refused(a, b, c, d, r, extra):
+    f = (Polynomial({(a + 1, 0, 0): 1}, VARS)
+         * Polynomial({(1, 0, 0): 1, (0, 0, 0): -r}, VARS) ** b
+         + Polynomial({(0, c, 0): 1, (0, 0, d): 1}, VARS))
+    if extra is not None:
+        i, j, q = extra
+        f = f + Polynomial({(i, j, 0): q}, VARS)
+    point = (r, Fraction(0), Fraction(0))
+    assert all(_value(g.term_map(), point) == 0
+               for g in tjurina_generators(f))
+    with pytest.raises(SingularLocusNotAtOriginError):
+        analyze(f)

@@ -434,8 +434,8 @@ class TestAnalyze:
         ("x^2+y^2+z^2", "lex"): (1, 3, 0, 0),
         ("z^2+y^3+x^10", "grevlex"): (1, 3, 0, 0),
         ("z^2+y^3+x^10", "lex"): (1, 3, 0, 0),
-        ("z^2+y^3+x^10+x^7*y", "grevlex"): (2, 26, 8, 1),
-        ("z^2+y^3+x^10+x^7*y", "lex"): (2, 26, 8, 1),
+        ("z^2+y^3+x^10+x^7*y", "grevlex"): (2, 23, 8, 1),
+        ("z^2+y^3+x^10+x^7*y", "lex"): (2, 23, 8, 1),
         ("z^2+y^3+x^7", "grevlex"): (1, 3, 0, 0),
         ("z^2+y^3+x^7", "lex"): (1, 3, 0, 0),
         ("x^3+y^4+z^5", "grevlex"): (1, 3, 0, 0),
