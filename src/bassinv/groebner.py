@@ -22,7 +22,7 @@ from operator import add, le
 from . import kernel
 from .errors import UsageError
 from .kernel import MonomialOrder
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _trusted
 
 DEFAULT_STAIRCASE_CAP = 100000
 
@@ -101,7 +101,7 @@ def _to_raw(p, order):
 
 def _monic_from_raw(raw, variables):
     lc = raw[0][1]
-    return Polynomial({e: Fraction(c, lc) for e, c in raw}, variables)
+    return _trusted({e: Fraction(c, lc) for e, c in raw}, variables)
 
 
 def buchberger(generators, order=None, until_finite=False):
@@ -154,16 +154,13 @@ def buchberger(generators, order=None, until_finite=False):
             key=lambda item: (ascending(item[1]), item[0]))
         kept = []  # (index, lcm, coprime)
         for pos, (i, lcm_i) in enumerate(candidates):
-            coprime = lcm_i == tuple(map(add, lead(i), lm_h))
-            if coprime:
-                kept.append((i, lcm_i, True))
-                continue
-            dominated = any(all(map(le, lcm_j, lcm_i))
-                            for _, lcm_j in candidates[pos + 1:])
-            if not dominated:
-                dominated = any(all(map(le, lcm_j, lcm_i))
-                                for _, lcm_j, _ in kept)
-            if not dominated:
+            if lcm_i == tuple(map(add, lead(i), lm_h)):
+                kept.append((i, lcm_i, True))  # coprime leads
+            # a later lcm is not smaller, so one that divides lcm_i equals
+            # it and is the next candidate's
+            elif not (pos + 1 < t and candidates[pos + 1][1] == lcm_i
+                      or any(all(map(le, lcm_j, lcm_i))
+                             for _, lcm_j, _ in kept)):
                 kept.append((i, lcm_i, False))
         # chain criterion against the old queue
         # (each pair's test reads only its own leads and h, so the visiting
@@ -228,7 +225,7 @@ def normal_form(p, basis):
     impl = kernel.active()
     reduced, num, den = impl.reduce_full(raw, basis._raw, basis.order)
     factor = scale * Fraction(num, den)
-    return Polynomial({e: factor * c for e, c in reduced}, basis.variables)
+    return _trusted({e: factor * c for e, c in reduced}, basis.variables)
 
 
 def staircase(basis):

@@ -81,7 +81,10 @@ class Polynomial:
     """Immutable sparse polynomial.
 
     `variables` are the ring variables; exponent tuples have one entry per
-    variable.
+    variable.  Polynomial(terms, variables) checks and sums every term.
+    The engine builds its own polynomials with _trusted, which checks
+    nothing: it takes a fresh dict of exponent tuples of the ring's width,
+    entries >= 0, to nonzero Fractions.
     """
 
     __slots__ = ("variables", "_terms")
@@ -165,13 +168,13 @@ class Polynomial:
                 acc[exp] = v
             else:
                 acc.pop(exp, None)
-        return Polynomial(acc, self.variables)
+        return _trusted(acc, self.variables)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self._terms.items()},
-                          self.variables)
+        return _trusted({e: -c for e, c in self._terms.items()},
+                        self.variables)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -182,18 +185,20 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = Fraction(other)
-            return Polynomial({e: c * v for e, v in self._terms.items()},
-                              self.variables)
+            return _trusted({e: c * v for e, v in self._terms.items()}
+                            if c else {}, self.variables)
         other = self._coerce(other)
-        return Polynomial(_times(self._terms, other._terms), self.variables)
+        return _trusted(_times(self._terms, other._terms), self.variables)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        return Polynomial(_power(self._terms, n, len(self.variables)),
-                          self.variables)
+        if n == 0:
+            return Polynomial.constant(1, self.variables)
+        return _trusted(_power(self._terms, n, len(self.variables)),
+                        self.variables)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -234,6 +239,13 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self!s})"
+
+
+def _trusted(terms, variables):
+    """Polynomial(terms, variables), unchecked: see the class docstring."""
+    p = object.__new__(Polynomial)
+    p.variables, p._terms = variables, terms
+    return p
 
 
 # -- decimal conversion ------------------------------------------------------
@@ -334,7 +346,8 @@ class _Parser:
         acc = self.expr()
         if self.tokens[self.i] is not _END:
             raise self.unexpected(self.i)
-        return Polynomial(acc, self.variables)
+        return _trusted({e: c if type(c) is Fraction else Fraction(c)
+                         for e, c in acc.items() if c}, self.variables)
 
     def expr(self):
         """The terms up to the first token that continues no sum, summed
@@ -482,13 +495,11 @@ def partial_derivative(f, var):
     """Formal partial derivative with respect to the var-th ring variable."""
     if not 0 <= var < len(f.variables):
         raise ValueError("variable index out of range")
-    acc = {}  # lowering exponent var is one-to-one: no two terms meet
-    for exp, c in f._terms.items():
-        e = exp[var]
-        if e:
-            acc[exp[:var] + (e - 1,) + exp[var + 1:]] = Fraction(
-                c.numerator * e, c.denominator)
-    return Polynomial(acc, f.variables)
+    # lowering exponent var is one-to-one: no two terms meet
+    return _trusted({exp[:var] + (e - 1,) + exp[var + 1:]:
+                     Fraction(c.numerator * e, c.denominator)
+                     for exp, c in f._terms.items() if (e := exp[var])},
+                    f.variables)
 
 
 def substitute_parameter(f, name, value):
@@ -498,11 +509,13 @@ def substitute_parameter(f, name, value):
     """
     i = f.variables.index(name)
     value = Fraction(value)
+    powers = {k: value ** k for k in {exp[i] for exp in f._terms}}
     acc = {}
-    for exp, c in f.term_map().items():
+    for exp, c in f._terms.items():
         rest = exp[:i] + exp[i + 1:]
-        acc[rest] = acc.get(rest, 0) + c * value ** exp[i]
-    return Polynomial(acc, f.variables[:i] + f.variables[i + 1:])
+        acc[rest] = acc.get(rest, 0) + c * powers[exp[i]]
+    return _trusted({e: c for e, c in acc.items() if c},
+                    f.variables[:i] + f.variables[i + 1:])
 
 
 def _positive_point(rows):
@@ -706,40 +719,55 @@ def linear_jacobian_multipliers(f):
     quasi-homogeneous after a change that is not linear, yet has no A.
 
     Solved as a linear system in the n^2 entries with one equation per
-    monomial, by _integer_echelon on f's coefficients scaled to integers.
-    A term of f that no column x_j df/dx_i reaches gives None at once.
-    The equations of f's own terms are reduced first: for most f without
-    an A they are inconsistent already, and the rest are never reduced.
-    Among the solutions, the one with every free entry zero is returned.
+    monomial, keyed by one int, the sum of e_k << (k*bits), so that the
+    column x_j df/dx_i shifts a key by 1 << j*bits minus 1 << i*bits.
+    _integer_echelon reduces it on f's coefficients scaled to integers,
+    the equations of f's own terms first: for most f without an A they are
+    inconsistent already.  At n^2 pivots the solution is unique, and each
+    remaining equation is only checked, by an integer dot product with it
+    over one common denominator.  A term of f that no column reaches gives
+    None at once.  Among the solutions, the one with every free entry zero
+    is returned.
     """
     n = len(f.variables)
-    terms = f.term_map()
+    terms = f._terms
     denom = lcm(*(c.denominator for c in terms.values()))
-    ints = {e: c.numerator * (denom // c.denominator)
-            for e, c in terms.items()}
-    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-    rhs = n * n  # columns: the entries of A, then f's coefficient
-    rows = {}  # monomial -> its equation
-    for e, c in ints.items():
+    # the columns' monomials have exponents up to top + 1 < 2**bits
+    bits = (max(chain(*terms), default=0) + 1).bit_length()
+    units = [1 << (i * bits) for i in range(n)]
+    full = rhs = n * n  # columns: the entries of A, then f's coefficient
+    rows = {}  # monomial key -> its equation
+    own = {}  # f's monomial keys -> its coefficients scaled to integers
+    for e, c in terms.items():
+        key = sum(map(mul, e, units))
+        c = own[key] = c.numerator * (denom // c.denominator)
         for i, k in enumerate(e):
             if k:
-                lowered = tuple(map(sub, e, units[i]))
-                for j, unit in enumerate(units):
-                    # the term c*x^e of f gives k*c*x^m in x_j df/dx_i, and
-                    # no other term of f reaches m in that column
-                    m = tuple(map(add, lowered, unit))
-                    rows.setdefault(m, {})[i * n + j] = k * c
-    own = []
-    for e, c in ints.items():
-        row = rows.pop(e, None)
-        if row is None:
-            return None
-        row[rhs] = c
-        own.append(row)
+                # the term c*x^e of f gives k*c*x^m in x_j df/dx_i, and
+                # no other term of f reaches m in that column
+                lowered = key - units[i]
+                for col, unit in enumerate(units, i * n):
+                    rows.setdefault(lowered + unit, {})[col] = k * c
+    if not own.keys() <= rows.keys():
+        return None  # a term of f that no column reaches
+    equations = chain([{**rows.pop(key), rhs: c} for key, c in own.items()],
+                      rows.values())
     echelon = {}
-    for p in _integer_echelon(chain(own, rows.values()), echelon):
-        if p == rhs:
+    for row in equations:
+        # a pivot is yielded before its row joins the echelon form: `in`
+        # runs the generator to its end unless the pivot is rhs
+        if rhs in _integer_echelon([row], echelon):
             return None  # 0 = nonzero: f is not in the span of the columns
+        if len(echelon) == full:
+            # the solution is unique: x / den, with -den in the rhs column
+            # so that each remaining equation has dot product 0 with x
+            den = lcm(*[row[p] for p, row in echelon.items()])
+            x = {p: row.get(rhs, 0) * (den // row[p])
+                 for p, row in echelon.items()}
+            x[rhs] = -den
+            if any(sum([v * x[k] for k, v in row.items()])
+                   for row in equations):
+                return None
     a = [[Fraction(0)] * n for _ in range(n)]
     for p, row in echelon.items():
         a[p // n][p % n] = Fraction(row.get(rhs, 0), row[p])

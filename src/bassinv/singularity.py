@@ -35,7 +35,7 @@ from .errors import (NotIsolatedError, SingularLocusNotAtOriginError,
 from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
                        buchberger, staircase, supported_only_at_origin)
 from .polynomials import (Polynomial, WeightSystem, _integer_echelon,
-                          find_weights, linear_jacobian_multipliers,
+                          _trusted, find_weights, linear_jacobian_multipliers,
                           partial_derivative, positive_rational_eigenvalues)
 
 
@@ -89,7 +89,7 @@ def _lazard_basis(generators):
     homogenised = []
     for g in generators:
         top = g.total_degree()
-        homogenised.append(Polynomial(
+        homogenised.append(_trusted(
             {(top - sum(e),) + e: c for e, c in g.term_map().items()}, ring))
     order = MonomialOrder.weighted((2,) + (1,) * len(variables))
     return buchberger(homogenised, order)
@@ -182,7 +182,7 @@ def _principal_milnor(f, partials, order, cap):
             terms = p.term_map()
             degree = {e: sum(map(mul, w, e)) for e in terms}
             least = min(degree.values())
-            lowest.append(Polynomial(
+            lowest.append(_trusted(
                 {e: c for e, c in terms.items() if degree[e] == least},
                 p.variables))
         if buchberger(lowest, order, until_finite=True) is None:
@@ -206,8 +206,6 @@ def _lattice_genus(weights, budget):
         return max(budget // w + 1, 0)
     return sum(_lattice_genus(rest, budget - w * i)
                for i in range(budget // w + 1))
-
-
 
 
 def analyze(f, order=None):

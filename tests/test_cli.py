@@ -63,6 +63,11 @@ class TestAnalyze:
         code, err = run_err(capsys, "analyze", "x*y")
         assert code == 2 and "NotIsolated" in err
 
+    def test_zero_polynomial_exit_2(self, capsys):
+        # f = 0 has the zero matrix as multipliers and no basis
+        code, err = run_err(capsys, "analyze", "0")
+        assert code == 2 and "NotIsolatedError" in err
+
     def test_not_isolated_with_linear_multipliers_exit_2(self, capsys):
         # f has linear Jacobian multipliers, read only after certification
         code, err = run_err(capsys, "analyze", "(x+y)^2*z^2")

@@ -41,6 +41,9 @@ ORACLE_INPUTS = (
     # linear changes of graded forms
     "(x+y)^2+z^3+y^5",
     "(x+y+z)^4+(x-y+z)^4+(x+y-z)^6",
+    # the first equations fix all 9 multipliers and a later one refutes
+    # them: certification, then the Lazard basis
+    "(x+y+z)^4+(x-y+z)^5+(x+y-z)^6+z^9",
     # principal parts: one without a pure power of x, and one that a
     # singular triple of candidate terms precedes
     "x^2*y+y^4+z^3+x^3*y^2+x*z^4-y^3*z^2",

@@ -385,6 +385,28 @@ class TestRingLaws:
         assert parse(str(f), VARS) == f
 
 
+def _meets_the_contract(p):
+    """Whether p's terms are what Polynomial(...) would have built: tuple
+    exponents of the ring's width, entries >= 0, nonzero Fractions."""
+    width = len(p.variables)
+    return (type(p.variables) is tuple
+            and all(type(e) is tuple and len(e) == width and min(e) >= 0
+                    and type(c) is Fraction and c
+                    for e, c in p.term_map().items())
+            and p == Polynomial(p.term_map(), p.variables))
+
+
+class TestTrustedConstructions:
+    @given(polys, polys, st.integers(0, 3), coeffs)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_results_meet_the_contract(self, f, g, n, value):
+        results = [f + g, f - g, -f, f * g, f * 0, 0 * f, f * value, f ** n,
+                   parse(str(f), VARS), substitute_parameter(f, "y", value)]
+        results += [partial_derivative(f, i) for i in range(3)]
+        assert all(map(_meets_the_contract, results))
+        assert (f * 0).is_zero() and (f - f).is_zero()
+
+
 class TestDerivative:
     def test_power_rule(self):
         assert partial_derivative(poly("z^2+y^3+x^10"), 2) == poly("2z")
@@ -661,6 +683,54 @@ def small_polynomials(draw):
     return Polynomial({e: draw(coeffs.filter(bool)) for e in exps}, VARS)
 
 
+def _gauss_jordan_multipliers(f):
+    """linear_jacobian_multipliers(f) by plain Fraction Gauss-Jordan on the
+    whole system: one column per entry A[i][j], holding the coefficients
+    of x_j df/dx_i, and f's coefficients on the right; free entries 0."""
+    n = len(f.variables)
+    coords = [Polynomial.variable(v, f.variables) for v in f.variables]
+    columns = [(coords[j] * partial_derivative(f, i)).term_map()
+               for i in range(n) for j in range(n)]
+    right = f.term_map()
+    rows = [[col.get(m, Fraction(0)) for col in columns + [right]]
+            for m in set(right).union(*columns)]
+    pivots = []
+    for c in range(n * n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None  # 0 = nonzero
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for c, row in zip(pivots, rows):
+        a[c // n][c % n] = row[-1]
+    return a
+
+
+@st.composite
+def linear_changes(draw):
+    """x^a+y^b+z^c, a, b, c in 2..5, after an invertible linear change with
+    entries in {-1, 0, 1}, with or without one more monomial."""
+    m = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=9, max_size=9)
+             .map(lambda e: [e[0:3], e[3:6], e[6:9]])
+             .filter(lambda m: _det3(m) != 0))
+    coords = [Polynomial.variable(v, VARS) for v in VARS]
+    f = Polynomial.zero(VARS)
+    for row in m:
+        form = sum((k * x for k, x in zip(row, coords)), Polynomial.zero(VARS))
+        f = f + form ** draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        f = f + Polynomial({draw(exponents): draw(coeffs.filter(bool))}, VARS)
+    return f
+
+
 class TestLinearJacobianMultipliers:
     def test_euler_matrix_of_the_graded_fiber(self):
         assert linear_jacobian_multipliers(poly("z^2+y^3+x^10")) == [
@@ -693,6 +763,40 @@ class TestLinearJacobianMultipliers:
             assert _multiplier_sum(f, m) == f
         if find_weights(f) is not None:
             assert m is not None  # Euler's identity gives one
+
+    def test_refuted_after_full_rank(self, monkeypatch):
+        # the first equations fix all 9 entries, and an equation that only
+        # the dot-product check reads refutes them: the pivots are the 9
+        # entries, and none is f's column
+        pivots = []
+        echelon = polynomials._integer_echelon
+
+        def spy(rows, reduced):
+            for p in echelon(rows, reduced):
+                pivots.append(p)
+                yield p
+
+        monkeypatch.setattr(polynomials, "_integer_echelon", spy)
+        form = poly("(x+y+z)^4+(x-y+z)^5+(x+y-z)^6")
+        assert linear_jacobian_multipliers(form + poly("z^9")) is None
+        assert sorted(pivots) == list(range(9))
+        m = linear_jacobian_multipliers(form)
+        assert m is not None and _multiplier_sum(form, m) == form
+
+    def test_zero_polynomial(self):
+        assert linear_jacobian_multipliers(poly("0")) == [[0] * 3] * 3
+
+    @pytest.mark.parametrize("text", ["x*y-z", "3*y^3*z+x^2*y-y+3*z"])
+    def test_exponent_one_past_the_largest(self, text):
+        # the column x*df/dy of x*y is x^2: the monomial keys must hold an
+        # exponent one past f's largest apart from the next variable's
+        f = poly(text)
+        assert linear_jacobian_multipliers(f) == _gauss_jordan_multipliers(f)
+
+    @given(linear_changes() | small_polynomials())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_agrees_with_gauss_jordan(self, f):
+        assert linear_jacobian_multipliers(f) == _gauss_jordan_multipliers(f)
 
 
 def _similar(eigenvalues, s, nilpotent=0):

@@ -847,6 +847,7 @@ class TestDegenerate:
 
     def test_deterministic(self):
         for text, exc in (("x", SmoothInput), ("x*y", NotIsolatedError),
+                          ("0", NotIsolatedError), ("x-x", NotIsolatedError),
                           ("(x-1)^2+y^2+z^2", SingularLocusNotAtOriginError)):
             for _ in range(2):
                 with pytest.raises(exc):
