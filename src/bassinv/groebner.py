@@ -4,7 +4,11 @@ The pair queue uses Gebauer-Moller elimination with normal (minimal lcm
 degree) selection.  Arithmetic is fraction-free on primitive integer term
 lists and is done by `bassinv.kernel`, looked up through
 `bassinv.kernel.active()` at each call; results are certificates, not
-probabilistic.
+probabilistic.  Each computation (a Buchberger run, a normal form, a
+support test) packs its monomials once into ints by a kernel `Packing`
+sized from its inputs, reruns at twice the width when an exponent outgrows
+it, and unpacks only what it returns; a GroebnerBasis holds exponent
+tuples.
 Outputs are deterministic for a fixed input and order: term iteration and
 the pair queue are fully sorted.
 """
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappush, heappop
+from itertools import chain
 from math import lcm
-from operator import add, le
 
 from . import kernel
 from .errors import UsageError
@@ -83,18 +87,18 @@ class Staircase:
     size: int | None
 
 
-def _to_raw(p, order):
-    """Polynomial -> (primitive integer term list, rational scale).
+def _to_raw(terms, packing):
+    """Nonzero {exponent: Fraction} -> (primitive packed term list,
+    rational scale).
 
     The polynomial equals scale * term_list exactly.
     """
-    terms = p.term_map()
-    if not terms:
-        return [], Fraction(0)
-    den = lcm(*(c.denominator for c in terms.values()))
+    coeffs = terms.values()
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
     # a Polynomial's exponents are distinct and its coefficients nonzero
-    items = [(e, terms[e].numerator * (den // terms[e].denominator))
-             for e in sorted(terms, key=order.descending)]
+    nums = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
+    items = sorted(zip(map(packing.pack, terms), nums), reverse=True)
     items, content = kernel.active().make_primitive(items)
     return items, Fraction(content, den)
 
@@ -102,6 +106,19 @@ def _to_raw(p, order):
 def _monic_from_raw(raw, variables):
     lc = raw[0][1]
     return _trusted({e: Fraction(c, lc) for e, c in raw}, variables)
+
+
+def _packed(run, order, nvars, exps):
+    """run(packing) for a packing whose fields hold every entry of the
+    exponent vectors `exps`, rerun at twice the width while an exponent
+    outgrows them."""
+    impl = kernel.active()
+    width = max(chain.from_iterable(exps), default=0).bit_length() + 1
+    while True:
+        try:
+            return run(impl.Packing(order, nvars, width))
+        except kernel._Overflow:
+            width *= 2
 
 
 def buchberger(generators, order=None, until_finite=False):
@@ -121,68 +138,80 @@ def buchberger(generators, order=None, until_finite=False):
     generators = list(generators)
     if not generators:
         raise ValueError("empty generator list: the ring is unknown")
-    ascending = order.key
     variables = generators[0].variables
-    raws = []
+    maps = []
     for g in generators:
         if g.variables != variables:
             raise ValueError("generators live in different rings")
-        raw, _ = _to_raw(g, order)
-        if raw:
-            raws.append(raw)
+        terms = g.term_map()
+        if terms:
+            maps.append(terms)
+    if not maps:
+        return GroebnerBasis(order, variables, [])
+    final = _packed(lambda packing: _buchberger(maps, packing, until_finite),
+                    order, len(variables), chain.from_iterable(maps))
+    return None if final is None else GroebnerBasis(order, variables, final)
+
+
+def _buchberger(maps, packing, until_finite):
+    """The reduced basis of buchberger as unpacked term lists, or None."""
+    impl = kernel.active()
+    raws = [_to_raw(terms, packing)[0] for terms in maps]
     # canonical input order: the reduced basis is unique, and a repeat reduces
     # to 0 against its first copy, but the pair schedule becomes reproducible
-    impl = kernel.active()
-    raws.sort(key=lambda raw: tuple((ascending(e), c) for e, c in raw))
-    if not raws:
-        return GroebnerBasis(order, variables, [])
-
+    raws.sort()
+    pack, unpack, divides = packing.pack, packing.unpack, packing.divides
     G = []
-    alive = {}  # queued pair (i, j) -> lcm of the two leads
+    leads = []  # G's leads as exponent tuples
+    alive = {}  # queued pair (i, j) -> packed lcm of the two leads
     heap = []
     powers = set()  # variables with a pure-power lead so far
-
-    def lead(i):
-        return G[i][0][0]
 
     def add_element(h):
         """Queue h's pairs and append it; True when until_finite may stop."""
         t = len(G)
-        lm_h = h[0][0]
-        candidates = sorted(
-            ((i, tuple(map(max, lead(i), lm_h))) for i in range(t)),
-            key=lambda item: (ascending(item[1]), item[0]))
-        kept = []  # (index, lcm, coprime)
-        for pos, (i, lcm_i) in enumerate(candidates):
-            if lcm_i == tuple(map(add, lead(i), lm_h)):
-                kept.append((i, lcm_i, True))  # coprime leads
+        lm = h[0][0]
+        lm_t = unpack(lm)
+        lcms = []  # packed lcm of each lead with h's
+        candidates = []  # (packed lcm, index, degree of the lcm) ascending
+        for i, lead in enumerate(leads):
+            lcm_i = tuple(map(max, lead, lm_t))
+            lcms.append(pack(lcm_i))
+            candidates.append((lcms[-1], i, sum(lcm_i)))
+        candidates.sort()
+        kept = []  # (index, packed lcm, degree, coprime)
+        for pos, (lcm_i, i, degree) in enumerate(candidates):
+            # coprime leads: the lcm is the product (a product past the
+            # width has a guard bit set, so it equals no lcm)
+            if lcm_i == G[i][0][0] + lm - packing.one:
+                kept.append((i, lcm_i, degree, True))
             # a later lcm is not smaller, so one that divides lcm_i equals
             # it and is the next candidate's
-            elif not (pos + 1 < t and candidates[pos + 1][1] == lcm_i
-                      or any(all(map(le, lcm_j, lcm_i))
-                             for _, lcm_j, _ in kept)):
-                kept.append((i, lcm_i, False))
+            elif not (pos + 1 < t and candidates[pos + 1][0] == lcm_i
+                      or any(divides(lcm_j, lcm_i)
+                             for _, lcm_j, _, _ in kept)):
+                kept.append((i, lcm_i, degree, False))
         # chain criterion against the old queue
         # (each pair's test reads only its own leads and h, so the visiting
         # order does not matter)
         for (i, j), lcm_ij in list(alive.items()):
-            if (all(map(le, lm_h, lcm_ij))
-                    and tuple(map(max, lead(i), lm_h)) != lcm_ij
-                    and tuple(map(max, lead(j), lm_h)) != lcm_ij):
+            if (divides(lm, lcm_ij) and lcms[i] != lcm_ij
+                    and lcms[j] != lcm_ij):
                 del alive[i, j]
         G.append(h)
-        for i, lcm_i, coprime in kept:
+        leads.append(lm_t)
+        for i, lcm_i, degree, coprime in kept:
             if coprime:
                 continue  # Buchberger's first criterion
             alive[i, t] = lcm_i
-            heappush(heap, (sum(lcm_i), ascending(lcm_i), i, t))
-        support = [k for k, x in enumerate(lm_h) if x]
+            heappush(heap, (degree, lcm_i, i, t))
+        support = [k for k, x in enumerate(lm_t) if x]
         if len(support) <= 1:
-            powers.update(support or range(len(lm_h)))
-        return until_finite and len(powers) == len(lm_h)
+            powers.update(support or range(len(lm_t)))
+        return until_finite and len(powers) == len(lm_t)
 
     for raw in raws:
-        reduced, _, _ = impl.reduce_full(raw, G, order)
+        reduced, _, _ = impl.reduce_full(raw, G, packing)
         if reduced and add_element(reduced):
             return None
 
@@ -190,18 +219,17 @@ def buchberger(generators, order=None, until_finite=False):
         _, _, i, j = heappop(heap)
         if alive.pop((i, j), None) is None:
             continue
-        s = impl.spoly(G[i], G[j])
+        s = impl.spoly(G[i], G[j], packing)
         if not s:
             continue
-        reduced, _, _ = impl.reduce_full(s, G, order)
+        reduced, _, _ = impl.reduce_full(s, G, packing)
         if reduced and add_element(reduced):
             return None
 
     # minimize: drop generators whose lead another lead divides
-    by_lead = sorted(range(len(G)), key=lambda i: ascending(lead(i)))
     kept_idx = []
-    for i in by_lead:
-        if not any(all(map(le, lead(k), lead(i))) for k in kept_idx):
+    for i in sorted(range(len(G)), key=lambda i: G[i][0][0]):
+        if not any(divides(G[k][0][0], G[i][0][0]) for k in kept_idx):
             kept_idx.append(i)
     minimal = [G[i] for i in kept_idx]
     # inter-reduce tails; leads survive because they are pairwise indivisible
@@ -209,23 +237,31 @@ def buchberger(generators, order=None, until_finite=False):
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         if others:
-            g, _, _ = impl.reduce_full(g, others, order)
+            g, _, _ = impl.reduce_full(g, others, packing)
         final.append(g)
-    final.sort(key=lambda raw: ascending(raw[0][0]))
-    return GroebnerBasis(order, variables, final)
+    final.sort()  # by lead: the leads are distinct
+    return [packing.unpack_terms(g) for g in final]
 
 
 def normal_form(p, basis):
     """Complete reduction of p modulo the basis: exact, unique remainder."""
     if tuple(p.variables) != basis.variables:
         raise ValueError("polynomial and basis live in different rings")
-    raw, scale = _to_raw(p, basis.order)
-    if not raw:
+    terms = p.term_map()
+    if not terms:
         return Polynomial.zero(basis.variables)
     impl = kernel.active()
-    reduced, num, den = impl.reduce_full(raw, basis._raw, basis.order)
-    factor = scale * Fraction(num, den)
-    return _trusted({e: factor * c for e, c in reduced}, basis.variables)
+
+    def run(packing):
+        raw, scale = _to_raw(terms, packing)
+        reduced, num, den = impl.reduce_full(
+            raw, [packing.pack_terms(g) for g in basis._raw], packing)
+        factor = scale * Fraction(num, den)
+        return {packing.unpack(e): factor * c for e, c in reduced}
+
+    exps = chain(terms, (e for g in basis._raw for e, _ in g))
+    return _trusted(_packed(run, basis.order, len(basis.variables), exps),
+                    basis.variables)
 
 
 def staircase(basis):
@@ -260,8 +296,15 @@ def supported_only_at_origin(basis, dim):
         raise ValueError("support test needs a finite-dimensional quotient")
     nvars = len(basis.variables)
     impl = kernel.active()
-    for i in range(nvars):
-        power = tuple(dim if j == i else 0 for j in range(nvars))
-        if impl.reduce_full([(power, 1)], basis._raw, basis.order)[0]:
-            return False
-    return True
+
+    def run(packing):
+        raws = [packing.pack_terms(g) for g in basis._raw]
+        for i in range(nvars):
+            power = packing.pack(tuple(dim if j == i else 0
+                                       for j in range(nvars)))
+            if impl.reduce_full([(power, 1)], raws, packing)[0]:
+                return False
+        return True
+
+    return _packed(run, basis.order, nvars,
+                   chain([(dim,)], (e for g in basis._raw for e, _ in g)))

@@ -7,31 +7,45 @@ substitute a proxy (for counting or timing) by replacing `active`.
 
 Data layout:
 
-  * an exponent is a tuple of non-negative ints (fixed width per ideal);
-  * a term list is [(exponent, int coefficient), ...] sorted descending in
-    the monomial order, with no zero coefficients;
+  * a monomial is one int, its exponent vector packed by the computation's
+    `Packing` (Bachmann-Schoenemann, ISSAC 1998), so that integer order is
+    the monomial order;
+  * a term list is [(packed monomial, int coefficient), ...] sorted
+    descending, with no zero coefficients;
   * basis elements additionally have positive leading coefficient.
 
-Coefficients and exponents are plain Python ints (exact, arbitrary
-precision); scaling by rationals is tracked separately so reductions stay
-fraction-free.
+A packing gives each of the n exponents a field of `width` bits with a
+guard bit above it, all guard bits forming the mask G.  For lex the fields
+hold the exponents, the first variable highest.  For grevlex they hold
+top - e_i, with top = 2^width - 1 and the last variable highest, under the
+total degree; a weighted order puts the weighted degree above that.
+Packing is affine in the exponents, so multiplying by a monomial is adding
+the difference of two packed ints.  With sign s = 1 for lex and -1 for the
+negated fields, a divides b exactly when s*(b - a) & G == 0: the fields of
+s*(b - a) hold the exponent differences, and the lowest negative one, the
+first to borrow, sets its guard bit.
 
-Per-term work runs in C-level builtins: exponent arithmetic is `map` over
-the `operator` functions, and the reduction heap uses the order's
-`descending` key, built once per order from slices and sums.  Only
+Widening: an exponent that outgrows its field, to at most twice the top,
+sets the field's guard bit.  reduce_full raises _Overflow when it pops
+such a monomial, and the engine reruns the computation at twice the width.
+So the engine picks a packing per computation, with width one bit more
+than its inputs' largest exponent needs, packs once on the way in and
+unpacks once on the way out.
+
+Coefficients are plain Python ints (exact, arbitrary precision); scaling by
+rationals is tracked separately so reductions stay fraction-free.  Only
 reduce_full orders terms: an S-polynomial is an unsorted dict that
-reduce_full takes as it is.  Staircases are counted by adding whole runs
-along the last variable, with no monomial built; a staircase without a pure
-power of some variable among its leads is infinite and is not walked (see
-enumerate_staircase).
+reduce_full takes as it is.  Staircases are counted on exponent tuples by
+adding whole runs along the last variable, with no monomial built; a
+staircase without a pure power of some variable among its leads is
+infinite and is not walked (see enumerate_staircase).
 """
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, mul, neg, sub
+from operator import mul
 
 from .errors import StaircaseLimitError
 
@@ -55,8 +69,8 @@ class MonomialOrder:
     """Total multiplicative well-order on monomials.
 
     kind is one of "grevlex", "lex", "weighted"; weighted orders compare the
-    weighted degree first and break ties by grevlex.  `key` and `descending`
-    are the order's two sort keys on exponent tuples, built once per order.
+    weighted degree first and break ties by grevlex.  A `Packing` of the
+    order is its one definition on exponent vectors.
     """
 
     kind: str
@@ -77,41 +91,69 @@ class MonomialOrder:
             raise ValueError("weights must be positive")
         return cls("weighted", weights)
 
-    def __reduce__(self):
-        # pickle the fields only: the cached sort keys are lambdas
-        return type(self), (self.kind, self.weights)
 
-    @cached_property
-    def key(self):
-        """Key whose tuples sort ascending in the order: the exponents for
-        lex; otherwise (weighted degree,) degree, then the negated exponents
-        from the last one."""
-        if self.kind == "grevlex":
-            return lambda e: (sum(e), *map(neg, e[::-1]))
-        if self.kind == "lex":
-            return tuple
-        if self.kind == "weighted":
-            weights = self.weights
-            return lambda e: (sum(map(mul, weights, e)), sum(e),
-                              *map(neg, e[::-1]))
-        raise ValueError(f"unknown order kind {self.kind!r}")
+class _Overflow(Exception):
+    """A packed exponent outgrew its field: rerun at twice the width."""
 
-    @cached_property
-    def descending(self):
-        """Key that sorts exponents descending in the order.
 
-        It compares like the negated `key`.  Where `key` lists the exponents
-        from the last one, negated, this key holds them as one reversed
-        tuple, which is what negating those entries gives back.
-        """
-        if self.kind == "grevlex":
-            return lambda e: (-sum(e), e[::-1])
-        if self.kind == "lex":
-            return lambda e: tuple(map(neg, e))
-        if self.kind == "weighted":
-            weights = self.weights
-            return lambda e: (-sum(map(mul, weights, e)), -sum(e), e[::-1])
-        raise ValueError(f"unknown order kind {self.kind!r}")
+class Packing:
+    """Exponent vectors of n variables as ints ordered by `order`, each
+    exponent in a field of `width` bits (see the module docstring).
+
+    `top` is the largest exponent a field holds, `guard` the mask G of the
+    guard bits, `sign` the s of the divisibility test and `one` the packed
+    monomial 1.
+    """
+
+    __slots__ = ("top", "guard", "sign", "shifts", "scales", "one")
+
+    def __init__(self, order, nvars, width):
+        stride = width + 1
+        top = self.top = (1 << width) - 1
+        self.guard = sum(1 << (width + i * stride) for i in range(nvars))
+        self.sign = 1 if order.kind == "lex" else -1
+        if order.kind == "lex":
+            self.shifts = [(nvars - 1 - i) * stride for i in range(nvars)]
+            self.scales = [1 << s for s in self.shifts]
+            self.one = 0
+            return
+        self.shifts = [i * stride for i in range(nvars)]
+        degree = 1 << nvars * stride
+        if order.kind == "grevlex":
+            weighted = [degree] * nvars
+        elif order.kind == "weighted":
+            if len(order.weights) != nvars:
+                raise ValueError(f"{len(order.weights)} weights for "
+                                 f"{nvars} variables")
+            above = degree << (nvars * top).bit_length()
+            weighted = [w * above + degree for w in order.weights]
+        else:
+            raise ValueError(f"unknown order kind {order.kind!r}")
+        self.scales = [d - (1 << s) for d, s in zip(weighted, self.shifts)]
+        self.one = sum(top << s for s in self.shifts)
+
+    def pack(self, e):
+        """The packed monomial of an exponent vector whose entries fit."""
+        return self.one + sum(map(mul, e, self.scales))
+
+    def unpack(self, p):
+        top = self.top
+        if self.sign < 0:
+            return tuple(top - (p >> s & top) for s in self.shifts)
+        return tuple(p >> s & top for s in self.shifts)
+
+    def pack_terms(self, terms):
+        return [(self.pack(e), c) for e, c in terms]
+
+    def unpack_terms(self, terms):
+        return [(self.unpack(p), c) for p, c in terms]
+
+    def divides(self, a, b):
+        """Whether packed monomial a divides packed monomial b."""
+        return not self.sign * (b - a) & self.guard
+
+    def lcm(self, a, b):
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
 
 
 def make_primitive(terms):
@@ -133,32 +175,38 @@ def make_primitive(terms):
     return [(e, c // g) for e, c in terms], g
 
 
-def reduce_full(terms, basis, order):
+def reduce_full(terms, basis, packing):
     """Complete normal form of `terms` against `basis`, fraction-free.
 
-    `terms` is a term list or an {exponent: coefficient} dict in any order.
-    Returns (reduced, num, den): the exact normal form of the input equals
-    (num/den) * reduced, `reduced` is primitive with positive lead (or
-    empty), and no term of `reduced` is divisible by any basis lead.
+    `terms` is a term list or a {monomial: coefficient} dict in any order,
+    packed by `packing` as the basis is.  Returns (reduced, num, den): the
+    exact normal form of the input equals (num/den) * reduced, `reduced` is
+    primitive with positive lead (or empty), and no term of `reduced` is
+    divisible by any basis lead.  Raises _Overflow when a monomial outgrows
+    the packing.
 
     Terms are taken largest first and each is reduced by the first basis
     element whose lead divides it.  A reduction only touches smaller terms,
     so the terms kept come out in descending order.
     """
-    key = order.descending
+    guard, sign = packing.guard, packing.sign
     poly = dict(terms)
-    heap = [(key(e), e) for e in poly]
+    heap = [-e for e in poly]  # a min-heap of negated monomials
     heapify(heap)
-    leads = [(b[0][0], b[0][1], b) for b in basis]
+    # the lead divides e when (sign * e - key) & guard is 0
+    leads = [(sign * b[0][0], b[0][0], b[0][1], b[1:]) for b in basis]
     kept = {}  # normal-form terms in descending order
     sd = 1
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
+        if e & guard:
+            raise _Overflow
         c = poly.pop(e, 0)
         if not c:
             continue
-        for lead, lc, b in leads:
-            if all(map(le, lead, e)):
+        t = sign * e
+        for key, lead, lc, tail in leads:
+            if not (t - key) & guard:
                 break
         else:
             kept[e] = c  # term is in normal form; keep it and move on
@@ -173,13 +221,13 @@ def reduce_full(terms, basis, order):
                 kept[k] *= scale
             sd *= scale
         # the lead cancels e exactly: only the tail lands in poly
-        u = tuple(map(sub, e, lead))
-        for be, bc in b[1:]:
-            ne = tuple(map(add, be, u))
+        u = e - lead
+        for be, bc in tail:
+            ne = be + u
             old = poly.get(ne)
             if old is None:
                 poly[ne] = -mult * bc
-                heappush(heap, (key(ne), ne))
+                heappush(heap, -ne)
             else:
                 nv = old - mult * bc
                 if nv:
@@ -193,22 +241,22 @@ def reduce_full(terms, basis, order):
     return items, content // g, sd // g
 
 
-def spoly(f, g):
-    """S-polynomial of two nonzero term lists: an unsorted {exponent:
-    coefficient} dict, not made primitive, whose leads were scaled to
-    lc(f)*lc(g)/gcd(lc(f), lc(g)) and cancelled."""
+def spoly(f, g, packing):
+    """S-polynomial of two nonzero term lists packed by `packing`: an
+    unsorted {monomial: coefficient} dict, not made primitive, whose leads
+    were scaled to lc(f)*lc(g)/gcd(lc(f), lc(g)) and cancelled."""
     fe, fc = f[0]
     ge, gc = g[0]
-    lcm = tuple(map(max, fe, ge))
+    lcm = packing.lcm(fe, ge)
     h = gcd(fc, gc)
     a = gc // h
     b = fc // h
-    uf = tuple(map(sub, lcm, fe))
-    ug = tuple(map(sub, lcm, ge))
-    # the two leads cancel; the tails of f and of g have distinct exponents
-    acc = {tuple(map(add, e, uf)): a * c for e, c in f[1:]}
+    uf = lcm - fe
+    ug = lcm - ge
+    # the two leads cancel; the tails of f and of g have distinct monomials
+    acc = {e + uf: a * c for e, c in f[1:]}
     for e, c in g[1:]:
-        ne = tuple(map(add, e, ug))
+        ne = e + ug
         v = acc.get(ne, 0) - b * c
         if v:
             acc[ne] = v

@@ -21,7 +21,6 @@ from math import comb, gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .errors import PolynomialSyntaxError, UnknownVariableError
-from .kernel import MonomialOrder
 
 Exponent = tuple  # tuple of non-negative ints
 
@@ -74,7 +73,10 @@ def _power(terms, n, width):
     return result
 
 
-_GREVLEX = MonomialOrder.grevlex()  # the order terms() and str() list
+def _grevlex_descending(e):
+    """Sort key listing exponents descending in grevlex, as terms() and
+    str() do: higher degree first, then the smaller last exponent."""
+    return -sum(e), e[::-1]
 
 
 class Polynomial:
@@ -133,7 +135,7 @@ class Polynomial:
     def terms(self):
         """Term pairs (exponent, coefficient), descending in grevlex."""
         return [(e, self._terms[e]) for e in
-                sorted(self._terms, key=_GREVLEX.descending)]
+                sorted(self._terms, key=_grevlex_descending)]
 
     def term_map(self):
         return dict(self._terms)
@@ -212,6 +214,13 @@ class Polynomial:
     def __hash__(self):
         return hash((self.variables, frozenset(self._terms.items())))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Polynomial is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"Polynomial is immutable: cannot delete {name!r}")
+
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
@@ -244,7 +253,8 @@ class Polynomial:
 def _trusted(terms, variables):
     """Polynomial(terms, variables), unchecked: see the class docstring."""
     p = object.__new__(Polynomial)
-    p.variables, p._terms = variables, terms
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "_terms", terms)
     return p
 
 

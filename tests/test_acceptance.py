@@ -153,11 +153,12 @@ def test_criterion_6_property_suite():
         assert staircase(basis_g).size == staircase(basis_l).size
         for basis in (basis_g, basis_l):
             # (iv) S-polynomials reduce to zero; normal form is idempotent
-            raws = basis._raw
+            packing = impl.Packing(basis.order, 3, 16)
+            raws = [packing.pack_terms(raw) for raw in basis._raw]
             for i in range(len(raws)):
                 for j in range(i + 1, len(raws)):
-                    s = impl.spoly(raws[i], raws[j])
-                    reduced, _, _ = impl.reduce_full(s, raws, basis.order)
+                    s = impl.spoly(raws[i], raws[j], packing)
+                    reduced, _, _ = impl.reduce_full(s, raws, packing)
                     assert reduced == []
             probe = poly("x^4*y^3 + 5*z^5 - 1/3*x*y*z + 7")
             once = normal_form(probe, basis)

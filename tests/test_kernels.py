@@ -9,10 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bassinv import kernel
 from bassinv.errors import StaircaseLimitError
-from bassinv.groebner import MonomialOrder, buchberger, staircase
-from bassinv.singularity import _lazard_basis
+from bassinv.groebner import (GroebnerBasis, MonomialOrder, _packed,
+                              buchberger, normal_form, staircase)
+from bassinv.singularity import _lazard_basis, _local_staircase
 
-from conftest import (brute_force_staircase, divides, jacobian, poly,
+from conftest import (VARS, brute_force_staircase, divides, jacobian, poly,
                       reference_key, standard_monomials, tjurina_generators)
 
 # sha256 digests of (basis generators, staircase) recorded from the
@@ -180,32 +181,75 @@ def primitive_with_positive_lead(terms, kind, weights):
     return [(e, ints[e] // g) for e in order]
 
 
+def packed_reduce_full(terms, basis, n, kind, weights):
+    """kernel.reduce_full on unpacked term lists: the inputs packed and the
+    normal form unpacked by the kernel's packing, widened as the engine
+    widens it."""
+    def run(packing):
+        reduced, num, den = kernel.reduce_full(
+            packing.pack_terms(terms),
+            [packing.pack_terms(b) for b in basis], packing)
+        return packing.unpack_terms(reduced), num, den
+
+    return _packed(run, MonomialOrder(kind, weights), n,
+                   [e for e, _ in terms + [t for b in basis for t in b]])
+
+
 class TestPythonKernelOracles:
     @given(st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_order_key(self, data):
+        # the packed int is the order's key: integer order is the order
         n, kind, weights = data.draw(ring_and_order())
-        order = MonomialOrder(kind, weights)
+        packing = kernel.Packing(MonomialOrder(kind, weights), n, 4)
         a = data.draw(exponents(n, 9))
         b = data.draw(exponents(n, 9))
-        ka = order.key(a)
-        assert ka == reference_key(a, kind, weights)
-        kb = order.key(b)
+        ka, kb = packing.pack(a), packing.pack(b)
         assert (ka > kb) == reference_greater(a, b, kind, weights)
-        # descending compares like the negated reference key
-        na, nb = (tuple(-x for x in reference_key(e, kind, weights))
-                  for e in (a, b))
-        da, db = order.descending(a), order.descending(b)
-        a_first = reference_greater(a, b, kind, weights)
-        b_first = reference_greater(b, a, kind, weights)
-        assert (da < db) == (na < nb) == a_first
-        assert (da > db) == (na > nb) == b_first
-        assert (da == db) == (a == b)
-        # and on a whole box, where ties in (weighted) degree are common
-        box = list(itertools.product(range(3), repeat=n))
-        assert (sorted(box, key=order.descending)
-                == sorted(box, key=lambda e: [-x for x in reference_key(
-                    e, kind, weights)]))
+        assert (ka < kb) == reference_greater(b, a, kind, weights)
+        assert (ka == kb) == (a == b)
+        # and on the whole box of 2-bit fields, where ties in (weighted)
+        # degree are common and every exponent reaches the top
+        small = kernel.Packing(MonomialOrder(kind, weights), n, 2)
+        box = list(itertools.product(range(4), repeat=n))
+        assert (sorted(box, key=small.pack)
+                == sorted(box, key=lambda e: reference_key(e, kind, weights)))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_packing(self, data):
+        # exponents up to the largest a field holds, where a guard bit or a
+        # borrow between fields would show
+        n, kind, weights = data.draw(ring_and_order())
+        width = data.draw(st.integers(1, 6))
+        top = 2 ** width - 1
+        packing = kernel.Packing(MonomialOrder(kind, weights), n, width)
+        a, b = (data.draw(st.tuples(*[st.sampled_from([0, 1, top - 1, top])
+                                      | st.integers(0, top)] * n))
+                for _ in range(2))
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(pa) == a and packing.unpack(pb) == b
+        assert (pa > pb) == reference_greater(a, b, kind, weights)
+        assert (pa == pb) == (a == b)
+        assert packing.divides(pa, pb) == divides(a, b)
+        assert packing.divides(pb, pa) == divides(b, a)
+        assert packing.unpack(packing.lcm(pa, pb)) == tuple(map(max, a, b))
+        # a shift is one addition, and an exponent past the top, at most
+        # twice it, sets a guard bit
+        assert packing.one == packing.pack((0,) * n)
+        shifted = pa + pb - packing.one
+        product = tuple(x + y for x, y in zip(a, b))
+        if max(product, default=0) <= top:
+            assert shifted == packing.pack(product)
+            assert not shifted & packing.guard
+        else:
+            assert shifted & packing.guard
+
+    def test_packing_needs_one_weight_per_variable(self):
+        # a missing weight would leave its variable out of the packed int
+        for weights in [(1, 2), (1, 2, 3, 4)]:
+            with pytest.raises(ValueError):
+                kernel.Packing(MonomialOrder.weighted(weights), 3, 4)
 
     @given(finite_staircases())
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -258,8 +302,7 @@ class TestPythonKernelOracles:
                                               positive_lead=True),
                                    max_size=3))
         terms = data.draw(term_lists(n, kind, weights))
-        reduced, num, den = kernel.reduce_full(terms, basis,
-                                               MonomialOrder(kind, weights))
+        reduced, num, den = packed_reduce_full(terms, basis, n, kind, weights)
         remainder = reference_remainder(terms, basis, kind, weights)
         assert reduced == primitive_with_positive_lead(remainder, kind,
                                                        weights)
@@ -284,7 +327,14 @@ class TestPythonKernelOracles:
         scale = fc * gc // math.gcd(fc, gc)
         s = {e: c * scale for e, c in s.items() if c}
         assert all(c.denominator == 1 for c in s.values())
-        assert kernel.spoly(f, g) == s
+
+        def run(packing):
+            packed = kernel.spoly(packing.pack_terms(f), packing.pack_terms(g),
+                                  packing)
+            return dict(packing.unpack_terms(packed.items()))
+
+        assert _packed(run, MonomialOrder(kind, weights), n,
+                       [e for e, _ in f + g]) == s
 
 
 # -- reductions that rescale many times ---------------------------------------
@@ -334,8 +384,8 @@ def test_reduce_full_with_many_large_rescalings():
     for seed in range(40):
         n, kind, weights, basis, terms = rescaling_case(
             random.Random(f"rescale:{seed}"))
-        reduced, num, den = kernel.reduce_full(terms, basis,
-                                               MonomialOrder(kind, weights))
+        reduced, num, den = packed_reduce_full(terms, basis, n, kind,
+                                               weights)
         remainder = reference_remainder(terms, basis, kind, weights)
         assert reduced == primitive_with_positive_lead(remainder, kind,
                                                        weights)
@@ -344,6 +394,46 @@ def test_reduce_full_with_many_large_rescalings():
     # the regime these cases exist for: a scale far past a machine word
     assert max(dens) > 2 ** 64
     assert sum(1 for d in dens if d > 2 ** 64) >= 10
+
+
+# -- widening -----------------------------------------------------------------
+#
+# The engine packs each computation's exponents into fields sized from its
+# inputs, and reruns it at twice the width when an exponent outgrows them.
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The (order kind, width) of every packing built from here on."""
+    built = []
+    real = kernel.Packing
+
+    def packing(order, nvars, width):
+        built.append((order.kind, width))
+        return real(order, nvars, width)
+
+    monkeypatch.setattr(kernel, "Packing", packing)
+    return built
+
+
+def test_buchberger_widens_and_reruns(widths):
+    # the Lazard basis in 4 variables starts from exponents up to 20, in
+    # 6-bit fields, and outgrows their top 63; mu is Kouchnirenko's Newton
+    # number 330 (derived in test_singularity.py)
+    assert _local_staircase(jacobian(poly("x^20+y^21+z^3+x^5*y^5"))).size \
+        == 330
+    assert widths == [("weighted", 6), ("weighted", 12)]
+
+
+def test_reduction_widens_and_reruns(widths):
+    # in lex, x^7 -> x^6*y^2 -> ... -> y^14 -> ... -> z^28, past the top 15
+    # of the 4-bit fields that x^7 asks for
+    basis = [[((1, 0, 0), 1), ((0, 2, 0), -1)],
+             [((0, 1, 0), 1), ((0, 0, 2), -1)]]
+    lex = GroebnerBasis(MonomialOrder.lex(), VARS, basis)
+    assert (normal_form(poly("x^7"), lex).term_map()
+            == reference_remainder([((7, 0, 0), 1)], basis, "lex", None)
+            == {(0, 0, 28): 1})
+    assert widths == [("lex", 4), ("lex", 8)]
 
 
 # perfbench/run.py and perfbench/tracing.py use these kernel names, and the

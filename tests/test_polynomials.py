@@ -15,7 +15,7 @@ from bassinv.polynomials import (Polynomial, WeightSystem,
                                  positive_rational_eigenvalues,
                                  scaling_weights, substitute_parameter)
 
-from conftest import VARS, poly
+from conftest import VARS, poly, reference_key
 
 
 # a valid 200-term prefix, so that an error position is found past it
@@ -37,6 +37,12 @@ class TestParse:
         assert len(f.term_map()) == 4
         assert f.term_map()[(7, 1, 0, 1)] == 1
         assert str(f) == "x^10 + x^7*y*t + y^3 + z^2"
+
+    def test_terms_descend_in_grevlex(self):
+        box = list(product(range(4), repeat=3))
+        f = Polynomial({e: 1 for e in box}, VARS)
+        assert [e for e, _ in f.terms()] == sorted(
+            box, key=lambda e: reference_key(e, "grevlex", None), reverse=True)
 
     def test_repeated_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -405,6 +411,20 @@ class TestTrustedConstructions:
         results += [partial_derivative(f, i) for i in range(3)]
         assert all(map(_meets_the_contract, results))
         assert (f * 0).is_zero() and (f - f).is_zero()
+
+    @pytest.mark.parametrize("make", [lambda: poly("x^2+3*y"),
+                                      lambda: poly("x") * poly("y+1")],
+                             ids=["checked", "trusted"])
+    def test_immutable(self, make):
+        # a Polynomial hashes its terms, so neither slot may change
+        p = make()
+        before = hash(p)
+        for name in ("_terms", "variables", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, {})
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert hash(p) == before and p in {p} and p == make()
 
 
 class TestDerivative:
