@@ -8,7 +8,8 @@ probabilistic.  Each computation (a Buchberger run, a normal form, a
 support test) packs its monomials once into ints by a kernel `Packing`
 sized from its inputs, reruns at twice the width when an exponent outgrows
 it, and unpacks only what it returns; a GroebnerBasis holds exponent
-tuples.
+tuples.  jacobian_basis packs f alone and derives its partials on that
+packing, so a Jacobian run forms no Polynomial or Fraction for them.
 Outputs are deterministic for a fixed input and order: term iteration and
 the pair queue are fully sorted.
 """
@@ -148,15 +149,63 @@ def buchberger(generators, order=None, until_finite=False):
             maps.append(terms)
     if not maps:
         return GroebnerBasis(order, variables, [])
-    final = _packed(lambda packing: _buchberger(maps, packing, until_finite),
-                    order, len(variables), chain.from_iterable(maps))
+
+    def run(packing):
+        return _buchberger([_to_raw(terms, packing)[0] for terms in maps],
+                           packing, until_finite)
+
+    final = _packed(run, order, len(variables), chain.from_iterable(maps))
     return None if final is None else GroebnerBasis(order, variables, final)
 
 
-def _buchberger(maps, packing, until_finite):
-    """The reduced basis of buchberger as unpacked term lists, or None."""
+def jacobian_basis(f, order, *, with_f, until_finite=False):
+    """buchberger of the partial derivatives of f, and of f itself when
+    `with_f`: the same result, with the partials derived on f's packing
+    (_partials_raw), so no Polynomial or Fraction is formed for them.  No
+    exponent of a partial exceeds f's, so f's exponents size the fields.
+    """
+    variables = f.variables
+    terms = f.term_map()
+    if not terms:
+        return GroebnerBasis(order, variables, [])
+
+    def run(packing):
+        raw = _to_raw(terms, packing)[0]
+        raws = _partials_raw(raw, packing)
+        if with_f:
+            raws.append(raw)
+        return _buchberger(raws, packing, until_finite)
+
+    final = _packed(run, order, len(variables), terms)
+    return None if final is None else GroebnerBasis(order, variables, final)
+
+
+def _partials_raw(raw, packing):
+    """The nonzero partial derivatives, by each variable in turn, of the
+    primitive term list `raw`, as primitive term lists packed as it is.
+
+    The partial by x_i of a term c*x^e with e_i > 0 is c*e_i*x^(e - 1_i),
+    whose packed monomial is p - scales[i] since packing is affine; e_i is
+    read from its field.  Dividing by x_i keeps a multiplicative order, so
+    each partial stays sorted.
+    """
+    make_primitive = kernel.active().make_primitive
+    top = packing.top
+    # lex fields hold e_i, the others top - e_i, which is top ^ e_i
+    flip = 0 if packing.sign > 0 else top
+    partials = []
+    for shift, scale in zip(packing.shifts, packing.scales):
+        partial = [(p - scale, c * k) for p, c in raw
+                   if (k := (p >> shift & top) ^ flip)]
+        if partial:
+            partials.append(make_primitive(partial)[0])
+    return partials
+
+
+def _buchberger(raws, packing, until_finite):
+    """The reduced basis of the nonzero primitive term lists `raws`, packed
+    by `packing`, as unpacked term lists, or None (see buchberger)."""
     impl = kernel.active()
-    raws = [_to_raw(terms, packing)[0] for terms in maps]
     # canonical input order: the reduced basis is unique, and a repeat reduces
     # to 0 against its first copy, but the pair schedule becomes reproducible
     raws.sort()

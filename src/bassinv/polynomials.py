@@ -625,14 +625,19 @@ def _integer_echelon(rows, echelon):
 
 
 def _difference_nullspace(exps, n):
-    """Basis of the rational w with w·e equal on every exponent e in `exps`.
+    """Basis of the rational w with w·e equal on every exponent e in `exps`,
+    as primitive integer vectors.
 
     Each exponent has length n.  The differences of consecutive exponents
     span the same space as all differences; repeats are skipped and
     _integer_echelon reduces the rest.  At rank n only w = 0 is left and
-    [] is returned.  Otherwise there is one vector per free column, read
-    off the rows as off the reduced row echelon form; that depends only on
-    the span, so the basis does not depend on which differences were kept.
+    [] is returned.  Otherwise there is one vector per free column fc, read
+    off the rows as off the reduced row echelon form and scaled by the lcm
+    of the pivots it needs; that depends only on the span, so the basis
+    does not depend on which differences were kept.  The vector is positive
+    at fc, zero at the other free columns, and elsewhere nonzero only at
+    the pivots of rows that are nonzero at fc, which lie before fc: fc is
+    its last nonzero column.
     """
     def differences():
         seen = set()
@@ -650,20 +655,15 @@ def _difference_nullspace(exps, n):
     for fc in range(n):
         if fc in echelon:
             continue
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for p, row in echelon.items():
-            vec[p] = Fraction(-row.get(fc, 0), row[p])
-        basis.append(vec)
+        pivots = [(p, row) for p, row in echelon.items() if fc in row]
+        scale = lcm(*[row[p] for p, row in pivots])
+        vec = [0] * n
+        vec[fc] = scale
+        for p, row in pivots:
+            vec[p] = -row[fc] * scale // row[p]
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
-
-
-def _primitive(vec):
-    """The integer multiple of a rational vector with entries of gcd 1."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = gcd(*ints)
-    return [x // g for x in ints]
 
 
 def find_weights(f):
@@ -671,7 +671,14 @@ def find_weights(f):
 
     Returns the WeightSystem (integer weights, gcd 1) making every monomial of
     f the same positive weighted degree, or None if no positive weights exist.
-    Solved as an exact linear system on the exponent vectors.
+    Solved as an exact linear system on the exponent vectors, whose
+    solutions are the combinations of the _difference_nullspace basis.  On
+    one vector, which is positive at its free column, positive weights
+    exist exactly when all its entries are positive, as Fourier-Motzkin
+    elimination decides for one variable.  On more, _positive_point picks the
+    combination, with each vector divided by its entry at its free column,
+    its last nonzero one, so that the rows and the point picked are those
+    of the reduced row echelon form's basis.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no weight system")
@@ -680,20 +687,30 @@ def find_weights(f):
     basis = _difference_nullspace(exps, n)
     if not basis:
         return None  # only w = 0 solves the system
-    # find alpha with sum_j alpha_j * basis_j > 0 in every coordinate
-    cone_rows = [[vec[i] for vec in basis] for i in range(n)]
-    alpha = _positive_point(cone_rows)
-    if alpha is None:
-        return None
-    w = [sum(a * vec[i] for a, vec in zip(alpha, basis)) for i in range(n)]
-    assert all(x > 0 for x in w)
-    ints = _primitive(w)
-    base = exps[0]
-    d = sum(wi * ei for wi, ei in zip(ints, base))
+    if len(basis) == 1:
+        w = basis[0]
+        if min(w) <= 0:
+            return None
+    else:
+        # alpha with sum_j alpha_j * basis_j / last_j > 0 in every coordinate
+        lasts = [next(x for x in reversed(vec) if x) for vec in basis]
+        alpha = _positive_point([[Fraction(vec[i], last)
+                                  for vec, last in zip(basis, lasts)]
+                                 for i in range(n)])
+        if alpha is None:
+            return None
+        coeffs = [a / last for a, last in zip(alpha, lasts)]
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        w = [sum(map(mul, ints, column)) for column in zip(*basis)]
+        g = gcd(*w)
+        w = [x // g for x in w]
+        assert min(w) > 0
+    d = sum(map(mul, w, exps[0]))
     if d <= 0:
         return None  # constant term present: no positive-degree grading
-    assert all(sum(wi * ei for wi, ei in zip(ints, e)) == d for e in exps)
-    return WeightSystem(tuple(ints), d)
+    assert all(sum(map(mul, w, e)) == d for e in exps)
+    return WeightSystem(tuple(w), d)
 
 
 def scaling_weights(f, name):
@@ -712,10 +729,9 @@ def scaling_weights(f, name):
     vec = next((v for v in basis if v[i]), None)
     if vec is None:
         return None
-    ints = _primitive(vec)
-    if next(x for x in ints if x) < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    if next(x for x in vec if x) < 0:
+        vec = [-x for x in vec]
+    return tuple(vec)
 
 
 def linear_jacobian_multipliers(f):

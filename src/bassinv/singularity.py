@@ -9,7 +9,10 @@ one whose Jacobian multipliers have positive rational eigenvalues, reaches
 tau by the Euler route: one Buchberger run on the partials, stopped at the
 first pure-power leads, proves the quotient finite, and tau and p_g come
 from closed forms (Milnor-Orlik 1970; Saito 1971), with no staircase.  Any
-other f reaches tau on the certification basis.  The Milnor number is the
+other f reaches tau on the certification basis.  Both runs, and the one on
+a principal part's partials, are groebner.jacobian_basis runs, which derive
+the partials on f's packed integer terms; the partials are built as
+Polynomials only for the Lazard basis.  The Milnor number is the
 length of the origin-local factor of the Jacobian quotient, where critical
 points of f away from the surface, which the deformed fibers of the shipped
 family have, do not contribute.  It comes by one of three routes:
@@ -33,7 +36,8 @@ from operator import mul
 from .errors import (NotIsolatedError, SingularLocusNotAtOriginError,
                      SmoothInput, StaircaseLimitError)
 from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
-                       buchberger, staircase, supported_only_at_origin)
+                       buchberger, jacobian_basis, staircase,
+                       supported_only_at_origin)
 from .polynomials import (Polynomial, WeightSystem, _integer_echelon,
                           _trusted, find_weights, linear_jacobian_multipliers,
                           partial_derivative, positive_rational_eigenvalues)
@@ -48,10 +52,14 @@ class SingularityProfile:
     p_g: int | None
 
 
-def jacobian_ideal(f):
-    """The three partial derivatives of f."""
+def _check_surface(f):
     if len(f.variables) != 3:
         raise ValueError("expected a polynomial in 3 variables")
+
+
+def jacobian_ideal(f):
+    """The three partial derivatives of f."""
+    _check_surface(f)
     return [partial_derivative(f, i) for i in range(3)]
 
 
@@ -165,27 +173,24 @@ def _principal_gradings(f):
             yield w, d
 
 
-def _principal_milnor(f, partials, order, cap):
+def _principal_milnor(f, order, cap):
     """mu of f from a principal part, or None when none is found.
 
     f is semi-quasi-homogeneous when, under some grading of
     _principal_gradings, its part f_0 of least degree d is isolated; then
     mu(f) = mu(f_0) = prod(1/lam_i - 1) with lam = w/d (Arnold 1974), since
-    f - f_0 has degree above d.  The partials of f_0 are those of f cut to
-    their least weighted degree: each variable has a term in f_0, so none
-    of them is zero.  f_0 is isolated exactly when the Euler route's
-    Buchberger run on them stops at pure-power leads.
+    f - f_0 has degree above d.  f_0 is isolated exactly when the Euler
+    route's Buchberger run on its partials stops at pure-power leads.
+    Each variable has a term in f_0, and differentiation is one-to-one on
+    the terms it does not kill, so the partials of f_0 are those of f cut
+    to their least weighted degree, and none of them is zero.
     """
+    terms = f.term_map()
     for w, d in _principal_gradings(f):
-        lowest = []
-        for p in partials:
-            terms = p.term_map()
-            degree = {e: sum(map(mul, w, e)) for e in terms}
-            least = min(degree.values())
-            lowest.append(_trusted(
-                {e: c for e, c in terms.items() if degree[e] == least},
-                p.variables))
-        if buchberger(lowest, order, until_finite=True) is None:
+        f_0 = _trusted({e: c for e, c in terms.items()
+                        if sum(map(mul, w, e)) == d}, f.variables)
+        if jacobian_basis(f_0, order, with_f=False,
+                          until_finite=True) is None:
             return _graded_length([Fraction(x, d) for x in w], cap)
     return None
 
@@ -246,8 +251,8 @@ def analyze(f, order=None):
     bounds since p_g <= tau; otherwise weights and p_g are None.
     """
     cap = _staircase_cap()
+    _check_surface(f)
     order = order or MonomialOrder.grevlex()
-    partials = jacobian_ideal(f)
     # find_weights refuses f = 0, which the certification rejects as not
     # isolated
     ws = None if f.is_zero() else find_weights(f)
@@ -258,9 +263,9 @@ def analyze(f, order=None):
         lam = None if a is None else positive_rational_eigenvalues(a)
     basis = tau = None
     if lam is None:
-        basis = buchberger([f] + partials, order)
+        basis = jacobian_basis(f, order, with_f=True)
         tau = staircase(basis).size
-    elif buchberger(partials, order, until_finite=True) is None:
+    elif jacobian_basis(f, order, with_f=False, until_finite=True) is None:
         tau = _graded_length(lam, cap)
     if tau is None:
         raise NotIsolatedError(
@@ -273,9 +278,9 @@ def analyze(f, order=None):
     if ws is not None or a is not None:
         mu = tau
     else:
-        mu = _principal_milnor(f, partials, order, cap)
+        mu = _principal_milnor(f, order, cap)
         if mu is None:
-            mu = _local_staircase(partials).size
+            mu = _local_staircase(jacobian_ideal(f)).size
     p_g = None if ws is None else _lattice_genus(
         ws.weights, ws.degree - sum(ws.weights))
     return SingularityProfile(f, mu, tau, ws, p_g)

@@ -125,13 +125,16 @@ class TestAnalyze:
         # Wahl fibers do not need (their mu comes from the principal part)
         # and T_{3,4,5} does
         orders = set()
-        real = groebner.buchberger
 
-        def recording(generators, order, *args, **kwargs):
-            orders.add(order)
-            return real(generators, order, *args, **kwargs)
+        def recording(real):
+            def run(generators, order, *args, **kwargs):
+                orders.add(order)
+                return real(generators, order, *args, **kwargs)
+            return run
 
-        monkeypatch.setattr(singularity, "buchberger", recording)
+        for name in ("buchberger", "jacobian_basis"):
+            monkeypatch.setattr(singularity, name,
+                                recording(getattr(groebner, name)))
         run_ok(capsys, *argv, "--order", "lex")
         assert orders == {MonomialOrder.grevlex()} | (
             {MonomialOrder.weighted((2, 1, 1, 1))} if lazard else set())
@@ -485,16 +488,24 @@ class TestFiberTransport:
         # the one analyzed nonzero fiber takes its certification basis of
         # (f) + J, 4 generators, and for mu a run on the 3 partials of its
         # principal part that stops at pure-power leads; t = 0 is graded,
-        # and its only basis is such a run on its own 3 partials
+        # and its only basis is such a run on its own 3 partials.  A
+        # jacobian_basis run counts as one on f, when it is included, and
+        # the partials.
         calls = []
-        real = groebner.buchberger
+        real, real_jacobian = groebner.buchberger, groebner.jacobian_basis
 
         def counting(*args, **kwargs):
             calls.append((len(args[0]), kwargs.get("until_finite", False)))
             return real(*args, **kwargs)
 
+        def counting_jacobian(f, *args, with_f, **kwargs):
+            calls.append((len(f.variables) + with_f,
+                          kwargs.get("until_finite", False)))
+            return real_jacobian(f, *args, with_f=with_f, **kwargs)
+
         for module in (groebner, singularity):
             monkeypatch.setattr(module, "buchberger", counting)
+            monkeypatch.setattr(module, "jacobian_basis", counting_jacobian)
         run_ok(capsys, "bass", WAHL_FAMILY,
                "--values", "-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
                "--assume-chi-invariant")

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from bassinv import kernel
 from bassinv.errors import StaircaseLimitError
-from bassinv.groebner import (MonomialOrder, buchberger, normal_form,
+from bassinv.groebner import (MonomialOrder, _packed, _partials_raw, _to_raw,
+                              buchberger, jacobian_basis, normal_form,
                               staircase, supported_only_at_origin)
-from bassinv.polynomials import Polynomial, WeightSystem, parse
+from bassinv.polynomials import (Polynomial, WeightSystem, parse,
+                                 partial_derivative)
 
 from conftest import (CORPUS_TEXTS, VARS, divides, jacobian, poly,
                       standard_monomials, tjurina_generators)
@@ -52,7 +54,7 @@ class TestOrderAxioms:
                 assert key((0, 0, 0)) < key(u)
 
 
-    def test_pickles_after_its_keys_are_built(self):
+    def test_pickles_and_packs_the_same(self):
         for order in ORDERS:
             packing = kernel.Packing(order, 3, 6)
             copy = pickle.loads(pickle.dumps(order))
@@ -139,6 +141,60 @@ class TestUntilFinite:
 
     def test_unit_ideal_stops(self):
         assert buchberger([poly("x"), poly("x+1")], until_finite=True) is None
+
+
+@st.composite
+def rational_polynomials(draw):
+    """1 to 5 terms in x, y, z with exponents 0..3 and nonzero coefficients
+    of denominator at most 6; in three draws of five one variable is left
+    out, so that its partial is zero."""
+    missing = draw(st.sampled_from([None, None, 0, 1, 2]))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1,
+                         max_size=5, unique=True))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    terms = {}
+    for e in exps:
+        if missing is not None:
+            e = e[:missing] + (0,) + e[missing + 1:]
+        terms[e] = draw(coeffs.filter(bool))
+    return Polynomial(terms, VARS)
+
+
+class TestJacobianBasis:
+    """jacobian_basis derives the partials on f's packing; the oracles are
+    the partials as Polynomials and buchberger on them."""
+
+    @given(rational_polynomials(), st.sampled_from(ORDERS[:2] + [
+        MonomialOrder.weighted((1, 2, 3))]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_packed_partials_are_the_partials(self, f, order):
+        def run(packing):
+            raw = _to_raw(f.term_map(), packing)[0]
+            return _partials_raw(raw, packing), [
+                _to_raw(p.term_map(), packing)[0]
+                for p in (partial_derivative(f, i) for i in range(3))
+                if not p.is_zero()]
+
+        packed, oracle = _packed(run, order, 3, f.term_map())
+        assert packed == oracle
+
+    @given(rational_polynomials(), st.sampled_from(ORDERS[:2] + [
+        MonomialOrder.weighted((1, 2, 3))]), st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_basis_as_buchberger(self, f, order, until_finite):
+        partials = jacobian(f)
+        assert jacobian_basis(f, order, with_f=True) == \
+            buchberger([f] + partials, order)
+        assert jacobian_basis(f, order, with_f=False,
+                              until_finite=until_finite) == \
+            buchberger(partials, order, until_finite)
+
+    def test_zero_and_constant(self):
+        for text in ("0", "5"):
+            f = poly(text)
+            for with_f in (False, True):
+                assert jacobian_basis(f, GREVLEX, with_f=with_f) == \
+                    buchberger([f] * with_f + jacobian(f), GREVLEX)
 
 
 class TestNormalForm:

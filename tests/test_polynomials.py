@@ -1,7 +1,8 @@
 import time
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -676,12 +677,110 @@ class TestDifferenceNullspace:
         n, exps = case
         basis = _difference_nullspace(exps, n)
         diffs = [[a - b for a, b in zip(e, exps[0])] for e in exps[1:]]
-        for vec in basis:
+        lasts = [max(i for i, v in enumerate(vec) if v) for vec in basis]
+        for vec, last in zip(basis, lasts):
             assert len(vec) == n
             for d in diffs:
                 assert sum(v * x for v, x in zip(vec, d)) == 0
+            # primitive integers, positive at the free column, the last
+            # nonzero one, and zero at the other vectors' free columns
+            assert all(type(v) is int for v in vec) and gcd(*vec) == 1
+            assert vec[last] > 0
+            assert not any(vec[other] for other in lasts if other != last)
         assert _rank(basis) == len(basis)  # independent
         assert len(basis) == n - _rank(diffs)
+        # the same vectors as the reduced row echelon form's, up to scale
+        assert [[Fraction(v, vec[last]) for v in vec]
+                for vec, last in zip(basis, lasts)] == \
+            _reference_nullspace(exps, n)
+
+
+def _reference_nullspace(exps, n):
+    """The reduced row echelon form's basis of the w with w·e equal on
+    every exponent e in `exps`: per free column, 1 there and 0 at the other
+    free columns.  Plain Fraction Gauss-Jordan elimination."""
+    rows = [[Fraction(a - b) for a, b in zip(e, exps[0])] for e in exps[1:]]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            factor = rows[i][c]
+            if i != r and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def reference_find_weights(f):
+    """find_weights by Fourier-Motzkin elimination on Fractions: a positive
+    point of the cone of the reduced row echelon basis, made primitive."""
+    exps = f.exponents()
+    n = len(f.variables)
+    basis = _reference_nullspace(exps, n)
+    if not basis:
+        return None
+    alpha = _positive_point([[vec[i] for vec in basis] for i in range(n)])
+    if alpha is None:
+        return None
+    w = [sum(a * vec[i] for a, vec in zip(alpha, basis)) for i in range(n)]
+    denom = lcm(*(x.denominator for x in w))
+    ints = [int(x * denom) for x in w]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    d = sum(map(mul, ints, exps[0]))
+    if d <= 0:
+        return None
+    return WeightSystem(tuple(ints), d)
+
+
+class TestFindWeightsReference:
+    """find_weights in integers against the Fraction reference."""
+
+    @given(exponent_sets())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_random_supports(self, case):
+        n, exps = case
+        f = Polynomial({e: 1 for e in exps}, [f"v{i}" for i in range(n)])
+        assert find_weights(f) == reference_find_weights(f)
+
+    @pytest.mark.parametrize("text,vectors,weights", [
+        # one vector
+        ("z^2+y^3+x^10", 1, ((3, 10, 15), 30)),
+        ("x^2+y^3+z^5", 1, ((15, 10, 6), 30)),
+        ("x^2+y^3+z^5+x*y*z", 0, None),
+        ("x^2+y^3+x*y^2*z", 1, None),          # z needs a negative weight
+        ("x^2+y^2+z^2+1", 0, None),
+        # two or more vectors
+        ("x^2+y^2", 2, ((1, 1, 1), 2)),
+        ("x*y+z^3", 2, ((9, 3, 4), 12)),
+        ("x*y", 3, ((1, 1, 1), 2)),
+        ("x*y+z^2", 2, ((4, 2, 3), 6)),
+        ("x^2*y^3+z^5", 2, ((25, 10, 16), 80)),
+        ("x^2+x^3", 2, None),                  # x needs weight 0
+        ("x", 3, ((1, 1, 1), 1)),
+        ("x^2+y^2+1", 1, None),                # the constant has degree 0
+        ("x+1", 2, None),
+        ("7", 3, None),
+    ])
+    def test_cones(self, text, vectors, weights):
+        f = poly(text)
+        assert len(_difference_nullspace(f.exponents(), 3)) == vectors
+        expected = weights and WeightSystem(*weights)
+        assert find_weights(f) == reference_find_weights(f) == expected
 
 
 def _multiplier_sum(f, m):
