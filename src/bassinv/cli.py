@@ -25,22 +25,20 @@ Identical invocations produce byte-identical output.  Exit codes: 0 success
 origin), 3 parse error, 4 usage error, 5 deduction/consistency error.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
 import os
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring
 from math import log2
 
 from . import resgraph, singularity
 from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
-                     SmoothInput, UsageError)
+                     NotIsolatedError, SingularLocusNotAtOriginError,
+                     SmoothInput, StaircaseLimitError, UsageError)
 from .invariants import bass_verdict, build_table, deduce_family
 from .polynomials import (_MAX_POWER_BITS, NAME, Polynomial, parse,
                           scaling_weights, substitute_parameter)
@@ -276,7 +274,7 @@ def _analyze_family(args, need_graph):
     for v in values:
         fiber_poly = substitute_parameter(f, name, v)
         if v and nonzero_profile is not None:
-            profiles.append(replace(nonzero_profile, f=fiber_poly))
+            profiles.append(nonzero_profile._replace(f=fiber_poly))
             continue
         try:
             profile = singularity.analyze(fiber_poly)
@@ -284,6 +282,9 @@ def _analyze_family(args, need_graph):
             raise InconsistentInputsError(
                 f"fiber {args.parameter} = {v} is smooth; "
                 f"not a family of singularities")
+        except (NotIsolatedError, SingularLocusNotAtOriginError,
+                StaircaseLimitError) as exc:
+            raise type(exc)(f"fiber {name} = {v}: {exc}") from exc
         if v and scales:
             nonzero_profile = profile
         profiles.append(profile)

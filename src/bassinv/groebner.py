@@ -14,10 +14,8 @@ Outputs are deterministic for a fixed input and order: term iteration and
 the pair queue are fully sorted.
 """
 
-from __future__ import annotations
-
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappush, heappop
@@ -81,11 +79,8 @@ class GroebnerBasis:
         return f"GroebnerBasis[{self.order.kind}]({{{gens}}})"
 
 
-@dataclass(frozen=True, slots=True)
-class Staircase:
-    """The number of standard monomials of a basis; None when infinite."""
-
-    size: int | None
+# the number of standard monomials of a basis; None when infinite
+Staircase = namedtuple("Staircase", "size")
 
 
 def _to_raw(terms, packing):

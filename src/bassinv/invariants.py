@@ -13,21 +13,16 @@ fiber and returns the tightened tables in the order of `values`.  The Bass
 verdict reads NK_0 from b^{1,1} and NK_{-1} from b^{0,1}.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import (InconsistentDeductionError, InconsistentInputsError,
                      NoGradedFiberError)
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(namedtuple("Bound", "kind lo hi", defaults=(None, None))):
     """Exact value, closed interval, or unknown; endpoints are ints."""
 
-    kind: str
-    lo: int = None
-    hi: int = None
+    __slots__ = ()
 
     @classmethod
     def exact(cls, n):
@@ -82,21 +77,9 @@ _P_RANGE = range(0, 5)
 _Q_RANGE = range(2, -4, -1)
 
 
-@dataclass(frozen=True)
-class DuBoisTable:
-    tau: int
-    p_g: int
-    g: int
-    l: int
-    graded: bool
-    b01: Bound
-    b10: Bound
-    b11: Bound
-    b20: Bound
-    chi0: Bound
-    chi1: Bound
-    chi2: Bound
-
+class DuBoisTable(namedtuple("DuBoisTable", "tau p_g g l graded b01 b10 b11 "
+                                           "b20 chi0 chi1 chi2")):
+    __slots__ = ()
     _STORED = ((0, 1), (1, 0), (1, 1), (2, 0))
 
     def entry(self, p, q):
@@ -241,9 +224,9 @@ def _tighten(table, chi, what):
     lo, hi = max(0, n, lo10, lo11 + n), min(tau, hi10, hi11 + n)
     if lo > hi:
         raise _empty_range(f"{what} b11", lo - n, hi - n)
-    return replace(table, b01=Bound.exact(b01), b10=Bound.interval(lo, hi),
-                   b11=Bound.interval(lo - n, hi - n),
-                   chi0=chi0, chi1=chi1, chi2=chi2)
+    return table._replace(b01=Bound.exact(b01), b10=Bound.interval(lo, hi),
+                          b11=Bound.interval(lo - n, hi - n),
+                          chi0=chi0, chi1=chi1, chi2=chi2)
 
 
 def deduce_family(values, tables, graded_index):
@@ -266,12 +249,11 @@ def deduce_family(values, tables, graded_index):
             for v, table in zip(values, tables, strict=True)]
 
 
-@dataclass(frozen=True)
-class BassVerdict:
-    nk0_vanishes: str           # "yes" | "no" | "undetermined"
-    nk_minus1_rank: Bound       # = b^{0,1}
-    answer_to_bass: str         # "negative" | "not_a_counterexample" | "undetermined"
-    k0_polynomial_ring_description: str
+# nk0_vanishes is "yes", "no" or "undetermined"; nk_minus1_rank is the
+# Bound b^{0,1}; answer_to_bass is "negative", "not_a_counterexample" or
+# "undetermined"
+BassVerdict = namedtuple("BassVerdict", "nk0_vanishes nk_minus1_rank "
+                         "answer_to_bass k0_polynomial_ring_description")
 
 
 def bass_verdict(table):

@@ -42,7 +42,7 @@ infinite and is not walked (see enumerate_staircase).
 """
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul
@@ -64,8 +64,8 @@ def available_backends():
     return [backend_name()]
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(namedtuple("MonomialOrder", "kind weights",
+                               defaults=(None,))):
     """Total multiplicative well-order on monomials.
 
     kind is one of "grevlex", "lex", "weighted"; weighted orders compare the
@@ -73,8 +73,7 @@ class MonomialOrder:
     order is its one definition on exponent vectors.
     """
 
-    kind: str
-    weights: tuple = None
+    __slots__ = ()
 
     @classmethod
     def grevlex(cls):

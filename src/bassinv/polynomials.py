@@ -11,10 +11,8 @@ coefficient and one exponent, and a token's position is recomputed only for
 an error message.  `str` prints the same grammar, and parse(str(f)) == f.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, islice
 from math import comb, gcd, lcm
@@ -25,23 +23,26 @@ from .errors import PolynomialSyntaxError, UnknownVariableError
 Exponent = tuple  # tuple of non-negative ints
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Positive integer weights with gcd 1, and the common weighted degree."""
+class WeightSystem(namedtuple("WeightSystem", "weights degree")):
+    """Positive integer weights with gcd 1, and the common weighted degree.
 
-    weights: tuple
-    degree: int
+    Every construction, unpickling included, checks in __new__; _make and
+    _replace skip it, so the package calls neither.
+    """
 
-    def __post_init__(self):
-        if not self.weights or any(w <= 0 for w in self.weights):
+    __slots__ = ()
+
+    def __new__(cls, weights, degree):
+        if not weights or any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         g = 0
-        for w in self.weights:
+        for w in weights:
             g = gcd(g, w)
         if g != 1:
             raise ValueError("weights must have gcd 1")
-        if self.degree <= 0:
+        if degree <= 0:
             raise ValueError("weighted degree must be positive")
+        return super().__new__(cls, weights, degree)
 
     def weighted_degree(self, exp):
         return sum(map(mul, self.weights, exp))
@@ -213,6 +214,9 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.variables, frozenset(self._terms.items())))
+
+    def __reduce__(self):
+        return Polynomial, (self._terms, self.variables)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Polynomial is immutable: cannot set {name!r}")

@@ -14,26 +14,21 @@ normally.  Keys starting with "_" are ignored, so fixtures can carry
 commentary.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GraphFormatError
 from .polynomials import _integer_echelon
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    genus: int
-    self_intersection: int
+Vertex = namedtuple("Vertex", "id genus self_intersection")
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
-    vertices: tuple
-    edges: tuple  # pairs (id, id) with id_a <= id_b, multiplicity by repetition
+class ResolutionGraph(namedtuple("ResolutionGraph", "vertices edges")):
+    """Vertices, and edges as pairs (id, id) with id_a <= id_b, multiplicity
+    by repetition."""
+
+    __slots__ = ()
 
     def vertex_ids(self):
         return [v.id for v in self.vertices]

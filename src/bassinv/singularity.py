@@ -25,9 +25,7 @@ family have, do not contribute.  It comes by one of three routes:
     Introduction to Commutative Algebra, 1.7).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
@@ -38,18 +36,14 @@ from .errors import (NotIsolatedError, SingularLocusNotAtOriginError,
 from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
                        buchberger, jacobian_basis, staircase,
                        supported_only_at_origin)
-from .polynomials import (Polynomial, WeightSystem, _integer_echelon,
-                          _trusted, find_weights, linear_jacobian_multipliers,
-                          partial_derivative, positive_rational_eigenvalues)
+from .polynomials import (_integer_echelon, _trusted, find_weights,
+                          linear_jacobian_multipliers, partial_derivative,
+                          positive_rational_eigenvalues)
 
 
-@dataclass(frozen=True)
-class SingularityProfile:
-    f: Polynomial
-    milnor: int
-    tjurina: int
-    weights: WeightSystem | None
-    p_g: int | None
+# weights is a WeightSystem and p_g an int, both None when f is not graded
+SingularityProfile = namedtuple("SingularityProfile",
+                                "f milnor tjurina weights p_g")
 
 
 def _check_surface(f):

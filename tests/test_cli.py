@@ -526,6 +526,7 @@ class TestFiberTransport:
         code, err = run_err(capsys, "family", "x^2+y^2+t*z^2",
                             "--values=-1,0,1", "--assume-chi-invariant")
         assert code == 2 and "NotIsolatedError" in err
+        assert "fiber t = 0: " in err
 
     @pytest.mark.parametrize("suffix, extra", [("txt", []),
                                                ("json", ["--json"])])

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -224,8 +223,8 @@ def _deduction_cases(draw):
     graded = build_table(p_g + (p_g - g - l) + n, p_g, g, l, graded=True)
     tau = draw(st.integers(p_g, 20))
     table = build_table(tau, p_g, g, l, graded=False)
-    table = replace(table, b10=draw(_hand_set_bound(tau, False)),
-                    b11=draw(_hand_set_bound(tau, True)))
+    table = table._replace(b10=draw(_hand_set_bound(tau, False)),
+                           b11=draw(_hand_set_bound(tau, True)))
     return graded, table, draw(st.booleans())
 
 

@@ -1,3 +1,4 @@
+import pickle
 import time
 from fractions import Fraction
 from itertools import product
@@ -539,13 +540,20 @@ class TestWeights:
             if ws is not None:
                 assert all(ws.weighted_degree(e) == ws.degree for e in f.exponents())
 
+    # weights with gcd 2, a negative weight, degree 0
+    BAD_WEIGHT_SYSTEMS = (((2, 4, 6), 12), ((1, -1, 1), 3), ((1, 1, 1), 0))
+
     def test_weight_system_validation(self):
-        with pytest.raises(ValueError):
-            WeightSystem((2, 4, 6), 12)  # gcd 2
-        with pytest.raises(ValueError):
-            WeightSystem((1, -1, 1), 3)
-        with pytest.raises(ValueError):
-            WeightSystem((1, 1, 1), 0)
+        for weights, degree in self.BAD_WEIGHT_SYSTEMS:
+            with pytest.raises(ValueError):
+                WeightSystem(weights, degree)
+
+    def test_unpickling_checks_weight_system(self):
+        # _make skips __new__'s checks; unpickling calls __new__
+        for fields in self.BAD_WEIGHT_SYSTEMS:
+            data = pickle.dumps(WeightSystem._make(fields))
+            with pytest.raises(ValueError):
+                pickle.loads(data)
 
 
 def _strictly_positive(rows, alpha):
