@@ -14,7 +14,9 @@ NAME being the --parameter (default t), and its fibers come from
 substituting the rationals given in --values, like 1/2 or -3.
 Each command computes its results once, and a run renders only the view
 it prints: the text lines, or with --json the JSON document.  A family
-renders each distinct table once.  The JSON document is byte for byte
+builds, tightens, judges and renders each distinct table once, for all
+the fibers that share it; only the substitution, the profile and the
+p_g-reuse check are per fiber.  The JSON document is byte for byte
 json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False), written by
 _dumps without the standard library's pure-Python indented encoder.
 Every command accepts --order grevlex|lex and ignores it: the invariants
@@ -301,10 +303,11 @@ def _analyze_family(args, need_graph):
         g, l = info["g"], info["l"]
         p_g = profiles[graded_index].p_g
         _check_p_g_reuse(name, values, profiles, graded_index)
-        tables = deduce_family(
-            values, [build_table(profile.tjurina, p_g, g, l,
-                                 graded=(i == graded_index))
-                     for i, profile in enumerate(profiles)], graded_index)
+        table = functools.cache(
+            lambda tau, graded: build_table(tau, p_g, g, l, graded))
+        tables = deduce_family(values, [table(p.tjurina, i == graded_index)
+                                        for i, p in enumerate(profiles)],
+                               graded_index)
     return f, values, profiles, graded_index, info, tables
 
 
@@ -319,22 +322,21 @@ def _check_p_g_reuse(name, values, profiles, graded_index):
     InconsistentInputsError.
     """
     graded = profiles[graded_index]
-    ws = graded.weights
+    ws, theirs = graded.weights, graded.f._terms.items()
     for v, profile in zip(values, profiles):
         if profile.weights is not None and profile.p_g == graded.p_g:
             continue
-        ours, theirs = profile.f.term_map(), graded.f.term_map()
-        low = sorted(e for e in ours.keys() | theirs.keys()
-                     if ours.get(e) != theirs.get(e)
-                     and ws.weighted_degree(e) <= ws.degree)
-        if low:
-            term = Polynomial({low[0]: 1}, graded.f.variables)
+        # the exponents whose coefficients differ, and their lowest one
+        low = min((e for e, _ in profile.f._terms.items() ^ theirs
+                   if ws.weighted_degree(e) <= ws.degree), default=None)
+        if low is not None:
+            term = Polynomial({low: 1}, graded.f.variables)
             raise InconsistentInputsError(
                 f"fiber {name} = {v}: reusing the graded fiber's "
                 f"p_g = {graded.p_g} in its table is not justified: the term "
                 f"{term} of its difference from the graded fiber "
                 f"{name} = {values[graded_index]} has weighted degree "
-                f"{ws.weighted_degree(low[0])}, not above {ws.degree} under "
+                f"{ws.weighted_degree(low)}, not above {ws.degree} under "
                 f"the weights {ws.weights}, and the fiber is not graded with "
                 f"that p_g")
 
@@ -345,25 +347,28 @@ _NO_GRAPH_NOTE = ("no --graph given: reporting fiber profiles only (tables "
 
 def _family_text(name, f, values, profiles, graded_index, info, tables,
                  verdicts):
-    """The family or bass transcript; `verdicts` is None for family."""
+    """The family or bass transcript; `verdicts` maps each distinct table
+    to its verdict, and is None for family."""
     text = [f"family: {f}   (parameter {name})",
             f"graded fiber: {name} = {values[graded_index]}"]
     if info is not None:
         text.extend(_graph_text(info))
     else:
         text.append(f"note: {_NO_GRAPH_NOTE}")
-    # the fibers of a scaling family share one table: render each distinct
-    # table once (2 for the 8-fiber Wahl run, not 8)
-    rendered = {table: table.render_text() for table in set(tables or ())}
+    # render each distinct table and its verdict once (2 for the 8-fiber
+    # Wahl run, not 8)
+    rendered = {}
+    for table, verdict in (verdicts or dict.fromkeys(tables or ())).items():
+        rendered[table] = [table.render_text()]
+        if verdict is not None:
+            rendered[table] += _verdict_text(verdict)
     for i, (v, profile) in enumerate(zip(values, profiles)):
         tag = " [graded]" if i == graded_index else ""
         text.append("")
         text.append(f"fiber {name} = {v}:{tag}")
         text.extend("  " + line for line in _profile_text(profile))
         if tables is not None:
-            text.append(rendered[tables[i]])
-            if verdicts is not None:
-                text.extend(_verdict_text(verdicts[i]))
+            text.extend(rendered[tables[i]])
     return text
 
 
@@ -381,14 +386,16 @@ def _family_json(name, f, values, profiles, graded_index, info, tables,
         doc["graph"] = _graph_json(info)
     else:
         doc["note"] = _NO_GRAPH_NOTE
-    rendered = {table: table.to_json() for table in set(tables or ())}
+    rendered = {}  # shared dicts, which _dumps writes once per level
+    for table, verdict in (verdicts or dict.fromkeys(tables or ())).items():
+        rendered[table] = {"table": table.to_json()}
+        if verdict is not None:
+            rendered[table]["verdict"] = _verdict_json(verdict)
     for i, (v, profile) in enumerate(zip(values, profiles)):
         fiber_doc = {"value": str(v), "graded": i == graded_index,
                      "profile": _profile_json(profile)}
         if tables is not None:
-            fiber_doc["table"] = rendered[tables[i]]
-            if verdicts is not None:
-                fiber_doc["verdict"] = _verdict_json(verdicts[i])
+            fiber_doc.update(rendered[tables[i]])
         doc["fibers"].append(fiber_doc)
     return doc
 
@@ -412,7 +419,8 @@ def cmd_bass(args):
         if not args.assume_chi_invariant:
             raise UsageError("bass on a family needs --assume-chi-invariant")
         parts = _analyze_family(args, need_graph=True)
-        verdicts = [bass_verdict(table) for table in parts[-1]]
+        verdicts = {table: bass_verdict(table)
+                    for table in dict.fromkeys(parts[-1])}
         return _family_text, _family_json, (args.parameter, *parts, verdicts)
     # single input: must be quasi-homogeneous, so the table is fully exact
     f = parse(args.polynomial, VARIABLES)
@@ -512,9 +520,9 @@ def _dumps(doc, newline="\n", memo=None):
     sits at.  A container that the document holds more than once at one
     level, such as a family's shared table, is written once: `memo` maps
     (id, newline) to its text, and ids are stable because every value is
-    alive while the dump runs.  Dict keys must be strings; None, floats
-    and anything not serialisable take json.dumps, which raises TypeError
-    on the last.
+    alive while the dump runs; it also holds each dict key's '"key": '.
+    Dict keys must be strings; None, floats and anything not serialisable
+    take json.dumps, which raises TypeError on the last.
     """
     if isinstance(doc, dict):
         keys = sorted(doc)
@@ -545,7 +553,8 @@ def _dumps(doc, newline="\n", memo=None):
     if keys is None:
         text = "[" + inner + ("," + inner).join(parts) + newline + "]"
     else:
-        parts = [encode_basestring(key) + ": " + part
+        parts = [(memo.get(key) or memo.setdefault(
+                      key, encode_basestring(key) + ": ")) + part
                  for key, part in zip(keys, parts)]
         text = "{" + inner + ("," + inner).join(parts) + newline + "}"
     memo[id(doc), newline] = text

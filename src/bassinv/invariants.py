@@ -234,8 +234,9 @@ def deduce_family(values, tables, graded_index):
 
     `tables[i]` is the table of the fiber at `values[i]`; the one at
     `graded_index` must be graded and fully exact.  Returns the tightened
-    tables as a list in the order of `values`.  Intervals only shrink;
-    exact entries are never altered (a contradiction raises
+    tables as a list in the order of `values`, tightening each distinct
+    table once; an error names the first fiber of its table.  Intervals
+    only shrink; exact entries are never altered (a contradiction raises
     InconsistentDeductionError instead).  Idempotent.
     """
     if not 0 <= graded_index < len(tables):
@@ -245,8 +246,11 @@ def deduce_family(values, tables, graded_index):
         raise NoGradedFiberError(
             "the designated graded fiber's table is not fully exact")
     chi = (graded.chi0, graded.chi1, graded.chi2)
-    return [_tighten(table, chi, f"fiber {v}")
-            for v, table in zip(values, tables, strict=True)]
+    tight = {}
+    for v, table in zip(values, tables, strict=True):
+        if table not in tight:
+            tight[table] = _tighten(table, chi, f"fiber {v}")
+    return [tight[table] for table in tables]
 
 
 # nk0_vanishes is "yes", "no" or "undetermined"; nk_minus1_rank is the

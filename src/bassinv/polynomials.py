@@ -523,11 +523,13 @@ def substitute_parameter(f, name, value):
     """
     i = f.variables.index(name)
     value = Fraction(value)
-    powers = {k: value ** k for k in {exp[i] for exp in f._terms}}
+    powers = {k: value ** k for k in {exp[i] for exp in f._terms} if k}
     acc = {}
     for exp, c in f._terms.items():
         rest = exp[:i] + exp[i + 1:]
-        acc[rest] = acc.get(rest, 0) + c * powers[exp[i]]
+        if exp[i]:
+            c *= powers[exp[i]]
+        acc[rest] = acc[rest] + c if rest in acc else c
     return _trusted({e: c for e, c in acc.items() if c},
                     f.variables[:i] + f.variables[i + 1:])
 

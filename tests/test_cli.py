@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bassinv import cli, groebner, singularity
+from bassinv import cli, groebner, invariants, singularity
 from bassinv.errors import UsageError
 from bassinv.groebner import MonomialOrder
 from bassinv.invariants import DuBoisTable
@@ -537,6 +537,66 @@ class TestFiberTransport:
                      "--values=-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
                      "--assume-chi-invariant", *extra)
         assert out.replace(GRAPH, "fixtures/wahl_resolution.json") == golden
+
+
+# no scaling weights: every fiber is analyzed; t = 0 is graded (tau 18),
+# the six others share tau 16, and the fibers t = -8 and t = 8 have a
+# singular point off the origin
+NONSCALING = "z^2+y^3+x^10+t*x^7*y+t^2*x^8*y"
+
+
+class TestFiberClasses:
+    """A family's work after the analysis runs once per distinct table."""
+
+    COUNTED = ((singularity, "analyze"), (cli, "build_table"),
+               (invariants, "_tighten"), (cli, "bass_verdict"))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, real):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return count
+
+        for module, name in self.COUNTED:
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        return calls
+
+    def counts(self, calls):
+        return [calls[name] for _, name in self.COUNTED]
+
+    def test_wahl_bass(self, capsys, calls):
+        run_ok(capsys, "bass", WAHL_FAMILY,
+               "--values=-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
+               "--assume-chi-invariant")
+        assert self.counts(calls) == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("command, verdicts", [("bass", 2),
+                                                   ("family", 0)])
+    def test_family_without_scaling_weights(self, capsys, calls, command,
+                                            verdicts):
+        run_ok(capsys, command, NONSCALING, "--values=-2,-1,0,1/2,1,2,3",
+               "--graph", GRAPH, "--assume-chi-invariant")
+        assert self.counts(calls) == [7, 2, 2, verdicts]
+
+    @pytest.mark.parametrize("suffix, extra", [("txt", []),
+                                               ("json", ["--json"])])
+    def test_nonscaling_transcripts(self, capsys, suffix, extra):
+        golden = (REPO / "fixtures" / "golden" /
+                  f"nonscaling_bass.{suffix}").read_text()
+        out = run_ok(capsys, "bass", NONSCALING, "--values=-2,-1,0,1/2,1,2,3",
+                     "--graph", GRAPH, "--assume-chi-invariant", *extra)
+        assert out.replace(GRAPH, "fixtures/wahl_resolution.json") == golden
+
+    def test_off_origin_fiber_is_named(self, capsys):
+        code, err = run_err(capsys, "bass", NONSCALING, "--values=-8,0,1",
+                            "--graph", GRAPH, "--assume-chi-invariant")
+        assert code == 2 and err.startswith(
+            "error [SingularLocusNotAtOriginError]: fiber t = -8: ")
 
 
 WAHL_PRINCIPAL = "z^2+y^3+x^10"

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bassinv import invariants
 from bassinv.errors import (InconsistentDeductionError, InconsistentInputsError,
                             NoGradedFiberError)
-from bassinv.invariants import Bound, bass_verdict, build_table, deduce_family
+from bassinv.invariants import (Bound, _tighten, bass_verdict, build_table,
+                                deduce_family)
 
 
 def wahl_graded():
@@ -197,6 +200,16 @@ class TestDeduceFamily:
             deduce_family(values, [tau_15, wahl_graded(), tau_17], 1)
         assert str(exc.value).startswith("fiber -1 b11: empty range")
 
+    def test_failing_class_is_named_by_its_first_fiber(self):
+        # t = 1 and t = 2 share one table, which the deduction refutes
+        values = [Fraction(v) for v in (-1, 0, 1, 2)]
+        tau_15 = build_table(15, 1, 0, 0, graded=False)
+        with pytest.raises(InconsistentDeductionError) as exc:
+            deduce_family(values, [wahl_deformed(), wahl_graded(), tau_15,
+                                   build_table(15, 1, 0, 0, graded=False)],
+                          1)
+        assert str(exc.value).startswith("fiber 1 b11: empty range")
+
 
 def _contains(bound, v):
     return bound.kind == "unknown" or bound.lo <= v <= bound.hi
@@ -228,6 +241,15 @@ def _deduction_cases(draw):
     return graded, table, draw(st.booleans())
 
 
+def _outcome(thunk):
+    """The value of thunk(), or the message of the deduction error it
+    raises."""
+    try:
+        return thunk()
+    except InconsistentDeductionError as exc:
+        return str(exc)
+
+
 class TestDeductionOracle:
     """deduce_family against brute force over the integers b10 in [0, tau]."""
 
@@ -256,6 +278,31 @@ class TestDeductionOracle:
         assert out.b01 == table.b01
         assert (out.chi0, out.chi1, out.chi2) == \
             (graded.chi0, graded.chi1, graded.chi2)
+
+    @given(_deduction_cases(), st.lists(st.integers(0, 3), max_size=6))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_tightening_each_fiber(self, case, picks):
+        """Fibers drawn from the graded table, the hand-set one, an equal
+        copy of it and a third table: tightening each distinct table once
+        gives what tightening every fiber gives, errors included, and a
+        deduction that succeeds tightens each distinct table once."""
+        graded, table, graded_first = case
+        choices = [graded, table, table._replace(),
+                   build_table(table.tau + 1, table.p_g, table.g, table.l,
+                               graded=False)]
+        tables = [choices[k] for k in picks]
+        graded_index = 0 if graded_first else len(tables)
+        tables.insert(graded_index, graded)
+        values = [Fraction(i, 2) for i in range(len(tables))]
+        chi = (graded.chi0, graded.chi1, graded.chi2)
+        with mock.patch.object(invariants, "_tighten",
+                               wraps=_tighten) as tighten:
+            out = _outcome(lambda: deduce_family(values, tables,
+                                                 graded_index))
+        assert out == _outcome(lambda: [_tighten(t, chi, f"fiber {v}")
+                                        for v, t in zip(values, tables)])
+        if isinstance(out, list):
+            assert tighten.call_count == len(set(tables))
 
 
 class TestBassVerdict:

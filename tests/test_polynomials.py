@@ -492,6 +492,16 @@ class TestSubstituteParameter:
         f = parse("t*x - x + y", VARS + ("t",))
         assert substitute_parameter(f, "t", 1) == poly("y")
 
+    @given(polys, coeffs, st.integers(0, 2))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_equals_the_checked_sum(self, f, value, i):
+        # each term times value^(its exponent of the i-th variable), summed
+        # by the checked constructor
+        expected = Polynomial(
+            [(e[:i] + e[i + 1:], c * value ** e[i])
+             for e, c in f.term_map().items()], VARS[:i] + VARS[i + 1:])
+        assert substitute_parameter(f, VARS[i], value) == expected
+
 
 class TestWeights:
     def test_paper_weights(self):
