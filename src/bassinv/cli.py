@@ -562,6 +562,20 @@ def _dumps(doc, newline="\n", memo=None):
 
 
 def run(argv):
+    """What main prints for argv.  A number past CPython's 4300-digit
+    int/str limit is valid input, so the limit is lifted while run runs and
+    the caller's setting is restored after it, also when it raises."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)  # before Python 3.11: no limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv):
     parser = _build_parser()
     args = parser.parse_args(_glue_negative_values(argv))
     text_view, json_view, results = _COMMANDS[args.command](args)
@@ -572,10 +586,6 @@ def run(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    if hasattr(sys, "set_int_max_str_digits"):
-        # a coefficient past CPython's 4300-digit default is valid input,
-        # and the tool must be able to parse and print it
-        sys.set_int_max_str_digits(0)
     try:
         try:
             text, code = run(argv), 0

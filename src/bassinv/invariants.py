@@ -72,42 +72,36 @@ class Bound(namedtuple("Bound", "kind lo hi", defaults=(None, None))):
         return {"kind": "unknown"}
 
 
-# the rendering window of the text grid
-_P_RANGE = range(0, 5)
-_Q_RANGE = range(2, -4, -1)
+_ZERO = Bound.exact(0)
+# the cells of the text grid, row by row from q = 2 down to q = -3, each
+# row from p = 0 to p = 4
+_P_RANGE = range(5)
+_WINDOW = [(p, q) for q in range(2, -4, -1) for p in _P_RANGE]
 
 
 class DuBoisTable(namedtuple("DuBoisTable", "tau p_g g l graded b01 b10 b11 "
                                            "b20 chi0 chi1 chi2")):
     __slots__ = ()
-    _STORED = ((0, 1), (1, 0), (1, 1), (2, 0))
+
+    def _cell(self, p, q):
+        """b^{p,q}, or None where the pattern forces it to zero: off the
+        diagonals p+q in {1,2} and on the row q = 2.  Below q = 0 both
+        diagonals hold tau; the four cells with q in {0, 1} are stored."""
+        if p + q not in (1, 2) or q > 1:
+            return None
+        if q < 0:
+            return Bound.exact(self.tau)
+        return getattr(self, f"b{p}{q}")
 
     def entry(self, p, q):
         """b^{p,q} with the forced pattern filled in."""
-        if (p, q) == (0, 1):
-            return self.b01
-        if (p, q) == (1, 0):
-            return self.b10
-        if (p, q) == (1, 1):
-            return self.b11
-        if (p, q) == (2, 0):
-            return self.b20
-        if q < 0 and p in (1 - q, 2 - q):
-            return Bound.exact(self.tau)
-        return Bound.exact(0)
-
-    def is_forced_zero(self, p, q):
-        return (p, q) not in self._STORED and not (
-            q < 0 and p in (1 - q, 2 - q))
+        cell = self._cell(p, q)
+        return _ZERO if cell is None else cell
 
     def chi(self, p):
-        if p == 0:
-            return self.chi0
-        if p == 1:
-            return self.chi1
-        if p == 2:
-            return self.chi2
-        return Bound.exact(0)
+        if p in (0, 1, 2):
+            return (self.chi0, self.chi1, self.chi2)[p]
+        return _ZERO
 
     def alpha(self):
         """b^{0,1} - b^{1,1}, Steenbrink's analytic invariant."""
@@ -124,18 +118,16 @@ class DuBoisTable(namedtuple("DuBoisTable", "tau p_g g l graded b01 b10 b11 "
         lines = [f"du Bois invariants (tau={self.tau}, p_g={self.p_g}, "
                  f"g={self.g}, l={self.l}, "
                  f"{'graded' if self.graded else 'not graded'})"]
-        cells = {}
-        for q in _Q_RANGE:
-            for p in _P_RANGE:
-                cells[(p, q)] = ("·" if self.is_forced_zero(p, q)
-                                 else self.entry(p, q).render())
-        width = max(len(v) for v in cells.values())
+        cells = ["·" if cell is None else cell.render()
+                 for cell in (self._cell(p, q) for p, q in _WINDOW)]
+        width = max(map(len, cells))
         header = "  q\\p |" + "".join(f" {p:>{width}}" for p in _P_RANGE)
         lines.append(header)
         lines.append("  " + "-" * (len(header) - 2))
-        for q in _Q_RANGE:
-            row = "".join(f" {cells[(p, q)]:>{width}}" for p in _P_RANGE)
-            lines.append(f"  q={q:>2} |{row}")
+        step = len(_P_RANGE)
+        for i in range(0, len(cells), step):
+            row = "".join(f" {c:>{width}}" for c in cells[i:i + step])
+            lines.append(f"  q={_WINDOW[i][1]:>2} |{row}")
         chis = ", ".join(f"chi^{p} = {self.chi(p).render()}" for p in range(3))
         lines.append(f"  {chis}, chi^p = 0 for p >= 3")
         lines.append(f"  alpha (b01 - b11): {self.alpha().render()}")
@@ -143,11 +135,11 @@ class DuBoisTable(namedtuple("DuBoisTable", "tau p_g g l graded b01 b10 b11 "
 
     def to_json(self):
         entries = []
-        for q in _Q_RANGE:
-            for p in _P_RANGE:
-                cell = self.entry(p, q).to_json()
-                cell.update(p=p, q=q, forced_zero=self.is_forced_zero(p, q))
-                entries.append(cell)
+        for p, q in _WINDOW:
+            cell = self._cell(p, q)
+            entry = (_ZERO if cell is None else cell).to_json()
+            entry.update(p=p, q=q, forced_zero=cell is None)
+            entries.append(entry)
         return {
             "inputs": {"tau": self.tau, "p_g": self.p_g, "g": self.g,
                        "l": self.l, "graded": self.graded},

@@ -605,29 +605,28 @@ def _clear(row, pivots):
     return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
-def _integer_echelon(rows, echelon):
-    """Extend `echelon` by sparse integer rows, yielding each new pivot.
+def _echelon_add(echelon, row):
+    """Add the sparse integer row to `echelon`; return its pivot, or None
+    when it lies in the span of the rows already there.
 
     A row is a dict {column: nonzero int}, and its pivot is its least
     column.  `echelon` maps each pivot to its row; the rows are primitive
     (entries of gcd 1) and each is zero at every other row's pivot, so up
     to a nonzero factor per row they are the reduced row echelon form,
-    which depends only on their span.  Each new row is reduced in integers
-    against them; if it is not zero, its pivot is yielded, and then its
-    pivot is cleared from the other rows and it joins them.  A caller that
-    stops at a yielded pivot is left with the echelon form of the earlier
-    rows.  No Fraction is formed.
+    which depends only on their span.  The row is reduced against them in
+    integers; if it is not zero, its pivot is cleared from them and it is
+    added last.  So len(echelon) is the rank, and its keys are the pivots
+    in row order.  No Fraction is formed.
     """
-    for row in rows:
-        row = _clear(row, [(p, echelon[p]) for p in row if p in echelon])
-        if not row:
-            continue
-        p = min(row)
-        yield p
-        for q, old in echelon.items():
-            if p in old:
-                echelon[q] = _clear(old, [(p, row)])
-        echelon[p] = row
+    row = _clear(row, [(p, echelon[p]) for p in row if p in echelon])
+    if not row:
+        return None
+    p = min(row)
+    for q, old in echelon.items():
+        if p in old:
+            echelon[q] = _clear(old, [(p, row)])
+    echelon[p] = row
+    return p
 
 
 def _difference_nullspace(exps, n):
@@ -636,7 +635,7 @@ def _difference_nullspace(exps, n):
 
     Each exponent has length n.  The differences of consecutive exponents
     span the same space as all differences; repeats are skipped and
-    _integer_echelon reduces the rest.  At rank n only w = 0 is left and
+    _echelon_add reduces the rest.  At rank n only w = 0 is left and
     [] is returned.  Otherwise there is one vector per free column fc, read
     off the rows as off the reduced row echelon form and scaled by the lcm
     of the pivots it needs; that depends only on the span, so the basis
@@ -654,9 +653,10 @@ def _difference_nullspace(exps, n):
                 yield {i: a for i, a in enumerate(d) if a}
 
     echelon = {}
-    for _ in _integer_echelon(differences(), echelon):
-        if len(echelon) == n - 1:
-            return []  # this row makes the rank n
+    for row in differences():
+        _echelon_add(echelon, row)
+        if len(echelon) == n:
+            return []
     basis = []
     for fc in range(n):
         if fc in echelon:
@@ -753,7 +753,7 @@ def linear_jacobian_multipliers(f):
     Solved as a linear system in the n^2 entries with one equation per
     monomial, keyed by one int, the sum of e_k << (k*bits), so that the
     column x_j df/dx_i shifts a key by 1 << j*bits minus 1 << i*bits.
-    _integer_echelon reduces it on f's coefficients scaled to integers,
+    _echelon_add reduces it on f's coefficients scaled to integers,
     the equations of f's own terms first: for most f without an A they are
     inconsistent already.  At n^2 pivots the solution is unique, and each
     remaining equation is only checked, by an integer dot product with it
@@ -786,9 +786,7 @@ def linear_jacobian_multipliers(f):
                       rows.values())
     echelon = {}
     for row in equations:
-        # a pivot is yielded before its row joins the echelon form: `in`
-        # runs the generator to its end unless the pivot is rhs
-        if rhs in _integer_echelon([row], echelon):
+        if _echelon_add(echelon, row) == rhs:
             return None  # 0 = nonzero: f is not in the span of the columns
         if len(echelon) == full:
             # the solution is unique: x / den, with -den in the rhs column
@@ -817,7 +815,7 @@ def positive_rational_eigenvalues(a):
     are those roots over D.  The largest root is split off P by exact
     division (_largest_integer_root) until P is used up.  An eigenvalue of
     multiplicity m > 1 is diagonalisable when b - s*I has rank n - m, which
-    _integer_echelon counts.  No Fraction is formed before the answer.
+    _echelon_add counts.  No Fraction is formed before the answer.
     """
     n = len(a)
     den = lcm(*(x.denominator for row in a for x in row))
@@ -836,9 +834,11 @@ def positive_rational_eigenvalues(a):
     for s in set(roots):
         m = roots.count(s)
         if m > 1:
-            rows = ({j: v - s * (i == j) for j, v in enumerate(row)
-                     if v - s * (i == j)} for i, row in enumerate(b))
-            if sum(1 for _ in _integer_echelon(rows, {})) != n - m:
+            echelon = {}
+            for i, row in enumerate(b):
+                row = {j: v - s * (i == j) for j, v in enumerate(row)}
+                _echelon_add(echelon, {j: v for j, v in row.items() if v})
+            if len(echelon) != n - m:
                 return None
     return [Fraction(s, den) for s in roots]
 

@@ -18,7 +18,7 @@ import json
 from collections import namedtuple
 
 from .errors import GraphFormatError
-from .polynomials import _integer_echelon
+from .polynomials import _echelon_add
 
 
 Vertex = namedtuple("Vertex", "id genus self_intersection")
@@ -113,12 +113,14 @@ def genus_sum(graph):
 def loop_count(graph):
     """l: the first Betti number, edges minus the incidence matrix's rank.
 
-    The edge [a, b] is the row e_a - e_b, and _integer_echelon yields one
-    pivot per row that raises the rank.  That rank is vertices minus
-    components, so l is also edges - vertices + components.
+    The edge [a, b] is the row e_a - e_b, and the rank is the size of
+    the echelon form that _echelon_add builds from them.  That rank is
+    vertices minus components, so l is also edges - vertices + components.
     """
-    rows = ({a: 1, b: -1} for a, b in graph.edges)
-    return len(graph.edges) - sum(1 for _ in _integer_echelon(rows, {}))
+    echelon = {}
+    for a, b in graph.edges:
+        _echelon_add(echelon, {a: 1, b: -1})
+    return len(graph.edges) - len(echelon)
 
 
 def intersection_matrix(graph):
@@ -143,13 +145,13 @@ def is_negative_definite(matrix):
     """Sylvester's test in exact arithmetic: D_k(-M) > 0 for every leading
     minor of -M, M the integer matrix.
 
-    The rows of -M go to _integer_echelon in order.  When the k-th yields
+    The rows of -M go to _echelon_add in order.  When the k-th gets
     pivot k, it enters as a positive multiple of its Gaussian-elimination
     row, whose k-th entry is D_k(-M)/D_(k-1)(-M): _clear only multiplies
     by a positive lcm and divides by a positive gcd.  Clearing later pivots
     from it never changes that entry's sign, because each later row is zero
-    at column k.  So M is negative definite exactly when the pivots are
-    0, ..., n-1 and every row is positive at its own pivot.
+    at column k.  So M is negative definite exactly when the pivots, in
+    row order, are 0, ..., n-1 and every row is positive at its pivot.
     """
     n = len(matrix)
     for row in matrix:
@@ -160,7 +162,8 @@ def is_negative_definite(matrix):
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
     echelon = {}
-    rows = ({j: -x for j, x in enumerate(row) if x} for row in matrix)
-    if list(_integer_echelon(rows, echelon)) != list(range(n)):
+    for row in matrix:
+        _echelon_add(echelon, {j: -x for j, x in enumerate(row) if x})
+    if list(echelon) != list(range(n)):
         return False
     return all(row[p] > 0 for p, row in echelon.items())

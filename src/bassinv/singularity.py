@@ -28,7 +28,7 @@ family have, do not contribute.  It comes by one of three routes:
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from .errors import (NotIsolatedError, SingularLocusNotAtOriginError,
@@ -36,7 +36,7 @@ from .errors import (NotIsolatedError, SingularLocusNotAtOriginError,
 from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
                        buchberger, jacobian_basis, staircase,
                        supported_only_at_origin)
-from .polynomials import (_integer_echelon, _trusted, find_weights,
+from .polynomials import (_difference_nullspace, _trusted, find_weights,
                           linear_jacobian_multipliers, partial_derivative,
                           positive_rational_eigenvalues)
 
@@ -114,22 +114,6 @@ def _graded_length(lam, cap):
     return length.numerator
 
 
-def _degree_one_weights(exps):
-    """The lam with e . lam = 1 for each of the n exponents e in n
-    variables, or None when that system has no unique solution.
-
-    _integer_echelon reduces the rows (e | 1); the solution is unique
-    exactly when their pivots are the n variable columns.
-    """
-    n = len(exps)
-    rows = [{**{j: k for j, k in enumerate(e) if k}, n: 1} for e in exps]
-    echelon = {}
-    if sorted(_integer_echelon(rows, echelon)) != list(range(n)):
-        return None
-    return tuple(Fraction(echelon[p].get(n, 0), echelon[p][p])
-                 for p in range(n))
-
-
 def _principal_gradings(f):
     """Positive integer weights w and a degree d under which every term of
     f has weighted degree >= d; each grading once.
@@ -139,8 +123,12 @@ def _principal_gradings(f):
     of f has lower degree, so that term is f's smallest pure power of x_i
     or its x_i^a*x_j with the least a.  The gradings are read off the
     triples of such terms, one term per variable: at most 3 candidates per
-    variable, so at most 27 triples in Q[x,y,z].  Triples whose system is
-    singular, or whose weights are not all positive, give none.
+    variable, so at most 27 triples in Q[x,y,z].  A triple's grading is
+    w and d = w·e on its terms e, for a _difference_nullspace vector w
+    signed so that d > 0.  The nullspace is one vector with d != 0 exactly
+    when the terms' exponents are linearly independent, that is when
+    e·lam = 1 on them has one solution, lam = w/d.  Other triples, and
+    those whose weights are not all positive, give none.
     """
     n = len(f.variables)
     exps = f.exponents()
@@ -157,12 +145,17 @@ def _principal_gradings(f):
         candidates.append([least[key] for key in sorted(least)])
     seen = set()
     for triple in product(*candidates):
-        lam = _degree_one_weights(triple)
-        if lam is None or lam in seen or min(lam) <= 0:
+        basis = _difference_nullspace(triple, n)
+        if len(basis) != 1:
             continue
-        seen.add(lam)
-        d = lcm(*(x.denominator for x in lam))
-        w = [x.numerator * (d // x.denominator) for x in lam]
+        w = basis[0]
+        d = sum(map(mul, w, triple[0]))
+        if d < 0:
+            w, d = [-x for x in w], -d
+        grading = tuple(w), d
+        if not d or min(w) <= 0 or grading in seen:
+            continue
+        seen.add(grading)
         if all(sum(map(mul, w, e)) >= d for e in exps):
             yield w, d
 

@@ -119,7 +119,9 @@ def corpus_bases(corpus_polys):
 @pytest.fixture
 def default_digit_limit():
     """Run a test under CPython's default limit on int/str conversions
-    (4300 digits), whatever an earlier cli.main set, and restore it after."""
+    (4300 digits), whatever an earlier test set, and restore it after.
+    cli.run lifts the limit only while it runs, so a test of what the tool
+    does past it also checks that nothing outside a run depends on it."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return

@@ -188,8 +188,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("json_view", [False, True], ids=["text", "json"])
     def test_library_run_past_the_digit_limit(self, default_digit_limit,
                                               json_view):
-        # cli.run, unlike cli.main, leaves the interpreter's limit alone;
-        # the printed polynomial parses back to the input
+        # cli.run lifts the interpreter's limit only while it runs; the
+        # printed polynomial parses back to the input under the default
         text = "2^20000*x^2+y^2+z^2"
         out = cli.run(["analyze", text, *["--json"] * json_view])
         if json_view:
@@ -229,6 +229,55 @@ class TestAnalyze:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+
+# a 5001-digit vertex id, past CPython's 4300-digit int/str limit
+BIG_ID_GRAPH = ('{"vertices": [{"id": 1%s, "genus": 0, '
+                '"self_intersection": -2}], "edges": []}' % ("0" * 5000))
+
+
+class TestDigitLimit:
+    """Numbers past CPython's int/str digit limit, in-process as through the
+    real process."""
+
+    @pytest.mark.parametrize("argv", [
+        ["family", WAHL_FAMILY, "--values", "0,1" + "0" * 5000,
+         "--assume-chi-invariant"],
+        ["family", WAHL_FAMILY, "--values=0,1e5000", "--assume-chi-invariant"],
+        ["family", WAHL_FAMILY, "--values=0,1e5000", "--assume-chi-invariant",
+         "--json"],
+        ["graph", "BIG_ID_GRAPH"],
+    ], ids=["long-value", "power-value", "power-value-json", "long-id"])
+    def test_in_process_as_in_a_process(self, capsys, tmp_path,
+                                        default_digit_limit, argv):
+        graph = tmp_path / "graph.json"
+        graph.write_text(BIG_ID_GRAPH)
+        argv = [str(graph) if a == "BIG_ID_GRAPH" else a for a in argv]
+        text = cli.run(argv)
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == (0, text + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bassinv.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str digit limit before Python 3.11")
+    def test_limit_restored_after_a_run(self, default_digit_limit):
+        default = sys.int_info.default_max_str_digits
+        cli.run(["analyze", "2^20000*x^2+y^2+z^2"])
+        assert sys.get_int_max_str_digits() == default
+        assert cli.main(["analyze", "x^2+y^2+z^2"]) == 0
+        assert sys.get_int_max_str_digits() == default
+        with pytest.raises(UsageError):
+            cli.run(["family", WAHL_FAMILY, "--values", "0,1/0",
+                     "--assume-chi-invariant"])
+        assert sys.get_int_max_str_digits() == default
+        sys.set_int_max_str_digits(5000)  # a caller's own setting is kept
+        cli.run(["analyze", "x^2+y^2+z^2"])
+        assert sys.get_int_max_str_digits() == 5000
 
 
 class TestFamily:

@@ -679,6 +679,37 @@ def _rank(rows):
     return rank
 
 
+class TestEchelonAdd:
+    """The echelon form against _rank, a Fraction elimination that shares
+    no code with the engine."""
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.dictionaries(st.integers(0, n - 1),
+                        st.integers(-4, 4).filter(bool), max_size=3),
+        max_size=9))))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_size_is_the_rank(self, case):
+        n, rows = case
+        echelon, pivots = {}, []
+        for k, row in enumerate(rows):
+            p = polynomials._echelon_add(echelon, dict(row))
+            dense = [[r.get(j, 0) for j in range(n)] for r in rows[:k + 1]]
+            assert len(echelon) == _rank(dense)
+            assert (p is None) == (_rank(dense) == _rank(dense[:-1]))
+            if p is not None:
+                pivots.append(p)
+        # the pivots in the order their rows came; each row primitive, led
+        # by its pivot and zero at the other pivots
+        assert list(echelon) == pivots
+        reduced = [[r.get(j, 0) for j in range(n)] for r in echelon.values()]
+        dense = [[r.get(j, 0) for j in range(n)] for r in rows]
+        assert _rank(dense + reduced) == _rank(dense)  # the same span
+        for p, row in echelon.items():
+            assert min(row) == p and gcd(*row.values()) == 1
+            assert all(v for v in row.values())
+            assert not any(q in row for q in echelon if q != p)
+
+
 @st.composite
 def exponent_sets(draw):
     """(n, distinct exponent vectors of length n), n from 1 to 5."""
@@ -906,14 +937,15 @@ class TestLinearJacobianMultipliers:
         # the dot-product check reads refutes them: the pivots are the 9
         # entries, and none is f's column
         pivots = []
-        echelon = polynomials._integer_echelon
+        add = polynomials._echelon_add
 
-        def spy(rows, reduced):
-            for p in echelon(rows, reduced):
+        def spy(echelon, row):
+            p = add(echelon, row)
+            if p is not None:
                 pivots.append(p)
-                yield p
+            return p
 
-        monkeypatch.setattr(polynomials, "_integer_echelon", spy)
+        monkeypatch.setattr(polynomials, "_echelon_add", spy)
         form = poly("(x+y+z)^4+(x-y+z)^5+(x+y-z)^6")
         assert linear_jacobian_multipliers(form + poly("z^9")) is None
         assert sorted(pivots) == list(range(9))

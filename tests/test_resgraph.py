@@ -161,28 +161,56 @@ class TestDerivedNumbers:
                            st.integers(1, max(n, 1))), max_size=14))))
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_loops_against_components(self, graph):
-        # disconnected graphs, isolated vertices and repeated edges; the
-        # components come from a breadth-first search, not from a rank
+        # disconnected graphs, isolated vertices and repeated edges
         n, pairs = graph
         edges = [(a, b) for a, b in pairs if a != b]
-        neighbours = {v: [] for v in range(1, n + 1)}
-        for a, b in edges:
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-        seen, components = set(), 0
-        for v in neighbours:
-            if v in seen:
-                continue
-            components += 1
-            seen.add(v)
-            queue = [v]
-            while queue:
-                for w in neighbours[queue.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
         g = load_graph(graph_doc([-2] * n, edges))
-        assert loop_count(g) == len(edges) - n + components
+        assert loop_count(g) == \
+            len(edges) - n + dfs_components(range(1, n + 1), edges)
+
+    @given(st.lists(st.integers(1, 5).flatmap(lambda size: st.lists(
+        st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+        max_size=8).map(lambda pairs: (size, pairs))), min_size=2,
+        max_size=4), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_loops_of_multigraph_unions(self, blocks, repeat):
+        # two to four blocks on separate, negative and spaced-out ids, and
+        # the first `repeat` edges drawn twice
+        vertices, edges, start = [], [], -20
+        for size, pairs in blocks:
+            ids = [start + 3 * k for k in range(size)]
+            vertices += ids
+            edges += [(ids[a], ids[b]) for a, b in pairs if a != b]
+            start += 3 * size + 1
+        edges += edges[:repeat]
+        doc = {"vertices": [{"id": v, "genus": 0, "self_intersection": -2}
+                            for v in vertices],
+               "edges": [list(e) for e in edges]}
+        components = dfs_components(vertices, edges)
+        assert components >= len(blocks)
+        assert loop_count(load_graph(doc)) == \
+            len(edges) - len(vertices) + components
+
+
+def dfs_components(vertices, edges):
+    """The number of connected components, by a depth-first search."""
+    neighbours = {v: [] for v in vertices}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen, components = set(), 0
+    for v in neighbours:
+        if v in seen:
+            continue
+        components += 1
+        seen.add(v)
+        stack = [v]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return components
 
 
 class TestIntersectionMatrix:

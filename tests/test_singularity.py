@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -11,13 +12,13 @@ from bassinv.errors import (NotIsolatedError, SingularLocusNotAtOriginError,
                             SmoothInput, StaircaseLimitError)
 from bassinv.groebner import (MonomialOrder, buchberger, staircase,
                               supported_only_at_origin)
-from bassinv.polynomials import (Polynomial, WeightSystem, find_weights,
+from bassinv.polynomials import (Polynomial, WeightSystem,
+                                 _difference_nullspace, find_weights,
                                  linear_jacobian_multipliers, parse,
                                  positive_rational_eigenvalues,
                                  substitute_parameter)
-from bassinv.singularity import (_degree_one_weights, _local_staircase,
-                                 _principal_gradings, analyze,
-                                 jacobian_ideal)
+from bassinv.singularity import (_local_staircase, _principal_gradings,
+                                 analyze, jacobian_ideal)
 
 from conftest import (CORPUS_TEXTS, VARS, local_monomials, poly,
                       standard_monomials)
@@ -783,16 +784,118 @@ class TestEulerRoute:
         assert p.p_g == lattice_genus(*shape)
 
 
+def cramer_degree_one(exps):
+    """The lam with e·lam = 1 for each of the n exponents e in n variables,
+    by Cramer's rule; None when the system has no unique solution."""
+    det = permutation_det(exps)
+    if not det:
+        return None
+    n = len(exps)
+    return tuple(Fraction(permutation_det([e[:j] + (1,) + e[j + 1:]
+                                           for e in exps]), det)
+                 for j in range(n))
+
+
+def reference_gradings(f):
+    """_principal_gradings as it was written on cramer_degree_one: per
+    variable x_i, f's least pure power x_i^a and least x_i^a*x_j for each
+    j; per triple of them the unique positive lam, as (lam * lcm, lcm)."""
+    n = len(f.variables)
+    exps = f.exponents()
+
+    def shape(e, i, j):  # e is x_i^a*x_j, or a pure power of x_i if j == i
+        return e[i] > 0 and all(e[k] == (k == j != i)
+                                for k in range(n) if k != i)
+
+    candidates = []
+    for i in range(n):
+        least = [min((e for e in exps if shape(e, i, j)), key=lambda e: e[i],
+                     default=None) for j in range(n)]
+        candidates.append([e for e in least if e is not None])
+    seen, out = set(), []
+    for triple in itertools.product(*candidates):
+        lam = cramer_degree_one(triple)
+        if lam is None or lam in seen or min(lam) <= 0:
+            continue
+        seen.add(lam)
+        d = math.lcm(*(x.denominator for x in lam))
+        w = [x.numerator * (d // x.denominator) for x in lam]
+        if all(sum(map(operator.mul, w, e)) >= d for e in exps):
+            out.append((w, d))
+    return out
+
+
+@st.composite
+def principal_supports(draw):
+    """A polynomial in 1 to 4 variables whose terms are mostly pure powers
+    and x_i^a*x_j, the shapes of the gradings' candidates, exponents to 6."""
+    n = draw(st.integers(1, 4))
+
+    def term(kind, i, j, a, rest):
+        e = [0] * n
+        if kind == "rest":
+            return tuple(rest)
+        e[i] = a
+        if kind == "mixed" and j != i:
+            e[j] = 1
+        return tuple(e)
+
+    index = st.integers(0, n - 1)
+    terms = st.builds(term, st.sampled_from(["pure", "mixed", "rest"]),
+                      index, index, st.integers(1, 6),
+                      st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    exps = draw(st.lists(terms, min_size=1, max_size=9, unique=True))
+    return Polynomial({e: Fraction(1) for e in exps},
+                      tuple(f"v{k}" for k in range(n)))
+
+
 class TestPrincipalPart:
     """mu = prod(1/lam_i - 1) for a semi-quasi-homogeneous f without
     multipliers, from the principal part's weights lam."""
 
-    def test_degree_one_weights(self):
-        assert _degree_one_weights([(10, 0, 0), (7, 1, 0), (0, 0, 2)]) == \
+    def test_triple_cases(self):
+        # the Wahl triple x^10, y^3, z^2
+        assert list(_principal_gradings(poly("z^2+y^3+x^10"))) == \
+            [([3, 10, 15], 30)]
+        assert cramer_degree_one([(10, 0, 0), (0, 3, 0), (0, 0, 2)]) == \
+            (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2))
+        # x^10, x^7*y, z^2: lam = (1/10, 3/10, 1/2) = w/d
+        assert _difference_nullspace([(10, 0, 0), (7, 1, 0), (0, 0, 2)],
+                                     3) == [[1, 3, 5]]
+        assert cramer_degree_one([(10, 0, 0), (7, 1, 0), (0, 0, 2)]) == \
             (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2))
-        # x*y twice: singular and consistent; x*y and x^2*y^2: inconsistent
-        assert _degree_one_weights([(1, 1, 0), (1, 1, 0), (0, 0, 2)]) is None
-        assert _degree_one_weights([(1, 1, 0), (2, 2, 0), (0, 0, 2)]) is None
+        # x*y twice: singular and consistent, two nullspace vectors
+        assert list(_principal_gradings(poly("x*y+z^2"))) == []
+        assert cramer_degree_one([(1, 1, 0), (1, 1, 0), (0, 0, 2)]) is None
+        assert len(_difference_nullspace([(1, 1, 0), (1, 1, 0), (0, 0, 2)],
+                                         3)) == 2
+        # x*y and x^2*y^2: inconsistent, one nullspace vector of degree 0.
+        # x^2*y^2 is no candidate, so no polynomial's candidates form this
+        # triple: in x*y+x^2*y^2+z^2, x*y is both x's and y's candidate
+        inconsistent = [(1, 1, 0), (2, 2, 0), (0, 0, 2)]
+        assert cramer_degree_one(inconsistent) is None
+        [w] = _difference_nullspace(inconsistent, 3)
+        assert sum(map(operator.mul, w, inconsistent[0])) == 0
+        assert list(_principal_gradings(poly("x*y+x^2*y^2+z^2"))) == []
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 6)] * n), min_size=n, max_size=n)))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_nullspace_solves_degree_one(self, triple):
+        # one vector w with d = w·e != 0 exactly when e·lam = 1 has one
+        # solution, and then lam = w/d
+        lam = cramer_degree_one(triple)
+        basis = _difference_nullspace(triple, len(triple))
+        d = sum(map(operator.mul, basis[0], triple[0])) if basis else 0
+        if len(basis) != 1 or not d:
+            assert lam is None
+        else:
+            assert lam == tuple(Fraction(x, d) for x in basis[0])
+
+    @given(principal_supports())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_gradings_equal_the_cramer_reference(self, f):
+        assert list(_principal_gradings(f)) == reference_gradings(f)
 
     @pytest.mark.parametrize("text,gradings", [
         # x^7*y, y^3, z^2 gives weights 2/21, 1/3, 1/2, under which x^10
