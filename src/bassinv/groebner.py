@@ -2,9 +2,11 @@
 
 The pair queue uses Gebauer-Moller elimination with normal (minimal lcm
 degree) selection.  Arithmetic is fraction-free on primitive integer term
-lists and is done by `bassinv.kernel`, looked up through
-`bassinv.kernel.active()` at each call; results are certificates, not
-probabilistic.  Each computation (a Buchberger run, a normal form, a
+lists and is done by `bassinv.kernel`; results are certificates, not
+probabilistic.  The four functions that call reduce_full, spoly or
+enumerate_staircase reach them through the kernel's `active()` hook, which
+the benchmark's tracer replaces to count them; the rest of the kernel is
+called directly.  Each computation (a Buchberger run, a normal form, a
 support test) packs its monomials once into ints by a kernel `Packing`
 sized from its inputs, reruns at twice the width when an exponent outgrows
 it, and unpacks only what it returns; a GroebnerBasis holds exponent
@@ -95,7 +97,7 @@ def _to_raw(terms, packing):
     # a Polynomial's exponents are distinct and its coefficients nonzero
     nums = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
     items = sorted(zip(map(packing.pack, terms), nums), reverse=True)
-    items, content = kernel.active().make_primitive(items)
+    items, content = kernel.make_primitive(items)
     return items, Fraction(content, den)
 
 
@@ -108,11 +110,10 @@ def _packed(run, order, nvars, exps):
     """run(packing) for a packing whose fields hold every entry of the
     exponent vectors `exps`, rerun at twice the width while an exponent
     outgrows them."""
-    impl = kernel.active()
     width = max(chain.from_iterable(exps), default=0).bit_length() + 1
     while True:
         try:
-            return run(impl.Packing(order, nvars, width))
+            return run(kernel.Packing(order, nvars, width))
         except kernel._Overflow:
             width *= 2
 
@@ -156,7 +157,7 @@ def buchberger(generators, order=None, until_finite=False):
 def jacobian_basis(f, order, *, with_f, until_finite=False):
     """buchberger of the partial derivatives of f, and of f itself when
     `with_f`: the same result, with the partials derived on f's packing
-    (_partials_raw), so no Polynomial or Fraction is formed for them.  No
+    (kernel.partials), so no Polynomial or Fraction is formed for them.  No
     exponent of a partial exceeds f's, so f's exponents size the fields.
     """
     variables = f.variables
@@ -166,35 +167,13 @@ def jacobian_basis(f, order, *, with_f, until_finite=False):
 
     def run(packing):
         raw = _to_raw(terms, packing)[0]
-        raws = _partials_raw(raw, packing)
+        raws = kernel.partials(raw, packing)
         if with_f:
             raws.append(raw)
         return _buchberger(raws, packing, until_finite)
 
     final = _packed(run, order, len(variables), terms)
     return None if final is None else GroebnerBasis(order, variables, final)
-
-
-def _partials_raw(raw, packing):
-    """The nonzero partial derivatives, by each variable in turn, of the
-    primitive term list `raw`, as primitive term lists packed as it is.
-
-    The partial by x_i of a term c*x^e with e_i > 0 is c*e_i*x^(e - 1_i),
-    whose packed monomial is p - scales[i] since packing is affine; e_i is
-    read from its field.  Dividing by x_i keeps a multiplicative order, so
-    each partial stays sorted.
-    """
-    make_primitive = kernel.active().make_primitive
-    top = packing.top
-    # lex fields hold e_i, the others top - e_i, which is top ^ e_i
-    flip = 0 if packing.sign > 0 else top
-    partials = []
-    for shift, scale in zip(packing.shifts, packing.scales):
-        partial = [(p - scale, c * k) for p, c in raw
-                   if (k := (p >> shift & top) ^ flip)]
-        if partial:
-            partials.append(make_primitive(partial)[0])
-    return partials
 
 
 def _buchberger(raws, packing, until_finite):

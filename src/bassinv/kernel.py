@@ -1,9 +1,11 @@
 """The term-arithmetic kernel and the monomial orders it sorts by.
 
-The operations that dominate a Buchberger run: complete fraction-free
-reduction, S-polynomials, and staircase counting.  The engine looks the
-kernel up through `active()` on every call, so a test or a tracer can
-substitute a proxy (for counting or timing) by replacing `active`.
+The operations that dominate a Buchberger run (complete fraction-free
+reduction, S-polynomials, staircase counting) and the packed-monomial format
+they work on, which no other module encodes or decodes.  The engine calls
+those three, reduce_full, spoly and enumerate_staircase, through `active()`,
+which returns this module, so that the benchmark's tracer can count them by
+replacing it; the rest it calls directly.
 
 Data layout:
 
@@ -51,7 +53,7 @@ from .errors import StaircaseLimitError
 
 
 def active():
-    """The kernel module, looked up by the engine at each call."""
+    """This module: the engine makes its three counted calls through it."""
     return sys.modules[__name__]
 
 
@@ -109,14 +111,16 @@ class Packing:
     def __init__(self, order, nvars, width):
         stride = width + 1
         top = self.top = (1 << width) - 1
-        self.guard = sum(1 << (width + i * stride) for i in range(nvars))
-        self.sign = 1 if order.kind == "lex" else -1
+        # 1 in the lowest bit of each field: a geometric series in 2^stride
+        unit = ((1 << nvars * stride) - 1) // ((1 << stride) - 1)
+        self.guard = unit << width
         if order.kind == "lex":
-            self.shifts = [(nvars - 1 - i) * stride for i in range(nvars)]
+            self.sign, self.one = 1, 0
+            self.shifts = list(range((nvars - 1) * stride, -1, -stride))
             self.scales = [1 << s for s in self.shifts]
-            self.one = 0
             return
-        self.shifts = [i * stride for i in range(nvars)]
+        self.sign, self.one = -1, top * unit
+        self.shifts = list(range(0, nvars * stride, stride))
         degree = 1 << nvars * stride
         if order.kind == "grevlex":
             weighted = [degree] * nvars
@@ -129,7 +133,6 @@ class Packing:
         else:
             raise ValueError(f"unknown order kind {order.kind!r}")
         self.scales = [d - (1 << s) for d, s in zip(weighted, self.shifts)]
-        self.one = sum(top << s for s in self.shifts)
 
     def pack(self, e):
         """The packed monomial of an exponent vector whose entries fit."""
@@ -153,6 +156,27 @@ class Packing:
 
     def lcm(self, a, b):
         return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
+
+def partials(terms, packing):
+    """The nonzero partial derivatives, by each variable in turn, of the
+    primitive term list `terms`, as primitive term lists packed as it is.
+
+    The partial by x_i of a term c*x^e with e_i > 0 is c*e_i*x^(e - 1_i),
+    whose packed monomial is p - scales[i] since packing is affine; e_i is
+    read from its field.  Dividing by x_i keeps a multiplicative order, so
+    each partial stays sorted.
+    """
+    top = packing.top
+    # lex fields hold e_i, the others top - e_i, which is top ^ e_i
+    flip = 0 if packing.sign > 0 else top
+    out = []
+    for shift, scale in zip(packing.shifts, packing.scales):
+        partial = [(p - scale, c * k) for p, c in terms
+                   if (k := (p >> shift & top) ^ flip)]
+        if partial:
+            out.append(make_primitive(partial)[0])
+    return out
 
 
 def make_primitive(terms):

@@ -12,13 +12,14 @@ an error message.  `str` prints the same grammar, and parse(str(f)) == f.
 """
 
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import chain, islice
 from math import comb, gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .errors import PolynomialSyntaxError, UnknownVariableError
+from .kernel import MonomialOrder, Packing
 
 Exponent = tuple  # tuple of non-negative ints
 
@@ -273,13 +274,7 @@ _CHUNK = 10 ** _CHUNK_DIGITS
 
 
 def _decimal(q):
-    """str(q) for a non-negative int or Fraction of any size."""
-    if isinstance(q, Fraction):
-        if q.denominator != 1:
-            return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
-        q = q.numerator
-    if q < _CHUNK:
-        return str(q)
+    """str(q) for a non-negative int of any size."""
     chunks = []
     while q >= _CHUNK:
         q, r = divmod(q, _CHUNK)
@@ -751,8 +746,9 @@ def linear_jacobian_multipliers(f):
     quasi-homogeneous after a change that is not linear, yet has no A.
 
     Solved as a linear system in the n^2 entries with one equation per
-    monomial, keyed by one int, the sum of e_k << (k*bits), so that the
-    column x_j df/dx_i shifts a key by 1 << j*bits minus 1 << i*bits.
+    monomial, keyed by a lex kernel.Packing whose fields hold exponents up
+    to one past f's largest, so that the column x_j df/dx_i shifts a key
+    by scales[j] minus scales[i].
     _echelon_add reduces it on f's coefficients scaled to integers,
     the equations of f's own terms first: for most f without an A they are
     inconsistent already.  At n^2 pivots the solution is unique, and each
@@ -764,22 +760,23 @@ def linear_jacobian_multipliers(f):
     n = len(f.variables)
     terms = f._terms
     denom = lcm(*(c.denominator for c in terms.values()))
-    # the columns' monomials have exponents up to top + 1 < 2**bits
-    bits = (max(chain(*terms), default=0) + 1).bit_length()
-    units = [1 << (i * bits) for i in range(n)]
+    # a column x_j df/dx_i raises an exponent of f by at most 1
+    packing = Packing(MonomialOrder.lex(), n,
+                      (max(chain(*terms), default=0) + 1).bit_length())
+    scales = packing.scales
     full = rhs = n * n  # columns: the entries of A, then f's coefficient
-    rows = {}  # monomial key -> its equation
+    rows = defaultdict(dict)  # monomial key -> its equation
     own = {}  # f's monomial keys -> its coefficients scaled to integers
     for e, c in terms.items():
-        key = sum(map(mul, e, units))
+        key = packing.pack(e)
         c = own[key] = c.numerator * (denom // c.denominator)
         for i, k in enumerate(e):
             if k:
                 # the term c*x^e of f gives k*c*x^m in x_j df/dx_i, and
                 # no other term of f reaches m in that column
-                lowered = key - units[i]
-                for col, unit in enumerate(units, i * n):
-                    rows.setdefault(lowered + unit, {})[col] = k * c
+                lowered, kc = key - scales[i], k * c
+                for col, scale in enumerate(scales, i * n):
+                    rows[lowered + scale][col] = kc
     if not own.keys() <= rows.keys():
         return None  # a term of f that no column reaches
     equations = chain([{**rows.pop(key), rhs: c} for key, c in own.items()],

@@ -124,11 +124,12 @@ def _principal_gradings(f):
     or its x_i^a*x_j with the least a.  The gradings are read off the
     triples of such terms, one term per variable: at most 3 candidates per
     variable, so at most 27 triples in Q[x,y,z].  A triple's grading is
-    w and d = w·e on its terms e, for a _difference_nullspace vector w
-    signed so that d > 0.  The nullspace is one vector with d != 0 exactly
-    when the terms' exponents are linearly independent, that is when
-    e·lam = 1 on them has one solution, lam = w/d.  Other triples, and
-    those whose weights are not all positive, give none.
+    w and d = w·e on its terms e, for the _difference_nullspace vector w.
+    The nullspace is one vector with d != 0 exactly when the terms'
+    exponents are linearly independent, that is when e·lam = 1 on them has
+    one solution, lam = w/d.  Other triples, and those whose weights are
+    not all positive, give none; so does d < 0, since w is positive at its
+    free column and -w is not.
     """
     n = len(f.variables)
     exps = f.exponents()
@@ -150,10 +151,8 @@ def _principal_gradings(f):
             continue
         w = basis[0]
         d = sum(map(mul, w, triple[0]))
-        if d < 0:
-            w, d = [-x for x in w], -d
         grading = tuple(w), d
-        if not d or min(w) <= 0 or grading in seen:
+        if d <= 0 or min(w) <= 0 or grading in seen:
             continue
         seen.add(grading)
         if all(sum(map(mul, w, e)) >= d for e in exps):

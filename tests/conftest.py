@@ -1,9 +1,11 @@
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from bassinv import kernel
 from bassinv.groebner import MonomialOrder, buchberger
 from bassinv.polynomials import parse, partial_derivative
 from bassinv.singularity import _lazard_basis
@@ -99,6 +101,37 @@ def local_monomials(generators):
     leads of the Lazard basis with t dropped, in grevlex."""
     leads = [e[1:] for e in _lazard_basis(generators).leading_exponents()]
     return brute_force_staircase(leads, len(generators[0].variables))
+
+
+def spairs_reduce_to_zero(basis):
+    """Whether the kernel's reduce_full takes the kernel's S-polynomial of
+    every pair of the basis' generators to 0 against them."""
+    packing = kernel.Packing(basis.order, len(basis.variables), 16)
+    raws = [packing.pack_terms(raw) for raw in basis._raw]
+    return not any(kernel.reduce_full(kernel.spoly(f, g, packing), raws,
+                                      packing)[0]
+                   for f, g in itertools.combinations(raws, 2))
+
+
+def counting(counts, name, fn):
+    """fn, adding 1 to counts[name] at each call."""
+    def call(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return call
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A Counter of the calls of the kernel's three counted functions by
+    name, from the test's start (clear it to count from a later point).
+    The engine reaches them through the kernel's active() hook, which
+    returns the module, so patching its attributes counts every call."""
+    counts = Counter()
+    for name in ("reduce_full", "spoly", "enumerate_staircase"):
+        monkeypatch.setattr(kernel, name,
+                            counting(counts, name, getattr(kernel, name)))
+    return counts
 
 
 @pytest.fixture(scope="session")

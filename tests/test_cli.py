@@ -455,6 +455,19 @@ class TestBass:
                             "--assume-chi-invariant")
         assert code == 5 and "NoGradedFiberError" in err
 
+    def test_empty_values_entry_exit_4(self, capsys):
+        assert run_err(capsys, "bass", WAHL_FAMILY, "--values", "0,,1",
+                       "--graph", GRAPH, "--assume-chi-invariant") == (
+            4, "error [UsageError]: empty entry in --values\n")
+
+    def test_undetermined_verdict_text(self):
+        # the deformed Wahl fiber before the family deduction
+        table = invariants.build_table(16, 1, 0, 0, graded=False)
+        assert cli._verdict_text(invariants.bass_verdict(table)) == [
+            "verdict: undetermined: b^{1,1} or b^{0,1} not pinned down; "
+            "run the family deduction or supply a graded input",
+            "  NK_0 vanishes: undetermined; NK_{-1} rank (b^{0,1}): 1"]
+
     def test_values_without_flag_exit_4(self, capsys):
         assert run_err(capsys, "bass", WAHL_FAMILY, "--values", "0,1",
                        "--graph", GRAPH) == (

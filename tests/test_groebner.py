@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from bassinv import kernel
 from bassinv.errors import StaircaseLimitError
-from bassinv.groebner import (MonomialOrder, _packed, _partials_raw, _to_raw,
-                              buchberger, jacobian_basis, normal_form,
-                              staircase, supported_only_at_origin)
+from bassinv.groebner import (MonomialOrder, _packed, _to_raw, buchberger,
+                              jacobian_basis, normal_form, staircase,
+                              supported_only_at_origin)
 from bassinv.polynomials import (Polynomial, WeightSystem, parse,
                                  partial_derivative)
 
 from conftest import (CORPUS_TEXTS, VARS, divides, jacobian, poly,
-                      standard_monomials, tjurina_generators)
+                      spairs_reduce_to_zero, standard_monomials,
+                      tjurina_generators)
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
@@ -126,12 +127,11 @@ class TestUntilFinite:
         stopped = buchberger(gens, order, until_finite=True)
         assert (stopped is None) == (staircase(full).size is not None)
 
-    def test_stops_before_the_pairs(self, monkeypatch):
+    def test_stops_before_the_pairs(self, kernel_calls):
         # pure powers among the generators: one reduction each, no pair
-        calls = count_reduce_full(monkeypatch)
         assert buchberger([poly("20x^19"), poly("21y^20"), poly("5z^4")],
                           until_finite=True) is None
-        assert len(calls) == 3
+        assert kernel_calls["reduce_full"] == 3
 
     @pytest.mark.parametrize("gens", [["x*y", "x^2"], ["x^2-y^2", "x*z"],
                                       ["0"]])
@@ -170,7 +170,7 @@ class TestJacobianBasis:
     def test_packed_partials_are_the_partials(self, f, order):
         def run(packing):
             raw = _to_raw(f.term_map(), packing)[0]
-            return _partials_raw(raw, packing), [
+            return kernel.partials(raw, packing), [
                 _to_raw(p.term_map(), packing)[0]
                 for p in (partial_derivative(f, i) for i in range(3))
                 if not p.is_zero()]
@@ -297,12 +297,12 @@ class TestSupportAtOrigin:
                                               (1, 0, 0))
         assert supported_only_at_origin(gb, staircase(gb).size)
 
-    def test_first_power_at_dimension(self, monkeypatch):
+    def test_first_power_at_dimension(self, kernel_calls):
         gb = buchberger([poly("x^5"), poly("y"), poly("z")])
         assert staircase(gb).size == 5
-        calls = count_reduce_full(monkeypatch)
+        kernel_calls.clear()
         assert supported_only_at_origin(gb, 5)
-        assert len(calls) == 3  # x^5, y^5 and z^5, once each
+        assert kernel_calls["reduce_full"] == 3  # x^5, y^5 and z^5, once each
 
     def test_one_nilpotent_variable_is_not_enough(self):
         gb = buchberger([poly("x^2"), poly("y^2-y"), poly("z")])
@@ -311,12 +311,12 @@ class TestSupportAtOrigin:
     @pytest.mark.parametrize("gens, count", [
         (["x-1", "y", "z"], 1), (["x^2", "y^2-y", "z"], 2)],
         ids=["x-not-nilpotent", "y-not-nilpotent"])
-    def test_stops_at_the_first_nonzero_power(self, monkeypatch, gens,
+    def test_stops_at_the_first_nonzero_power(self, kernel_calls, gens,
                                               count):
         gb = buchberger([poly(g) for g in gens])
-        calls = count_reduce_full(monkeypatch)
+        kernel_calls.clear()
         assert not supported_only_at_origin(gb, staircase(gb).size)
-        assert len(calls) == count
+        assert kernel_calls["reduce_full"] == count
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
     @pytest.mark.parametrize("gens", [
@@ -335,41 +335,23 @@ class TestSupportAtOrigin:
         expected = all(normal_form(p, gb).is_zero() for p in powers)
         assert supported_only_at_origin(gb, dim) == expected
 
-    def test_reduction_count_diagonal(self, monkeypatch):
+    def test_reduction_count_diagonal(self, kernel_calls):
         # leads x^19, y^20, z^4: every variable is zero at its first step
         gb = buchberger(tjurina_generators(poly("x^20+y^21+z^5")))
-        calls = count_reduce_full(monkeypatch)
+        kernel_calls.clear()
         assert supported_only_at_origin(gb, staircase(gb).size)
-        assert len(calls) == 3
+        assert kernel_calls["reduce_full"] == 3
 
-    def test_reduction_count_after_dense_change(self, monkeypatch):
+    def test_reduction_count_after_dense_change(self, kernel_calls):
         # each x_i lies in the maximal ideal, so x_i^L = 0 for the Loewy
         # length L = 3 + 4 + 5 - 2 = 10 of the Milnor algebra of
         # x^4+y^5+z^6 (here also the Tjurina algebra), which a linear change
         # preserves; x_i^dim, dim = 60, reduces to 0 in one call each
         u, v, w = poly("x+y+z"), poly("x-y+z"), poly("x+y-z")  # det 4
         gb = buchberger(tjurina_generators(u ** 4 + v ** 5 + w ** 6))
-        calls = count_reduce_full(monkeypatch)
+        kernel_calls.clear()
         assert supported_only_at_origin(gb, staircase(gb).size)
-        assert len(calls) == 3
-
-
-def count_reduce_full(monkeypatch):
-    """From here on, log each kernel reduce_full call in the returned list."""
-    impl = kernel.active()
-    calls = []
-
-    class Counting:
-        def __getattr__(self, name):
-            return getattr(impl, name)
-
-        def reduce_full(self, *args):
-            calls.append(args[0])
-            return impl.reduce_full(*args)
-
-    proxy = Counting()
-    monkeypatch.setattr(kernel, "active", lambda: proxy)
-    return calls
+        assert kernel_calls["reduce_full"] == 3
 
 
 class TestGradedCount:
@@ -456,16 +438,8 @@ class TestBasisIdentity:
 
 class TestBuchbergerPostconditions:
     def test_all_spairs_reduce_to_zero(self, corpus_bases):
-        from bassinv import kernel
-        impl = kernel.active()
         for basis in corpus_bases:
-            packing = impl.Packing(basis.order, 3, 16)
-            raws = [packing.pack_terms(raw) for raw in basis._raw]
-            for i in range(len(raws)):
-                for j in range(i + 1, len(raws)):
-                    s = impl.spoly(raws[i], raws[j], packing)
-                    reduced, _, _ = impl.reduce_full(s, raws, packing)
-                    assert reduced == []
+            assert spairs_reduce_to_zero(basis)
 
     def test_reduced_basis_shape(self, corpus_bases):
         for basis in corpus_bases:

@@ -174,6 +174,24 @@ class TestDeduceFamily:
         with pytest.raises(InconsistentDeductionError):
             deduce_wahl(bad)
 
+    def test_chi_contradicts_the_graded_fiber(self):
+        # chi^0 = -(p_g - g - l) is exact in every table, so a fiber of
+        # another p_g contradicts the graded fiber's
+        bad = wahl_tables(deformed=build_table(16, 2, 0, 0, graded=False))
+        with pytest.raises(InconsistentDeductionError) as exc:
+            deduce_wahl(bad)
+        assert str(exc.value) == ("fiber 1: chi^0 = -2 contradicts the "
+                                  "graded fiber's chi^0 = -1")
+
+    def test_b01_outside_its_bound(self):
+        # b01 = -chi^0 = 1, outside a hand-set [2, 3]; a built table's b01
+        # is -chi^0 already
+        bad = wahl_deformed()._replace(b01=Bound.interval(2, 3),
+                                       chi0=Bound.unknown())
+        with pytest.raises(InconsistentDeductionError) as exc:
+            deduce_wahl(wahl_tables(deformed=bad))
+        assert str(exc.value).startswith("fiber 1 b01: empty range [2, 1]")
+
     def test_requires_fully_exact_graded_fiber(self):
         with pytest.raises(NoGradedFiberError):
             deduce_family([Fraction(0)], [wahl_deformed()], 0)

@@ -251,6 +251,15 @@ class TestPythonKernelOracles:
             with pytest.raises(ValueError):
                 kernel.Packing(MonomialOrder.weighted(weights), 3, 4)
 
+    @pytest.mark.parametrize("weights", [(0, 1, 1), (1, -2, 3)])
+    def test_weights_must_be_positive(self, weights):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            MonomialOrder.weighted(weights)
+
+    def test_packing_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown order kind 'deglex'"):
+            kernel.Packing(MonomialOrder("deglex"), 3, 4)
+
     @given(finite_staircases())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_enumerate_staircase_is_the_brute_force_scan(self, case):

@@ -962,6 +962,25 @@ class TestLinearJacobianMultipliers:
         f = poly(text)
         assert linear_jacobian_multipliers(f) == _gauss_jordan_multipliers(f)
 
+    # the returned A, pinned: the first three have 3, 3 and 1 free entries,
+    # so another elimination order could return another valid A; the last,
+    # DENSE_CHANGES[0] of test_singularity, has a unique A
+    PINNED = (
+        ("x*y+z^2", [[1, 0, 0], [0, 0, 0], [0, 0, Fraction(1, 2)]]),
+        ("x^2+y^2+z^2", [[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), 0],
+                         [0, 0, Fraction(1, 2)]]),
+        ("x^2+y^2+z^3", [[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), 0],
+                         [0, 0, Fraction(1, 3)]]),
+        ("(-x+y+z)^4+(x-y+z)^5+(x+y-z)^6",
+         [[Fraction(11, 60), Fraction(-1, 60), Fraction(1, 60)],
+          [Fraction(-1, 24), Fraction(5, 24), Fraction(1, 24)],
+          [Fraction(-1, 40), Fraction(1, 40), Fraction(9, 40)]]),
+    )
+
+    @pytest.mark.parametrize("text,a", PINNED)
+    def test_pinned_matrices(self, text, a):
+        assert linear_jacobian_multipliers(poly(text)) == a
+
     @given(linear_changes() | small_polynomials())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_agrees_with_gauss_jordan(self, f):

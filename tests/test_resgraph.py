@@ -73,6 +73,22 @@ class TestLoad:
         with pytest.raises(GraphFormatError, match="graph file is not UTF-8"):
             load_graph(bad)
 
+    @pytest.mark.parametrize("text", ["[]", "7", "null", '"graph"'])
+    def test_document_not_an_object(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(GraphFormatError,
+                           match="graph document must be a JSON object"):
+            load_graph(bad)
+
+    @pytest.mark.parametrize("key", ["vertices", "edges"])
+    @pytest.mark.parametrize("value", [None, {}, "[]", 3])
+    def test_vertices_and_edges_must_be_lists(self, key, value):
+        doc = graph_doc([-2], [])
+        doc[key] = value
+        with pytest.raises(GraphFormatError, match=f"'{key}' must be a list"):
+            load_graph(doc)
+
     def test_missing_file(self):
         with pytest.raises(GraphFormatError):
             load_graph("no/such/file.json")

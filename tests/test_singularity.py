@@ -1,13 +1,12 @@
 import itertools
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bassinv import cli, groebner, kernel, polynomials, singularity
+from bassinv import cli, groebner, polynomials, singularity
 from bassinv.errors import (NotIsolatedError, SingularLocusNotAtOriginError,
                             SmoothInput, StaircaseLimitError)
 from bassinv.groebner import (MonomialOrder, buchberger, staircase,
@@ -20,7 +19,7 @@ from bassinv.polynomials import (Polynomial, WeightSystem,
 from bassinv.singularity import (_local_staircase, _principal_gradings,
                                  analyze, jacobian_ideal)
 
-from conftest import (CORPUS_TEXTS, VARS, local_monomials, poly,
+from conftest import (CORPUS_TEXTS, VARS, counting, local_monomials, poly,
                       standard_monomials)
 
 
@@ -458,17 +457,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("order", ["grevlex", "lex"])
     @pytest.mark.parametrize("text",
                              CORPUS_TEXTS + LINEAR_CHANGES + DENSE_CHANGES)
-    def test_call_counts(self, text, order, monkeypatch):
-        counts = count_engine_calls(monkeypatch)
+    def test_call_counts(self, text, order, engine_calls):
         analyze(poly(text), getattr(MonomialOrder, order)())
         # no Polynomial partials, since the Jacobian generators are derived
         # on f's packing, and no monic generators: analyze reads only leads
         # and term lists
-        assert counts["partial_derivative"] == 0
-        assert counts["_monic_from_raw"] == 0
-        assert (counts["buchberger"], counts["reduce_full"], counts["spoly"],
-                counts["enumerate_staircase"]) == \
-            self.ENGINE_CALLS[text, order]
+        assert engine_calls["partial_derivative"] == 0
+        assert engine_calls["_monic_from_raw"] == 0
+        assert tuple(engine_calls[name] for name in (
+            "buchberger", "reduce_full", "spoly", "enumerate_staircase")) \
+            == self.ENGINE_CALLS[text, order]
 
     @pytest.mark.parametrize("text,mu", LINEAR_CHANGES_MU)
     def test_linear_change_takes_mu_from_multipliers(self, text, mu):
@@ -481,7 +479,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("text,mu",
                              LAZARD_INPUTS + PRINCIPAL_PART_INPUTS)
-    def test_no_multipliers_takes_lazard_path(self, text, mu, monkeypatch):
+    def test_no_multipliers_takes_lazard_path(self, text, mu, monkeypatch,
+                                              engine_calls):
         # without multipliers, the Lazard basis runs exactly when no
         # principal part is found: on LAZARD_INPUTS as they are, and on
         # the others once the search is made to find nothing, where it
@@ -490,13 +489,12 @@ class TestAnalyze:
         assert find_weights(f) is None
         assert linear_jacobian_multipliers(f) is None
         lazard = (text, mu) in LAZARD_INPUTS
-        counts = count_engine_calls(monkeypatch)
         assert analyze(f).milnor == mu
-        assert counts["_lazard_basis"] == lazard
+        assert engine_calls["_lazard_basis"] == lazard
         monkeypatch.setattr(singularity, "_principal_milnor",
                             lambda *args: None)
         assert analyze(f).milnor == mu
-        assert counts["_lazard_basis"] == 1 + lazard
+        assert engine_calls["_lazard_basis"] == 1 + lazard
 
     def test_variable_permutation_invariance(self):
         a = analyze(poly("z^2+y^3+x^10"))
@@ -508,28 +506,11 @@ class TestAnalyze:
         assert sorted(b.weights.weights) == sorted(a.weights.weights)
 
 
-def count_engine_calls(monkeypatch):
-    """From here on, count calls of the kernel's three entry points (through
-    a proxy for kernel.active) and of partial_derivative, buchberger,
+@pytest.fixture
+def engine_calls(monkeypatch, kernel_calls):
+    """kernel_calls, also counting partial_derivative, buchberger,
     _lazard_basis and _monic_from_raw under every name the engine calls
     them by; a jacobian_basis call counts as a buchberger run."""
-    counts = Counter()
-    impl = kernel.active()
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return call
-
-    class Counting:
-        def __getattr__(self, name):
-            return getattr(impl, name)
-
-    proxy = Counting()
-    for name in ("reduce_full", "spoly", "enumerate_staircase"):
-        setattr(proxy, name, counted(name, getattr(impl, name)))
-    monkeypatch.setattr(kernel, "active", lambda: proxy)
     for module, name, counter in (
             (polynomials, "partial_derivative", "partial_derivative"),
             (singularity, "partial_derivative", "partial_derivative"),
@@ -539,9 +520,9 @@ def count_engine_calls(monkeypatch):
             (singularity, "jacobian_basis", "buchberger"),
             (singularity, "_lazard_basis", "_lazard_basis"),
             (groebner, "_monic_from_raw", "_monic_from_raw")):
-        monkeypatch.setattr(module, name,
-                            counted(counter, getattr(module, name)))
-    return counts
+        monkeypatch.setattr(module, name, counting(
+            kernel_calls, counter, getattr(module, name)))
+    return kernel_calls
 
 
 def lattice_genus(a, b, c):
@@ -692,7 +673,7 @@ class TestEulerRoute:
             assert p.p_g == staircase_genus(standard_monomials(basis),
                                             p.weights)
 
-    def test_repeated_eigenvalue(self, monkeypatch):
+    def test_repeated_eigenvalue(self, engine_calls):
         # x^4+y^4+z^6 after a dense +-1 change: eigenvalues 1/4, 1/4, 1/6,
         # the repeated one diagonalisable
         f = poly("(x+y+z)^4+(x-y+z)^4+(x+y-z)^6")
@@ -700,17 +681,18 @@ class TestEulerRoute:
         assert positive_rational_eigenvalues(
             linear_jacobian_multipliers(f)) == \
             [Fraction(1, 4), Fraction(1, 4), Fraction(1, 6)]
-        counts = count_engine_calls(monkeypatch)
         p = analyze(f)
         assert (p.milnor, p.tjurina, p.weights, p.p_g) == (45, 45, None, None)
-        assert (counts["buchberger"], counts["enumerate_staircase"]) == (1, 0)
+        assert (engine_calls["buchberger"],
+                engine_calls["enumerate_staircase"]) == (1, 0)
         assert staircase(buchberger(jacobian_ideal(f))).size == 45
 
     @pytest.mark.parametrize("order", ["grevlex", "lex"])
     @pytest.mark.parametrize("text", LINEAR_CHANGES + DENSE_CHANGES[:1] + (
         "(x+y+z)^4+(x-y+z)^4+(x+y-z)^6",))
     def test_failed_eigenvalue_step_gives_the_same_profile(self, text, order,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           engine_calls):
         # without eigenvalues analyze certifies (f) + J in full and takes
         # mu = tau from the multipliers, as before the Euler route
         order = getattr(MonomialOrder, order)()
@@ -718,9 +700,9 @@ class TestEulerRoute:
         route = analyze(f, order)
         monkeypatch.setattr(singularity, "positive_rational_eigenvalues",
                             lambda a: None)
-        counts = count_engine_calls(monkeypatch)
+        engine_calls.clear()
         fallback = analyze(f, order)
-        assert counts["enumerate_staircase"] == 1
+        assert engine_calls["enumerate_staircase"] == 1
         assert fallback == route
 
     # linear changes of A_k singularities, mu(A_k) = k: f lies in its
@@ -736,15 +718,15 @@ class TestEulerRoute:
     )
 
     @pytest.mark.parametrize("text,k", MULTIPLIER_ROUTE)
-    def test_multiplier_route_without_patching(self, text, k, monkeypatch):
+    def test_multiplier_route_without_patching(self, text, k, engine_calls):
         f = poly(text)
         a = linear_jacobian_multipliers(f)
         assert find_weights(f) is None and a is not None
         assert positive_rational_eigenvalues(a) is None
-        counts = count_engine_calls(monkeypatch)
         p = analyze(f)
         assert (p.milnor, p.tjurina, p.weights, p.p_g) == (k, k, None, None)
-        assert (counts["buchberger"], counts["enumerate_staircase"]) == (1, 1)
+        assert (engine_calls["buchberger"],
+                engine_calls["enumerate_staircase"]) == (1, 1)
         assert _local_staircase(jacobian_ideal(f)).size == k
 
     def test_cap_applies_to_the_closed_form(self, monkeypatch):
@@ -761,20 +743,21 @@ class TestEulerRoute:
         assert analyze(poly("x^2+y^2+z^2")).tjurina == 1
 
     @pytest.mark.parametrize("text", ["x*y", "(x+y)^2*z^2"])
-    def test_not_isolated_builds_one_jacobian_basis(self, text, monkeypatch):
+    def test_not_isolated_builds_one_jacobian_basis(self, text,
+                                                    engine_calls):
         # the run on the partials ends without pure powers, and its reduced
         # basis, that of (f) + J, lacks a pure power: no second basis
-        counts = count_engine_calls(monkeypatch)
         with pytest.raises(NotIsolatedError):
             analyze(poly(text))
-        assert (counts["buchberger"], counts["enumerate_staircase"]) == (1, 0)
+        assert (engine_calls["buchberger"],
+                engine_calls["enumerate_staircase"]) == (1, 0)
 
-    def test_smooth_on_the_route(self, monkeypatch):
+    def test_smooth_on_the_route(self, engine_calls):
         # weights (2, 2, 1) and degree 2: an eigenvalue 1, the unit ideal
-        counts = count_engine_calls(monkeypatch)
         with pytest.raises(SmoothInput):
             analyze(poly("x+y+z^2"))
-        assert (counts["buchberger"], counts["enumerate_staircase"]) == (1, 0)
+        assert (engine_calls["buchberger"],
+                engine_calls["enumerate_staircase"]) == (1, 0)
 
     @pytest.mark.parametrize("shape", [(2, 3, 5), (3, 3, 3), (4, 5, 6),
                                        (2, 3, 10), (20, 21, 5)])
