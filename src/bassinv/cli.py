@@ -198,23 +198,30 @@ _NOT_GRADED_NOTE = ("input is not quasi-homogeneous: b^{1,1} stays unknown "
                     "for a single fiber; use the family command")
 
 
-def _analyze_text(profile, info, table):
+def _analyze_text(profile, info, table, verdict=None):
+    """The analyze transcript, or with a verdict the single-input bass
+    one."""
     text = _profile_text(profile)
     if info is not None:
         text.extend(_graph_text(info))
         text.append(table.render_text() if table is not None
                     else f"note: {_NOT_GRADED_NOTE}")
+    if verdict is not None:
+        text.extend(_verdict_text(verdict))
     return text
 
 
-def _analyze_json(profile, info, table):
-    doc = {"command": "analyze", "profile": _profile_json(profile)}
+def _analyze_json(profile, info, table, verdict=None):
+    doc = {"command": "analyze" if verdict is None else "bass",
+           "profile": _profile_json(profile)}
     if info is not None:
         doc["graph"] = _graph_json(info)
         if table is not None:
             doc["table"] = table.to_json()
         else:
             doc["note"] = _NOT_GRADED_NOTE
+    if verdict is not None:
+        doc["verdict"] = _verdict_json(verdict)
     return doc
 
 
@@ -405,15 +412,6 @@ def cmd_family(args):
     return _family_text, _family_json, (args.parameter, *parts, None)
 
 
-def _bass_text(profile, info, table, verdict):
-    return _analyze_text(profile, info, table) + _verdict_text(verdict)
-
-
-def _bass_json(profile, info, table, verdict):
-    return {**_analyze_json(profile, info, table), "command": "bass",
-            "verdict": _verdict_json(verdict)}
-
-
 def cmd_bass(args):
     if args.values:
         if not args.assume_chi_invariant:
@@ -433,8 +431,8 @@ def cmd_bass(args):
                           else None)
     table = build_table(profile.tjurina, profile.p_g, info["g"], info["l"],
                         graded=True)
-    return _bass_text, _bass_json, (profile, info, table,
-                                    bass_verdict(table))
+    return _analyze_text, _analyze_json, (profile, info, table,
+                                          bass_verdict(table))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -86,10 +86,10 @@ Staircase = namedtuple("Staircase", "size")
 
 
 def _to_raw(terms, packing):
-    """Nonzero {exponent: Fraction} -> (primitive packed term list,
-    rational scale).
+    """Nonzero {exponent: Fraction} -> (primitive packed term list, content,
+    den), integers with den > 0.
 
-    The polynomial equals scale * term_list exactly.
+    The polynomial equals content/den * term_list exactly.
     """
     coeffs = terms.values()
     dens = [c.denominator for c in coeffs]
@@ -98,7 +98,7 @@ def _to_raw(terms, packing):
     nums = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
     items = sorted(zip(map(packing.pack, terms), nums), reverse=True)
     items, content = kernel.make_primitive(items)
-    return items, Fraction(content, den)
+    return items, content, den
 
 
 def _monic_from_raw(raw, variables):
@@ -276,10 +276,10 @@ def normal_form(p, basis):
     impl = kernel.active()
 
     def run(packing):
-        raw, scale = _to_raw(terms, packing)
-        reduced, num, den = impl.reduce_full(
+        raw, content, den = _to_raw(terms, packing)
+        reduced, num, rden = impl.reduce_full(
             raw, [packing.pack_terms(g) for g in basis._raw], packing)
-        factor = scale * Fraction(num, den)
+        factor = Fraction(content * num, den * rden)
         return {packing.unpack(e): factor * c for e, c in reduced}
 
     exps = chain(terms, (e for g in basis._raw for e, _ in g))

@@ -736,26 +736,26 @@ def scaling_weights(f, name):
 
 
 def linear_jacobian_multipliers(f):
-    """The rational n x n matrix A with f = sum_ij A[i][j] x_j df/dx_i, or
-    None when there is none.
+    """The integer n x n matrix B and the integer D > 0 with
+    D*f = sum_ij B[i][j] x_j df/dx_i, as (B, D), or None when there is none.
 
-    Such an A puts f in its Jacobian ideal with linear multipliers.  A
+    A = B/D puts f in its Jacobian ideal with linear multipliers.  A
     quasi-homogeneous f of weights w and degree d has one, diag(w)/d by
     Euler's identity, and so has every linear change of it, whose weights
     find_weights no longer sees.  The converse fails: (x+y^2)^2+y^3+z^5 is
     quasi-homogeneous after a change that is not linear, yet has no A.
 
-    Solved as a linear system in the n^2 entries with one equation per
+    Solved as a linear system in the n^2 entries of A with one equation per
     monomial, keyed by a lex kernel.Packing whose fields hold exponents up
     to one past f's largest, so that the column x_j df/dx_i shifts a key
     by scales[j] minus scales[i].
     _echelon_add reduces it on f's coefficients scaled to integers,
     the equations of f's own terms first: for most f without an A they are
-    inconsistent already.  At n^2 pivots the solution is unique, and each
-    remaining equation is only checked, by an integer dot product with it
-    over one common denominator.  A term of f that no column reaches gives
-    None at once.  Among the solutions, the one with every free entry zero
-    is returned.
+    inconsistent already.  A term of f that no column reaches gives None at
+    once.  Elimination stops at n^2 pivots, where the solution is unique.
+    The solution with every free entry zero is read off the echelon once,
+    as x/D over the lcm D of the pivots, and each equation not yet reduced
+    is only checked, by an integer dot product with it.
     """
     n = len(f.variables)
     terms = f._terms
@@ -786,37 +786,34 @@ def linear_jacobian_multipliers(f):
         if _echelon_add(echelon, row) == rhs:
             return None  # 0 = nonzero: f is not in the span of the columns
         if len(echelon) == full:
-            # the solution is unique: x / den, with -den in the rhs column
-            # so that each remaining equation has dot product 0 with x
-            den = lcm(*[row[p] for p, row in echelon.items()])
-            x = {p: row.get(rhs, 0) * (den // row[p])
-                 for p, row in echelon.items()}
-            x[rhs] = -den
-            if any(sum([v * x[k] for k, v in row.items()])
-                   for row in equations):
-                return None
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for p, row in echelon.items():
-        a[p // n][p % n] = Fraction(row.get(rhs, 0), row[p])
-    return a
+            break
+    den = lcm(*[row[p] for p, row in echelon.items()])
+    # x/den, with -den in the rhs column so that every equation has dot
+    # product 0 with x
+    x = {p: row.get(rhs, 0) * (den // row[p]) for p, row in echelon.items()}
+    x[rhs] = -den
+    if any(sum([v * x[k] for k, v in row.items()]) for row in equations):
+        return None
+    return [[x.get(i * n + j, 0) for j in range(n)] for i in range(n)], den
 
 
-def positive_rational_eigenvalues(a):
-    """The eigenvalues of the rational square matrix `a`, with multiplicity
-    and largest first, when all of them are positive rationals and `a` is
-    diagonalisable over Q; None otherwise.
+def positive_rational_eigenvalues(b, den):
+    """The eigenvalues of the rational matrix b/den, for an integer square
+    matrix b and an integer den > 0, as (s, den) with eigenvalue i equal to
+    s_i/den, when all of them are positive rationals and b is
+    diagonalisable over Q; None otherwise.  The s_i are integers, with
+    multiplicity and largest first.
 
-    With D the common denominator of the entries, b = D*a is an integer
-    matrix whose characteristic polynomial P is monic with integer
-    coefficients, so its rational roots are integers and a's eigenvalues
-    are those roots over D.  The largest root is split off P by exact
-    division (_largest_integer_root) until P is used up.  An eigenvalue of
-    multiplicity m > 1 is diagonalisable when b - s*I has rank n - m, which
-    _echelon_add counts.  No Fraction is formed before the answer.
+    For (b, den) from linear_jacobian_multipliers(f) and b = L diag(s) L^-1,
+    (s, den) is the grading of g = f o L: den*g = sum_i s_i y_i dg/dy_i.
+    The characteristic polynomial P of b is monic with integer
+    coefficients, so its rational roots are integers.  The largest root is
+    split off P by exact division (_largest_integer_root) until P is used
+    up.  An eigenvalue of multiplicity m > 1 is diagonalisable when
+    b - s*I has rank n - m, which _echelon_add counts.  No Fraction is
+    formed.
     """
-    n = len(a)
-    den = lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    n = len(b)
     poly = _characteristic_polynomial(b)
     roots = []
     while len(poly) > 1:
@@ -837,7 +834,7 @@ def positive_rational_eigenvalues(a):
                 _echelon_add(echelon, {j: v for j, v in row.items() if v})
             if len(echelon) != n - m:
                 return None
-    return [Fraction(s, den) for s in roots]
+    return roots, den
 
 
 def _characteristic_polynomial(b):

@@ -30,9 +30,6 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "vertices edges")):
 
     __slots__ = ()
 
-    def vertex_ids(self):
-        return [v.id for v in self.vertices]
-
 
 def _is_int(x):
     """A JSON integer; Python counts the bools true and false as ints."""
@@ -128,9 +125,8 @@ def intersection_matrix(graph):
 
     Rows follow vertex ids in increasing order.
     """
-    ids = graph.vertex_ids()
-    index = {vid: i for i, vid in enumerate(ids)}
-    n = len(ids)
+    index = {v.id: i for i, v in enumerate(graph.vertices)}
+    n = len(index)
     mat = [[0] * n for _ in range(n)]
     for i, v in enumerate(graph.vertices):
         mat[i][i] = v.self_intersection

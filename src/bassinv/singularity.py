@@ -18,15 +18,14 @@ points of f away from the surface, which the deformed fibers of the shipped
 family have, do not contribute.  It comes by one of three routes:
   * multipliers: tau, when linear multipliers put f in its Jacobian ideal;
   * principal part: the closed form of f_0, when f is semi-quasi-homogeneous
-    with an isolated principal part f_0 of weights lam (Arnold 1974), as the
-    shipped family's nonzero fibers are;
+    with an isolated principal part f_0 of weights w and degree d (Arnold
+    1974), as the shipped family's nonzero fibers are;
   * Lazard: otherwise, a local standard basis computed by Lazard's
     homogenisation method (Lazard 1983; Greuel-Pfister, A Singular
     Introduction to Commutative Algebra, 1.7).
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import mul
@@ -99,19 +98,22 @@ def _lazard_basis(generators):
 
 # -- closed forms --------------------------------------------------------------
 
-def _graded_length(lam, cap):
-    """prod(1/lam_i - 1), capped as a staircase is.
+def _graded_length(weights, degree, cap):
+    """prod(d/w_i - 1) for positive integer weights w and an integer
+    degree d, capped as a staircase is.
 
     This is dim Q[x]/J for the Jacobian ideal J of an isolated f graded of
-    positive weights lam (Milnor-Orlik 1970): its partials form a regular
-    sequence, whose Hilbert series gives the product.  Past max(cap, 1)
+    weights w and degree d (Milnor-Orlik 1970): its partials form a regular
+    sequence, whose Hilbert series gives the product.  It is formed as
+    prod(d - w_i) / prod(w_i) by one exact division, so it depends only on
+    the ratios w_i/d: the weights need not have gcd 1.  Past max(cap, 1)
     StaircaseLimitError is raised, as the enumeration does.
     """
-    length = prod(1 / x - 1 for x in lam)
-    assert length.denominator == 1  # a regular sequence's Hilbert series
+    length, rest = divmod(prod(degree - w for w in weights), prod(weights))
+    assert not rest  # a regular sequence's Hilbert series
     if length > max(cap, 1):
         raise StaircaseLimitError.over(cap)
-    return length.numerator
+    return length
 
 
 def _principal_gradings(f):
@@ -164,9 +166,9 @@ def _principal_milnor(f, order, cap):
 
     f is semi-quasi-homogeneous when, under some grading of
     _principal_gradings, its part f_0 of least degree d is isolated; then
-    mu(f) = mu(f_0) = prod(1/lam_i - 1) with lam = w/d (Arnold 1974), since
-    f - f_0 has degree above d.  f_0 is isolated exactly when the Euler
-    route's Buchberger run on its partials stops at pure-power leads.
+    mu(f) = mu(f_0) = prod(d/w_i - 1) (Arnold 1974), since f - f_0 has
+    degree above d.  f_0 is isolated exactly when the Euler route's
+    Buchberger run on its partials stops at pure-power leads.
     Each variable has a term in f_0, and differentiation is one-to-one on
     the terms it does not kill, so the partials of f_0 are those of f cut
     to their least weighted degree, and none of them is zero.
@@ -177,7 +179,7 @@ def _principal_milnor(f, order, cap):
                         if sum(map(mul, w, e)) == d}, f.variables)
         if jacobian_basis(f_0, order, with_f=False,
                           until_finite=True) is None:
-            return _graded_length([Fraction(x, d) for x in w], cap)
+            return _graded_length(w, d, cap)
     return None
 
 
@@ -206,20 +208,22 @@ def analyze(f, order=None):
     malformed one is a UsageError before any basis.  Then the multipliers A
     of f = sum_ij A[i][j] x_j df/dx_i are sought: diag(w)/d for a graded f
     (find_weights gives weights w, degree d), else
-    linear_jacobian_multipliers(f).  An A puts f in its Jacobian ideal J.
-    tau, or None for an infinite quotient, comes from one of two routes:
-      * Euler, when A's eigenvalues lam are positive rationals and A is
-        diagonalisable over Q (positive_rational_eigenvalues).  With
-        A*L = L*diag(lam), g = f o L satisfies g = sum lam_i y_i dg/dy_i, so
-        g is graded of weights lam and J is its Jacobian ideal after a
-        linear change.  A Buchberger run on the partials stops as soon as
-        its leads hold a pure power of every variable, which proves J of
-        finite colength; a weighted cone of finite colength has the origin
-        alone as zero set.  The partials of g then form a regular sequence,
-        whose Hilbert series gives tau = prod(1/lam_i - 1) (Milnor-Orlik
-        1970; _graded_length), capped as a staircase is.  A run that ends
-        without the pure powers has built the basis of J = (f) + J, so tau
-        is None.
+    linear_jacobian_multipliers(f), which gives A = B/D in integers.  An A
+    puts f in its Jacobian ideal J.  tau, or None for an infinite quotient,
+    comes from one of two routes:
+      * Euler, on an integer grading (w, d): find_weights' own for a graded
+        f, else the eigenvalues s_i/D of A as (s, D), when they are
+        positive rationals and A is diagonalisable over Q
+        (positive_rational_eigenvalues).  With A*L = L*diag(s)/D,
+        g = f o L satisfies D*g = sum s_i y_i dg/dy_i, so g is graded of
+        weights s and degree D, and J is its Jacobian ideal after a linear
+        change.  A Buchberger run on the partials stops as soon as its
+        leads hold a pure power of every variable, which proves J of finite
+        colength; a weighted cone of finite colength has the origin alone
+        as zero set.  The partials of g then form a regular sequence, whose
+        Hilbert series gives tau = prod(d/w_i - 1) (Milnor-Orlik 1970;
+        _graded_length), capped as a staircase is.  A run that ends without
+        the pure powers has built the basis of J = (f) + J, so tau is None.
       * certification otherwise: tau is the staircase of the basis of
         (f) + J.
     One rejection block follows: None is NotIsolatedError, 0 SmoothInput,
@@ -243,16 +247,16 @@ def analyze(f, order=None):
     # isolated
     ws = None if f.is_zero() else find_weights(f)
     if ws is not None:
-        a, lam = None, [Fraction(w, ws.degree) for w in ws.weights]
+        a, grading = None, ws
     else:
         a = linear_jacobian_multipliers(f)
-        lam = None if a is None else positive_rational_eigenvalues(a)
+        grading = None if a is None else positive_rational_eigenvalues(*a)
     basis = tau = None
-    if lam is None:
+    if grading is None:
         basis = jacobian_basis(f, order, with_f=True)
         tau = staircase(basis).size
     elif jacobian_basis(f, order, with_f=False, until_finite=True) is None:
-        tau = _graded_length(lam, cap)
+        tau = _graded_length(*grading, cap)
     if tau is None:
         raise NotIsolatedError(
             "the singular locus of {f=0} is positive-dimensional")

@@ -1,6 +1,7 @@
 import itertools
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,19 @@ def poly(text):
 
 def jacobian(f):
     return [partial_derivative(f, i) for i in range(3)]
+
+
+def rational(pair):
+    """The rationals x/den that an integer pair (x, den) stands for, entry
+    by entry: the matrix A of linear_jacobian_multipliers' (B, D), or the
+    eigenvalue list of positive_rational_eigenvalues' (s, den).  None, the
+    answer of either when there is none, stays None."""
+    if pair is None:
+        return None
+    x, den = pair
+    if isinstance(x[0], list):
+        return [[Fraction(v, den) for v in row] for row in x]
+    return [Fraction(v, den) for v in x]
 
 
 def tjurina_generators(f):

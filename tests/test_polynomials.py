@@ -17,7 +17,7 @@ from bassinv.polynomials import (Polynomial, WeightSystem,
                                  positive_rational_eigenvalues,
                                  scaling_weights, substitute_parameter)
 
-from conftest import VARS, poly, reference_key
+from conftest import VARS, poly, rational, reference_key
 
 
 # a valid 200-term prefix, so that an error position is found past it
@@ -901,7 +901,7 @@ def linear_changes(draw):
 
 class TestLinearJacobianMultipliers:
     def test_euler_matrix_of_the_graded_fiber(self):
-        assert linear_jacobian_multipliers(poly("z^2+y^3+x^10")) == [
+        assert rational(linear_jacobian_multipliers(poly("z^2+y^3+x^10"))) == [
             [Fraction(1, 10), 0, 0], [0, Fraction(1, 3), 0],
             [0, 0, Fraction(1, 2)]]
 
@@ -910,7 +910,7 @@ class TestLinearJacobianMultipliers:
                                       "(x-y)^2*z^2"])
     def test_linear_changes(self, text):
         f = poly(text)
-        m = linear_jacobian_multipliers(f)
+        m = rational(linear_jacobian_multipliers(f))
         assert m is not None and _multiplier_sum(f, m) == f
 
     @pytest.mark.parametrize("text", ["z^2+y^3+x^10+x^7*y", "x^2+y^2+z^2-x^3",
@@ -919,18 +919,21 @@ class TestLinearJacobianMultipliers:
         assert linear_jacobian_multipliers(poly(text)) is None
 
     def test_single_variable(self):
-        assert linear_jacobian_multipliers(parse("x^3", ("x",))) == \
-            [[Fraction(1, 3)]]
+        assert rational(linear_jacobian_multipliers(parse("x^3", ("x",)))) \
+            == [[Fraction(1, 3)]]
         assert linear_jacobian_multipliers(parse("x^3+x^4", ("x",))) is None
 
     @given(small_polynomials())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_returned_matrix_satisfies_the_identity(self, f):
-        m = linear_jacobian_multipliers(f)
-        if m is not None:
-            assert _multiplier_sum(f, m) == f
+        pair = linear_jacobian_multipliers(f)
+        if pair is not None:
+            b, den = pair
+            assert type(den) is int and den > 0
+            assert all(type(v) is int for row in b for v in row)
+            assert _multiplier_sum(f, rational(pair)) == f
         if find_weights(f) is not None:
-            assert m is not None  # Euler's identity gives one
+            assert pair is not None  # Euler's identity gives one
 
     def test_refuted_after_full_rank(self, monkeypatch):
         # the first equations fix all 9 entries, and an equation that only
@@ -949,18 +952,20 @@ class TestLinearJacobianMultipliers:
         form = poly("(x+y+z)^4+(x-y+z)^5+(x+y-z)^6")
         assert linear_jacobian_multipliers(form + poly("z^9")) is None
         assert sorted(pivots) == list(range(9))
-        m = linear_jacobian_multipliers(form)
+        m = rational(linear_jacobian_multipliers(form))
         assert m is not None and _multiplier_sum(form, m) == form
 
     def test_zero_polynomial(self):
-        assert linear_jacobian_multipliers(poly("0")) == [[0] * 3] * 3
+        assert rational(linear_jacobian_multipliers(poly("0"))) == \
+            [[0] * 3] * 3
 
     @pytest.mark.parametrize("text", ["x*y-z", "3*y^3*z+x^2*y-y+3*z"])
     def test_exponent_one_past_the_largest(self, text):
         # the column x*df/dy of x*y is x^2: the monomial keys must hold an
         # exponent one past f's largest apart from the next variable's
         f = poly(text)
-        assert linear_jacobian_multipliers(f) == _gauss_jordan_multipliers(f)
+        assert rational(linear_jacobian_multipliers(f)) == \
+            _gauss_jordan_multipliers(f)
 
     # the returned A, pinned: the first three have 3, 3 and 1 free entries,
     # so another elimination order could return another valid A; the last,
@@ -979,12 +984,13 @@ class TestLinearJacobianMultipliers:
 
     @pytest.mark.parametrize("text,a", PINNED)
     def test_pinned_matrices(self, text, a):
-        assert linear_jacobian_multipliers(poly(text)) == a
+        assert rational(linear_jacobian_multipliers(poly(text))) == a
 
     @given(linear_changes() | small_polynomials())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_agrees_with_gauss_jordan(self, f):
-        assert linear_jacobian_multipliers(f) == _gauss_jordan_multipliers(f)
+        assert rational(linear_jacobian_multipliers(f)) == \
+            _gauss_jordan_multipliers(f)
 
 
 def _similar(eigenvalues, s, nilpotent=0):
@@ -1012,6 +1018,15 @@ def _similar(eigenvalues, s, nilpotent=0):
     return mul(mul([[Fraction(x) for x in row] for row in s], d), inv)
 
 
+def _eigenvalues(a):
+    """positive_rational_eigenvalues of the Fraction matrix a, given as
+    the integer matrix D*a and the common denominator D of its entries,
+    and read back as Fractions."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    return rational(positive_rational_eigenvalues(b, den))
+
+
 class TestPositiveRationalEigenvalues:
     """Matrices built as S D S^-1 from their eigenvalues: the answer is
     read off the construction, not computed."""
@@ -1025,14 +1040,14 @@ class TestPositiveRationalEigenvalues:
     @given(st.lists(POSITIVE, min_size=3, max_size=3), SIMILARITIES)
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_diagonalisable(self, eigenvalues, s):
-        assert positive_rational_eigenvalues(_similar(eigenvalues, s)) == \
+        assert _eigenvalues(_similar(eigenvalues, s)) == \
             sorted(eigenvalues, reverse=True)
 
     @given(POSITIVE, POSITIVE, SIMILARITIES)
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_jordan_block_is_not_diagonalisable(self, a, b, s):
         # a repeated eigenvalue with a nilpotent part
-        assert positive_rational_eigenvalues(_similar([a, a, b], s, 1)) is None
+        assert _eigenvalues(_similar([a, a, b], s, 1)) is None
 
     @pytest.mark.parametrize("eigenvalues", [
         [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)],
@@ -1041,7 +1056,7 @@ class TestPositiveRationalEigenvalues:
     ])
     def test_not_positive(self, eigenvalues):
         s = [[1, 1, 0], [0, 1, 1], [1, 0, 2]]
-        assert positive_rational_eigenvalues(_similar(eigenvalues, s)) is None
+        assert _eigenvalues(_similar(eigenvalues, s)) is None
 
     @pytest.mark.parametrize("block,why", [
         ([[0, 2], [1, 0]], "+-sqrt 2"),
@@ -1052,13 +1067,12 @@ class TestPositiveRationalEigenvalues:
     def test_irrational(self, block, why):
         a = [[Fraction(x) for x in row] + [Fraction(0)] for row in block]
         a.append([Fraction(0), Fraction(0), Fraction(1, 2)])
-        assert positive_rational_eigenvalues(a) is None, why
+        assert _eigenvalues(a) is None, why
 
     def test_sizes(self):
-        assert positive_rational_eigenvalues([[Fraction(2, 3)]]) == \
-            [Fraction(2, 3)]
-        assert positive_rational_eigenvalues([[Fraction(0)]]) is None
-        assert positive_rational_eigenvalues(
+        assert _eigenvalues([[Fraction(2, 3)]]) == [Fraction(2, 3)]
+        assert _eigenvalues([[Fraction(0)]]) is None
+        assert _eigenvalues(
             [[Fraction(1, 4)] * 2, [Fraction(0), Fraction(1, 4)]]) is None
 
 

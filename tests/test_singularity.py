@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,11 @@ from bassinv.polynomials import (Polynomial, WeightSystem,
                                  linear_jacobian_multipliers, parse,
                                  positive_rational_eigenvalues,
                                  substitute_parameter)
-from bassinv.singularity import (_local_staircase, _principal_gradings,
-                                 analyze, jacobian_ideal)
+from bassinv.singularity import (_graded_length, _local_staircase,
+                                 _principal_gradings, analyze, jacobian_ideal)
 
 from conftest import (CORPUS_TEXTS, VARS, counting, local_monomials, poly,
-                      standard_monomials)
+                      rational, standard_monomials)
 
 
 def certified_tau(f, order=MonomialOrder.grevlex()):
@@ -266,7 +267,7 @@ class TestMilnorOrlikOracle:
         # analyze reads mu = tau off the linear multipliers here: recheck
         # them by Polynomial arithmetic alone, and keep the Lazard path,
         # which analyze no longer takes on these inputs, under the oracle
-        m = linear_jacobian_multipliers(f)
+        m = rational(linear_jacobian_multipliers(f))
         assert m is not None
         coords = [Polynomial.variable(v, VARS) for v in VARS]
         partials = jacobian_ideal(f)
@@ -505,6 +506,28 @@ class TestAnalyze:
         assert a.p_g == b.p_g == c.p_g == 1
         assert sorted(b.weights.weights) == sorted(a.weights.weights)
 
+    @pytest.mark.parametrize("text", [
+        "z^2+y^3+x^10",                # graded
+        "(x+y)^2+z^3+y^5",             # the eigenvalues of A
+        "(2*x)^2+(2*x-y)^2+(-y-z)^4",  # an A, but no Euler route
+        "z^2+y^3+x^10+x^7*y",          # a principal part
+    ])
+    def test_builds_no_fraction(self, text, monkeypatch):
+        # every route of these inputs runs on integers from the parsed f to
+        # the profile; Fraction arithmetic builds its results through
+        # _from_coprime_ints from Python 3.12 on, and through __new__ before
+        f = poly(text)
+        counts = Counter()
+        for name, kind in (("__new__", staticmethod),
+                           ("_from_coprime_ints", classmethod)):
+            if name in vars(Fraction):
+                monkeypatch.setattr(Fraction, name, kind(counting(
+                    counts, name, vars(Fraction)[name].__func__)))
+        assert Fraction(1, 2) * 3 == Fraction(3, 2) and counts
+        counts.clear()
+        analyze(f)
+        assert counts == Counter()
+
 
 @pytest.fixture
 def engine_calls(monkeypatch, kernel_calls):
@@ -641,7 +664,7 @@ class TestQuasiHomogeneousShortcut:
 
 
 class TestEulerRoute:
-    """tau = mu = prod(1/lam_i - 1) and the lattice p_g, against oracles
+    """tau = mu = prod(d/w_i - 1) and the lattice p_g, against oracles
     that share no code with them: the staircase of a full basis of the
     Jacobian ideal, p_g counted on it monomial by monomial, and the path
     analyze takes when the eigenvalue step fails."""
@@ -673,13 +696,36 @@ class TestEulerRoute:
             assert p.p_g == staircase_genus(standard_monomials(basis),
                                             p.weights)
 
+    @pytest.mark.parametrize("weights,degree", [
+        ((15, 10, 6), 30), ((3, 3, 2), 6), ((2, 2, 1), 2), ((6, 4, 3), 12)])
+    def test_graded_length_reads_only_the_ratios(self, weights, degree):
+        # an eigenvalue grading (s, den) is not reduced to gcd 1
+        length = math.prod(Fraction(degree, w) - 1 for w in weights)
+        for k in (1, 2, 3, 7):
+            assert _graded_length([k * w for w in weights], k * degree,
+                                  100) == length
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 4), (3, 4, 5),
+                                       (2, 3, 10), (4, 5, 6)])
+    def test_eigenvalue_grading_is_the_diagonal_ones(self, shape):
+        # the eigenvalues of A for x^a+y^b+z^c after a change of
+        # determinant 1 are the weights over the degree that find_weights
+        # gives before it
+        f = poly("(x+y)^{}+(y+z)^{}+(x+y+z)^{}".format(*shape))
+        assert find_weights(f) is None
+        grading = positive_rational_eigenvalues(
+            *linear_jacobian_multipliers(f))
+        ws = find_weights(poly("x^{}+y^{}+z^{}".format(*shape)))
+        assert rational(grading) == sorted(
+            (Fraction(w, ws.degree) for w in ws.weights), reverse=True)
+
     def test_repeated_eigenvalue(self, engine_calls):
         # x^4+y^4+z^6 after a dense +-1 change: eigenvalues 1/4, 1/4, 1/6,
         # the repeated one diagonalisable
         f = poly("(x+y+z)^4+(x-y+z)^4+(x+y-z)^6")
         assert find_weights(f) is None
-        assert positive_rational_eigenvalues(
-            linear_jacobian_multipliers(f)) == \
+        assert rational(positive_rational_eigenvalues(
+            *linear_jacobian_multipliers(f))) == \
             [Fraction(1, 4), Fraction(1, 4), Fraction(1, 6)]
         p = analyze(f)
         assert (p.milnor, p.tjurina, p.weights, p.p_g) == (45, 45, None, None)
@@ -699,7 +745,7 @@ class TestEulerRoute:
         f = poly(text)
         route = analyze(f, order)
         monkeypatch.setattr(singularity, "positive_rational_eigenvalues",
-                            lambda a: None)
+                            lambda b, den: None)
         engine_calls.clear()
         fallback = analyze(f, order)
         assert engine_calls["enumerate_staircase"] == 1
@@ -722,7 +768,7 @@ class TestEulerRoute:
         f = poly(text)
         a = linear_jacobian_multipliers(f)
         assert find_weights(f) is None and a is not None
-        assert positive_rational_eigenvalues(a) is None
+        assert positive_rational_eigenvalues(*a) is None
         p = analyze(f)
         assert (p.milnor, p.tjurina, p.weights, p.p_g) == (k, k, None, None)
         assert (engine_calls["buchberger"],
