@@ -13,7 +13,8 @@ it, and unpacks only what it returns; a GroebnerBasis holds exponent
 tuples.  jacobian_basis packs f alone and derives its partials on that
 packing, so a Jacobian run forms no Polynomial or Fraction for them.
 Outputs are deterministic for a fixed input and order: term iteration and
-the pair queue are fully sorted.
+the pair queue are fully sorted.  The queue holds each pair's packed lcm,
+which the criteria read and spoly takes, so no lcm is built twice.
 """
 
 import os
@@ -239,10 +240,10 @@ def _buchberger(raws, packing, until_finite):
             return None
 
     while heap:
-        _, _, i, j = heappop(heap)
+        _, lcm_ij, i, j = heappop(heap)
         if alive.pop((i, j), None) is None:
             continue
-        s = impl.spoly(G[i], G[j], packing)
+        s = impl.spoly(G[i], G[j], lcm_ij)
         if not s:
             continue
         reduced, _, _ = impl.reduce_full(s, G, packing)

@@ -83,19 +83,25 @@ class DuBoisTable(namedtuple("DuBoisTable", "tau p_g g l graded b01 b10 b11 "
                                            "b20 chi0 chi1 chi2")):
     __slots__ = ()
 
-    def _cell(self, p, q):
+    def _cell(self, p, q, tau):
         """b^{p,q}, or None where the pattern forces it to zero: off the
         diagonals p+q in {1,2} and on the row q = 2.  Below q = 0 both
-        diagonals hold tau; the four cells with q in {0, 1} are stored."""
+        diagonals hold `tau`, the Bound of self.tau; the four cells with
+        q in {0, 1} are stored."""
         if p + q not in (1, 2) or q > 1:
             return None
         if q < 0:
-            return Bound.exact(self.tau)
+            return tau
         return getattr(self, f"b{p}{q}")
+
+    def _window(self):
+        """The cells of _WINDOW, in its order, sharing one Bound of tau."""
+        tau = Bound.exact(self.tau)
+        return [self._cell(p, q, tau) for p, q in _WINDOW]
 
     def entry(self, p, q):
         """b^{p,q} with the forced pattern filled in."""
-        cell = self._cell(p, q)
+        cell = self._cell(p, q, Bound.exact(self.tau))
         return _ZERO if cell is None else cell
 
     def chi(self, p):
@@ -119,7 +125,7 @@ class DuBoisTable(namedtuple("DuBoisTable", "tau p_g g l graded b01 b10 b11 "
                  f"g={self.g}, l={self.l}, "
                  f"{'graded' if self.graded else 'not graded'})"]
         cells = ["·" if cell is None else cell.render()
-                 for cell in (self._cell(p, q) for p, q in _WINDOW)]
+                 for cell in self._window()]
         width = max(map(len, cells))
         header = "  q\\p |" + "".join(f" {p:>{width}}" for p in _P_RANGE)
         lines.append(header)
@@ -135,8 +141,7 @@ class DuBoisTable(namedtuple("DuBoisTable", "tau p_g g l graded b01 b10 b11 "
 
     def to_json(self):
         entries = []
-        for p, q in _WINDOW:
-            cell = self._cell(p, q)
+        for (p, q), cell in zip(_WINDOW, self._window()):
             entry = (_ZERO if cell is None else cell).to_json()
             entry.update(p=p, q=q, forced_zero=cell is None)
             entries.append(entry)

@@ -154,9 +154,6 @@ class Packing:
         """Whether packed monomial a divides packed monomial b."""
         return not self.sign * (b - a) & self.guard
 
-    def lcm(self, a, b):
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
-
 
 def partials(terms, packing):
     """The nonzero partial derivatives, by each variable in turn, of the
@@ -264,13 +261,13 @@ def reduce_full(terms, basis, packing):
     return items, content // g, sd // g
 
 
-def spoly(f, g, packing):
-    """S-polynomial of two nonzero term lists packed by `packing`: an
-    unsorted {monomial: coefficient} dict, not made primitive, whose leads
-    were scaled to lc(f)*lc(g)/gcd(lc(f), lc(g)) and cancelled."""
+def spoly(f, g, lcm):
+    """S-polynomial of two nonzero packed term lists, given the packed lcm
+    of their leads (the pair queue holds it): an unsorted {monomial:
+    coefficient} dict, not made primitive, whose leads were scaled to
+    lc(f)*lc(g)/gcd(lc(f), lc(g)) and cancelled."""
     fe, fc = f[0]
     ge, gc = g[0]
-    lcm = packing.lcm(fe, ge)
     h = gcd(fc, gc)
     a = gc // h
     b = fc // h

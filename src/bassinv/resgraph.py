@@ -18,7 +18,6 @@ import json
 from collections import namedtuple
 
 from .errors import GraphFormatError
-from .polynomials import _echelon_add
 
 
 Vertex = namedtuple("Vertex", "id genus self_intersection")
@@ -108,16 +107,27 @@ def genus_sum(graph):
 
 
 def loop_count(graph):
-    """l: the first Betti number, edges minus the incidence matrix's rank.
+    """l: the first Betti number, edges - vertices + components.
 
-    The edge [a, b] is the row e_a - e_b, and the rank is the size of
-    the echelon form that _echelon_add builds from them.  That rank is
-    vertices minus components, so l is also edges - vertices + components.
+    A union-find over the vertex ids takes the edges in turn.  An edge
+    that joins two components merges them, one fewer; the others close a
+    cycle each, and l counts them.
     """
-    echelon = {}
+    parent = {v.id: v.id for v in graph.vertices}
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        return a
+
+    loops = 0
     for a, b in graph.edges:
-        _echelon_add(echelon, {a: 1, b: -1})
-    return len(graph.edges) - len(echelon)
+        ra, rb = root(a), root(b)
+        if ra == rb:
+            loops += 1
+        else:
+            parent[ra] = rb
+    return loops
 
 
 def intersection_matrix(graph):
@@ -141,13 +151,11 @@ def is_negative_definite(matrix):
     """Sylvester's test in exact arithmetic: D_k(-M) > 0 for every leading
     minor of -M, M the integer matrix.
 
-    The rows of -M go to _echelon_add in order.  When the k-th gets
-    pivot k, it enters as a positive multiple of its Gaussian-elimination
-    row, whose k-th entry is D_k(-M)/D_(k-1)(-M): _clear only multiplies
-    by a positive lcm and divides by a positive gcd.  Clearing later pivots
-    from it never changes that entry's sign, because each later row is zero
-    at column k.  So M is negative definite exactly when the pivots, in
-    row order, are 0, ..., n-1 and every row is positive at its pivot.
+    Bareiss's fraction-free elimination (Math. Comp. 1968) on A = -M
+    replaces, at step k, each entry below and right of the pivot by
+    (a_kk * a_ij - a_ik * a_kj) / p, p the previous pivot (1 at first).
+    By Sylvester's identity the division is exact and the k-th pivot is
+    the leading minor D_k(A), so the test stops at the first pivot <= 0.
     """
     n = len(matrix)
     for row in matrix:
@@ -157,9 +165,17 @@ def is_negative_definite(matrix):
         for j in range(i):
             if matrix[i][j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    echelon = {}
-    for row in matrix:
-        _echelon_add(echelon, {j: -x for j, x in enumerate(row) if x})
-    if list(echelon) != list(range(n)):
-        return False
-    return all(row[p] > 0 for p, row in echelon.items())
+    a = [[-x for x in row] for row in matrix]
+    prev = 1
+    for k in range(n):
+        row_k = a[k]
+        pivot = row_k[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            row_i = a[i]
+            c = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - c * row_k[j]) // prev
+        prev = pivot
+    return True

@@ -122,9 +122,12 @@ def spairs_reduce_to_zero(basis):
     every pair of the basis' generators to 0 against them."""
     packing = kernel.Packing(basis.order, len(basis.variables), 16)
     raws = [packing.pack_terms(raw) for raw in basis._raw]
-    return not any(kernel.reduce_full(kernel.spoly(f, g, packing), raws,
-                                      packing)[0]
-                   for f, g in itertools.combinations(raws, 2))
+    pairs = itertools.combinations(zip(raws, basis.leading_exponents()), 2)
+    return not any(
+        kernel.reduce_full(
+            kernel.spoly(f, g, packing.pack(tuple(map(max, a, b)))),
+            raws, packing)[0]
+        for (f, a), (g, b) in pairs)
 
 
 def counting(counts, name, fn):

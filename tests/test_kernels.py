@@ -233,7 +233,10 @@ class TestPythonKernelOracles:
         assert (pa == pb) == (a == b)
         assert packing.divides(pa, pb) == divides(a, b)
         assert packing.divides(pb, pa) == divides(b, a)
-        assert packing.unpack(packing.lcm(pa, pb)) == tuple(map(max, a, b))
+        # the packed lcm, which the pair queue hands to spoly, is divided
+        # by both
+        lcm = packing.pack(tuple(map(max, a, b)))
+        assert packing.divides(pa, lcm) and packing.divides(pb, lcm)
         # a shift is one addition, and an exponent past the top, at most
         # twice it, sets a guard bit
         assert packing.one == packing.pack((0,) * n)
@@ -339,7 +342,7 @@ class TestPythonKernelOracles:
 
         def run(packing):
             packed = kernel.spoly(packing.pack_terms(f), packing.pack_terms(g),
-                                  packing)
+                                  packing.pack(lcm))
             return dict(packing.unpack_terms(packed.items()))
 
         assert _packed(run, MonomialOrder(kind, weights), n,

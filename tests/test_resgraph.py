@@ -1,15 +1,18 @@
 import itertools
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bassinv import cli, polynomials
 from bassinv.errors import GraphFormatError
 from bassinv.resgraph import (genus_sum, intersection_matrix,
                               is_negative_definite, load_graph, loop_count)
 
-from conftest import WAHL_GRAPH
+from conftest import WAHL_GRAPH, poly
 
 
 def graph_doc(self_ints, edges, genera=None):
@@ -229,6 +232,32 @@ def dfs_components(vertices, edges):
     return components
 
 
+class TestNoElimination:
+    def test_graph_checks_make_no_echelon_call(self, monkeypatch):
+        # the loop count and the definiteness test need no elimination:
+        # the spy replaces _echelon_add in every module that holds it, so
+        # an import by name is counted too
+        calls = []
+        add = polynomials._echelon_add
+
+        def spy(echelon, row):
+            calls.append(row)
+            return add(echelon, row)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bassinv."):
+                for attr, value in list(vars(module).items()):
+                    if value is add:
+                        monkeypatch.setattr(module, attr, spy)
+        polynomials.find_weights(poly("x^2+y^3+z^5"))
+        assert calls  # the spy sees a call
+        calls.clear()
+        info = cli._load_graph_data(WAHL_GRAPH)
+        assert (info["g"], info["l"], info["negative_definite"]) == \
+            (0, 0, True)
+        assert calls == []
+
+
 class TestIntersectionMatrix:
     def test_single_vertex(self):
         g = load_graph(graph_doc([-2], []))
@@ -312,6 +341,29 @@ class TestNegativeDefinite:
         expected = all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
         assert is_negative_definite(m) == expected
 
+    @given(st.integers(7, 10).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-4, -1), min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=n + 2))), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_agrees_with_gaussian_minors(self, graph, repeat):
+        # intersection matrices at resolution-graph size, past where
+        # cofactor expansion is cheap: the first `repeat` edges twice
+        self_ints, pairs = graph
+        edges = [(a, b) for a, b in pairs if a != b]
+        edges += edges[:repeat]
+        m = [[s if i == j else 0 for j in range(len(self_ints))]
+             for i, s in enumerate(self_ints)]
+        for a, b in edges:
+            m[a][b] += 1
+            m[b][a] += 1
+        doc = graph_doc(self_ints, [(a + 1, b + 1) for a, b in edges])
+        assert intersection_matrix(load_graph(doc)) == m
+        minors = [_gaussian_det([row[:k] for row in m[:k]])
+                  for k in range(1, len(m) + 1)]
+        expected = all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
+        assert is_negative_definite(m) == expected
+
     @pytest.mark.parametrize("m, definite", [
         ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], True),   # A_3
         ([[-1, 1, 0], [1, -1, 0], [0, 0, -1]], False),  # D_2 = 0
@@ -338,3 +390,22 @@ def _cofactor_det(m):
     return sum((-1) ** j * a * _cofactor_det([row[:j] + row[j + 1:]
                                                for row in m[1:]])
                for j, a in enumerate(m[0]) if a)
+
+
+def _gaussian_det(m):
+    """Determinant by Gaussian elimination over Fractions, swapping in a
+    nonzero pivot where one is needed."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            r = a[i][k] / a[k][k]
+            a[i] = [x - r * y for x, y in zip(a[i], a[k])]
+    return det
