@@ -16,7 +16,11 @@ Each command computes its results once, and a run renders only the view
 it prints: the text lines, or with --json the JSON document.  A family
 builds, tightens, judges and renders each distinct table once, for all
 the fibers that share it; only the substitution, the profile and the
-p_g-reuse check are per fiber.  The JSON document is byte for byte
+p_g-reuse check are per fiber.  The fiber at 0, when it is a value, is
+analyzed first; when it is graded, its profile is passed to every other
+fiber's analysis as the principal part that a fiber lying above it takes
+mu from, and a family with scaling weights analyzes only its first
+nonzero fiber.  The JSON document is byte for byte
 json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False), written by
 _dumps without the standard library's pure-Python indented encoder.
 Every command accepts --order grevlex|lex and ignores it: the invariants
@@ -42,8 +46,8 @@ from .errors import (BassinvError, InconsistentInputsError, NoGradedFiberError,
                      NotIsolatedError, SingularLocusNotAtOriginError,
                      SmoothInput, StaircaseLimitError, UsageError)
 from .invariants import bass_verdict, build_table, deduce_family
-from .polynomials import (_MAX_POWER_BITS, NAME, Polynomial, parse,
-                          scaling_weights, substitute_parameter)
+from .polynomials import (_MAX_POWER_BITS, NAME, Polynomial, low_difference,
+                          parse, scaling_weights, substitute_parameter)
 
 VARIABLES = ("x", "y", "z")
 
@@ -278,23 +282,31 @@ def _analyze_family(args, need_graph):
     # same support, leads and staircases, so the first one analyzed stands
     # for the rest, failures included.
     scales = scaling_weights(f, name) is not None
+    # The fiber at 0 is analyzed first; when it is graded, its profile is
+    # the principal part that the other analyses may take mu from (analyze
+    # checks that).  Its error waits for the loop to reach 0, so an earlier
+    # fiber's comes first.
+    zero = zero_error = None
+    if 0 in values:
+        fiber_poly = substitute_parameter(f, name, 0)
+        try:
+            zero = _analyze_fiber(name, 0, fiber_poly)
+        except BassinvError as exc:
+            zero_error = exc
     nonzero_profile = None
     profiles = []
     for v in values:
+        if not v:
+            if zero_error is not None:
+                raise zero_error
+            profiles.append(zero)
+            continue
         fiber_poly = substitute_parameter(f, name, v)
-        if v and nonzero_profile is not None:
+        if nonzero_profile is not None:
             profiles.append(nonzero_profile._replace(f=fiber_poly))
             continue
-        try:
-            profile = singularity.analyze(fiber_poly)
-        except SmoothInput:
-            raise InconsistentInputsError(
-                f"fiber {args.parameter} = {v} is smooth; "
-                f"not a family of singularities")
-        except (NotIsolatedError, SingularLocusNotAtOriginError,
-                StaircaseLimitError) as exc:
-            raise type(exc)(f"fiber {name} = {v}: {exc}") from exc
-        if v and scales:
+        profile = _analyze_fiber(name, v, fiber_poly, zero)
+        if scales:
             nonzero_profile = profile
         profiles.append(profile)
     graded_index = next(
@@ -318,6 +330,18 @@ def _analyze_family(args, need_graph):
     return f, values, profiles, graded_index, info, tables
 
 
+def _analyze_fiber(name, v, fiber, principal=None):
+    """singularity.analyze on the fiber at v, its rejections naming v."""
+    try:
+        return singularity.analyze(fiber, principal=principal)
+    except SmoothInput:
+        raise InconsistentInputsError(
+            f"fiber {name} = {v} is smooth; not a family of singularities")
+    except (NotIsolatedError, SingularLocusNotAtOriginError,
+            StaircaseLimitError) as exc:
+        raise type(exc)(f"fiber {name} = {v}: {exc}") from exc
+
+
 def _check_p_g_reuse(name, values, profiles, graded_index):
     """Refuse a fiber whose table would reuse p_g without justification.
 
@@ -329,13 +353,11 @@ def _check_p_g_reuse(name, values, profiles, graded_index):
     InconsistentInputsError.
     """
     graded = profiles[graded_index]
-    ws, theirs = graded.weights, graded.f._terms.items()
+    ws = graded.weights
     for v, profile in zip(values, profiles):
         if profile.weights is not None and profile.p_g == graded.p_g:
             continue
-        # the exponents whose coefficients differ, and their lowest one
-        low = min((e for e, _ in profile.f._terms.items() ^ theirs
-                   if ws.weighted_degree(e) <= ws.degree), default=None)
+        low = low_difference(profile.f, graded.f, ws)
         if low is not None:
             term = Polynomial({low: 1}, graded.f.variables)
             raise InconsistentInputsError(

@@ -714,6 +714,19 @@ def find_weights(f):
     return WeightSystem(tuple(w), d)
 
 
+def low_difference(f, f_0, ws):
+    """The least exponent of a term of f - f_0 whose weighted degree under
+    the WeightSystem ws is not above ws.degree; None when there is none.
+
+    The terms are those whose coefficients differ, the symmetric difference
+    of the two term sets.  None means that every term of f - f_0 lies above
+    degree d = ws.degree: for f_0 graded of weights ws, f_0 is then the part
+    of f of least weighted degree, d.
+    """
+    return min((e for e, _ in f._terms.items() ^ f_0._terms.items()
+                if ws.weighted_degree(e) <= ws.degree), default=None)
+
+
 def scaling_weights(f, name):
     """Integer weights on f's variables, nonzero on `name`, under which every
     term of f has the same weighted degree; None when there are none.

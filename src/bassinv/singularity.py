@@ -15,7 +15,11 @@ the partials on f's packed integer terms; the partials are built as
 Polynomials only for the Lazard basis.  The Milnor number is the
 length of the origin-local factor of the Jacobian quotient, where critical
 points of f away from the surface, which the deformed fibers of the shipped
-family have, do not contribute.  It comes by one of three routes:
+family have, do not contribute.  It comes by one of four routes:
+  * the caller's principal part: the closed form of a graded f_0 whose
+    profile the caller passes, when every term of f - f_0 has weighted
+    degree above f_0's (Arnold 1974), as a family run passes its graded
+    fiber at t = 0 to the others;
   * multipliers: tau, when linear multipliers put f in its Jacobian ideal;
   * principal part: the closed form of f_0, when f is semi-quasi-homogeneous
     with an isolated principal part f_0 of weights w and degree d (Arnold
@@ -36,8 +40,8 @@ from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
                        buchberger, jacobian_basis, staircase,
                        supported_only_at_origin)
 from .polynomials import (_difference_nullspace, _trusted, find_weights,
-                          linear_jacobian_multipliers, partial_derivative,
-                          positive_rational_eigenvalues)
+                          linear_jacobian_multipliers, low_difference,
+                          partial_derivative, positive_rational_eigenvalues)
 
 
 # weights is a WeightSystem and p_g an int, both None when f is not graded
@@ -183,6 +187,16 @@ def _principal_milnor(f, order, cap):
     return None
 
 
+def _lies_above(f, principal):
+    """Whether `principal`, the profile of a graded f_0 of weights w and
+    degree d in f's ring, is a principal part of f: every term of f - f_0
+    has weighted degree above d, so f_0 is f's part of least degree.  f_0
+    is isolated, since analyze returned its profile."""
+    return (principal is not None and principal.weights is not None
+            and principal.f.variables == f.variables
+            and low_difference(f, principal.f, principal.weights) is None)
+
+
 # -- geometric genus and the full profile -------------------------------------
 
 def _lattice_genus(weights, budget):
@@ -201,12 +215,18 @@ def _lattice_genus(weights, budget):
                for i in range(budget // w + 1))
 
 
-def analyze(f, order=None):
+def analyze(f, order=None, principal=None):
     """Full numerical profile: mu, tau, and for a graded f weights and p_g.
 
     One pipeline.  The BASSINV_MAX_STAIRCASE cap is read first, so a
-    malformed one is a UsageError before any basis.  Then the multipliers A
-    of f = sum_ij A[i][j] x_j df/dx_i are sought: diag(w)/d for a graded f
+    malformed one is a UsageError before any basis.  `principal` may be
+    the profile analyze returned for a graded f_0 in f's ring.  When f is
+    not graded and lies above it (every term of f - f_0 has weighted degree
+    above f_0's degree d; _lies_above checks this, so any other hint is
+    ignored), f_0 is f's principal part and no multipliers are sought:
+    an A only shortcuts tau and certifies mu = tau, and the certification
+    basis gives tau exactly on every input.  Otherwise the multipliers A of
+    f = sum_ij A[i][j] x_j df/dx_i are sought: diag(w)/d for a graded f
     (find_weights gives weights w, degree d), else
     linear_jacobian_multipliers(f), which gives A = B/D in integers.  An A
     puts f in its Jacobian ideal J.  tau, or None for an infinite quotient,
@@ -228,7 +248,12 @@ def analyze(f, order=None):
         (f) + J.
     One rejection block follows: None is NotIsolatedError, 0 SmoothInput,
     and a certification basis whose variables are not all nilpotent
-    SingularLocusNotAtOriginError.  mu then takes one of three routes:
+    SingularLocusNotAtOriginError.  mu then takes one of four routes:
+      * the caller's principal part: when f lies above `principal`, mu is
+        its closed form _graded_length, which is principal.milnor (Arnold
+        1974), with the cap that tau has; the principal part route below
+        gives the same, since mu does not depend on which principal part
+        is found;
       * multipliers: mu is tau when there is an A, since then (f) + J = J;
         the certificate is sufficient, not necessary: (x+y^2)^2+y^3+z^5 has
         mu = tau but no A;
@@ -246,9 +271,11 @@ def analyze(f, order=None):
     # find_weights refuses f = 0, which the certification rejects as not
     # isolated
     ws = None if f.is_zero() else find_weights(f)
+    a = grading = None
+    above = ws is None and _lies_above(f, principal)
     if ws is not None:
-        a, grading = None, ws
-    else:
+        grading = ws
+    elif not above:
         a = linear_jacobian_multipliers(f)
         grading = None if a is None else positive_rational_eigenvalues(*a)
     basis = tau = None
@@ -267,6 +294,8 @@ def analyze(f, order=None):
             "the singular locus of {f=0} is not the origin")
     if ws is not None or a is not None:
         mu = tau
+    elif above:
+        mu = _graded_length(*principal.weights, cap)
     else:
         mu = _principal_milnor(f, order, cap)
         if mu is None:

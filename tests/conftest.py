@@ -15,6 +15,10 @@ VARS = ("x", "y", "z")
 REPO = Path(__file__).resolve().parent.parent
 WAHL_GRAPH = REPO / "fixtures" / "wahl_resolution.json"
 WAHL_FAMILY = (REPO / "fixtures" / "wahl_family.txt").read_text().strip()
+# no scaling weights: every fiber is analyzed; t = 0 is graded (tau 18),
+# the six others share tau 16, and the fibers t = -8 and t = 8 have a
+# singular point off the origin
+NONSCALING = "z^2+y^3+x^10+t*x^7*y+t^2*x^8*y"
 
 # quasi-homogeneous corpus plus the paper's deformed fiber
 CORPUS_TEXTS = (

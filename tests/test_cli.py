@@ -18,7 +18,7 @@ from bassinv.groebner import MonomialOrder
 from bassinv.invariants import DuBoisTable
 from bassinv.polynomials import parse, substitute_parameter
 
-from conftest import REPO, VARS, WAHL_GRAPH, WAHL_FAMILY
+from conftest import NONSCALING, REPO, VARS, WAHL_GRAPH, WAHL_FAMILY
 
 GRAPH = str(WAHL_GRAPH)
 
@@ -505,9 +505,9 @@ class TestFiberTransport:
         calls = []
         real = singularity.analyze
 
-        def counting(f, order=None):
+        def counting(f, order=None, **kwargs):
             calls.append(f)
-            return real(f, order)
+            return real(f, order, **kwargs)
 
         monkeypatch.setattr(singularity, "analyze", counting)
         return calls
@@ -547,11 +547,11 @@ class TestFiberTransport:
         assert len(analyze_calls) == 2
 
     def test_wahl_bass_buchberger_calls(self, capsys, monkeypatch):
-        # the one analyzed nonzero fiber takes its certification basis of
-        # (f) + J, 4 generators, and for mu a run on the 3 partials of its
-        # principal part that stops at pure-power leads; t = 0 is graded,
-        # and its only basis is such a run on its own 3 partials.  A
-        # jacobian_basis run counts as one on f, when it is included, and
+        # t = 0 is analyzed first; it is graded, and its only basis is a
+        # run on its 3 partials that stops at pure-power leads.  The one
+        # analyzed nonzero fiber lies above it, so it takes mu from t = 0
+        # and runs only its certification basis of (f) + J, 4 generators.
+        # A jacobian_basis run counts as one on f, when it is included, and
         # the partials.
         calls = []
         real, real_jacobian = groebner.buchberger, groebner.jacobian_basis
@@ -571,7 +571,7 @@ class TestFiberTransport:
         run_ok(capsys, "bass", WAHL_FAMILY,
                "--values", "-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
                "--assume-chi-invariant")
-        assert calls == [(4, False), (3, True), (3, True)]
+        assert calls == [(3, True), (4, False)]
 
     def test_uncertified_family_analyzes_every_fiber(self, capsys,
                                                      analyze_calls):
@@ -590,6 +590,14 @@ class TestFiberTransport:
         assert code == 2 and "NotIsolatedError" in err
         assert "fiber t = 0: " in err
 
+    def test_earlier_fiber_error_precedes_zero_fiber_error(self, capsys):
+        # t = 0 is analyzed first and fails too, but values are reported
+        # in order
+        code, err = run_err(capsys, "family", "x^2+t*y^2", "--values=-1,0",
+                            "--assume-chi-invariant")
+        assert code == 2 and "fiber t = -1: " in err
+        assert "fiber t = 0" not in err
+
     @pytest.mark.parametrize("suffix, extra", [("txt", []),
                                                ("json", ["--json"])])
     def test_eight_fiber_transcripts(self, capsys, suffix, extra):
@@ -599,12 +607,6 @@ class TestFiberTransport:
                      "--values=-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
                      "--assume-chi-invariant", *extra)
         assert out.replace(GRAPH, "fixtures/wahl_resolution.json") == golden
-
-
-# no scaling weights: every fiber is analyzed; t = 0 is graded (tau 18),
-# the six others share tau 16, and the fibers t = -8 and t = 8 have a
-# singular point off the origin
-NONSCALING = "z^2+y^3+x^10+t*x^7*y+t^2*x^8*y"
 
 
 class TestFiberClasses:

@@ -663,6 +663,23 @@ class TestScalingWeights:
         assert scaling_weights(parse(text, self.FAMILY_VARS), "t") is None
 
 
+class TestLowDifference:
+    WAHL = WeightSystem((3, 10, 15), 30)  # z^2+y^3+x^10
+
+    @pytest.mark.parametrize("text, low", [
+        ("z^2+y^3+x^10+x^7*y", None),          # degree 31
+        ("z^2+y^3+x^10+x^7*y+x^8*y", None),
+        ("z^2+y^3+x^10", None),
+        ("z^2+y^3+x^10+x^7", (7, 0, 0)),       # degree 21
+        ("z^2+y^3+x^10+x^2*y+x^5", (2, 1, 0)),  # the least exponent
+        ("2*z^2+y^3+x^10+x^7*y", (0, 0, 2)),    # a changed coefficient
+        ("y^3+x^10+x^11", (0, 0, 2)),          # a term that is gone
+    ])
+    def test_low_term(self, text, low):
+        f_0 = poly("z^2+y^3+x^10")
+        assert polynomials.low_difference(poly(text), f_0, self.WAHL) == low
+
+
 def _rank(rows):
     """Rank over Q by plain Fraction elimination."""
     rows = [[Fraction(x) for x in row] for row in rows]

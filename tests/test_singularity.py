@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bassinv import cli, groebner, polynomials, singularity
 from bassinv.errors import (NotIsolatedError, SingularLocusNotAtOriginError,
@@ -20,8 +20,8 @@ from bassinv.polynomials import (Polynomial, WeightSystem,
 from bassinv.singularity import (_graded_length, _local_staircase,
                                  _principal_gradings, analyze, jacobian_ideal)
 
-from conftest import (CORPUS_TEXTS, VARS, counting, local_monomials, poly,
-                      rational, standard_monomials)
+from conftest import (CORPUS_TEXTS, NONSCALING, VARS, WAHL_FAMILY, counting,
+                      local_monomials, poly, rational, standard_monomials)
 
 
 def certified_tau(f, order=MonomialOrder.grevlex()):
@@ -528,6 +528,108 @@ class TestAnalyze:
         analyze(f)
         assert counts == Counter()
 
+
+def outcome(f, order, principal=None):
+    """analyze's profile of f, or its rejection as (type, message)."""
+    try:
+        return analyze(f, order, principal=principal)
+    except (NotIsolatedError, SingularLocusNotAtOriginError,
+            SmoothInput) as exc:
+        return type(exc), str(exc)
+
+
+def fiber(family, v):
+    return substitute_parameter(parse(family, VARS + ("t",)), "t", v)
+
+
+class TestPrincipalHint:
+    """analyze(f, principal=analyze(f_0)) for a graded f_0: mu from f_0
+    when every term of f - f_0 lies above its degree, else the unhinted
+    path; the profile is the same either way."""
+
+    # every nonzero fiber lies above the one at t = 0
+    ABOVE = (WAHL_FAMILY, NONSCALING, "x^2+y^3+t*z^7+z^5")
+    # t = 1 has a term of degree <= d: z^11 (mu 20, not 24), x^7, or a
+    # changed coefficient of z^2
+    REFUSED = ("x^2+y^3+z^13+t*z^11", "z^2+y^3+x^10+t*x^7",
+               "z^2+y^3+x^10+t*x^7*y+t*z^2")
+
+    @pytest.mark.parametrize("family", ABOVE + REFUSED)
+    @given(st.fractions().filter(bool),
+           st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
+    @example(Fraction(-8), MonomialOrder.lex())  # NONSCALING: off-origin
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_hint_changes_no_profile(self, family, v, order):
+        principal = analyze(fiber(family, 0), order)
+        assert principal.weights is not None
+        f = fiber(family, v)
+        assert outcome(f, order, principal) == outcome(f, order)
+
+    @pytest.fixture
+    def unhinted_calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("linear_jacobian_multipliers", "_principal_gradings"):
+            monkeypatch.setattr(singularity, name, counting(
+                calls, name, getattr(singularity, name)))
+        return calls
+
+    @pytest.mark.parametrize("family", ABOVE)
+    def test_fiber_above_skips_multipliers_and_gradings(self, family,
+                                                        unhinted_calls):
+        principal = analyze(fiber(family, 0))
+        f = fiber(family, 1)
+        assert find_weights(f) is None
+        analyze(f, principal=principal)
+        assert unhinted_calls == Counter()
+
+    @pytest.mark.parametrize("family", REFUSED)
+    def test_low_term_refuses_hint(self, family, unhinted_calls):
+        principal = analyze(fiber(family, 0))
+        f = fiber(family, 1)
+        assert find_weights(f) is None
+        p = analyze(f, principal=principal)
+        assert unhinted_calls["linear_jacobian_multipliers"] == 1
+        assert p == analyze(f)
+        if family == self.REFUSED[0]:
+            assert (principal.milnor, p.milnor) == (24, 20)
+
+    @pytest.mark.parametrize("hint", [
+        "x^2+y^3+z^5",                   # not f's part of least degree
+        "(x+y)^2+z^3+y^5",               # not graded
+        None])
+    def test_other_hints_refused(self, hint, unhinted_calls):
+        f = poly("z^2+y^3+x^10+x^7*y")
+        principal = None if hint is None else analyze(poly(hint))
+        unhinted_calls.clear()
+        assert analyze(f, principal=principal) == analyze(f)
+        assert unhinted_calls["linear_jacobian_multipliers"] == 2
+
+    def test_hint_in_another_ring_refused(self, unhinted_calls):
+        principal = analyze(parse("x^2+y^3+w^5", ("x", "y", "w")))
+        f = poly("x^2+y^3+z^5+z^7")
+        assert analyze(f, principal=principal).milnor == 8
+        assert unhinted_calls["linear_jacobian_multipliers"] == 1
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_call_counts(self, order, engine_calls):
+        # the hinted Wahl fiber runs its certification basis, its staircase
+        # and support test only: the unhinted (2, 23, 8, 1) without the
+        # early-stopped run on the principal part's partials
+        principal = analyze(poly("z^2+y^3+x^10"))
+        engine_calls.clear()
+        analyze(poly("z^2+y^3+x^10+x^7*y"), getattr(MonomialOrder, order)(),
+                principal=principal)
+        assert tuple(engine_calls[name] for name in (
+            "buchberger", "reduce_full", "spoly", "enumerate_staircase")) \
+            == (1, 20, 8, 1)
+
+    def test_cap_applies_to_hinted_mu(self, monkeypatch):
+        # tau 16 fits under the cap and mu 18 does not, as unhinted
+        principal = analyze(poly("z^2+y^3+x^10"))
+        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
+        with pytest.raises(StaircaseLimitError,
+                           match=r"enumeration cap \(17\)"):
+            analyze(poly("z^2+y^3+x^10+x^7*y"), principal=principal)
 
 @pytest.fixture
 def engine_calls(monkeypatch, kernel_calls):
