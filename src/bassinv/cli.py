@@ -16,11 +16,10 @@ Each command computes its results once, and a run renders only the view
 it prints: the text lines, or with --json the JSON document.  A family
 builds, tightens, judges and renders each distinct table once, for all
 the fibers that share it; only the substitution, the profile and the
-p_g-reuse check are per fiber.  The fiber at 0, when it is a value, is
-analyzed first; when it is graded, its profile is passed to every other
-fiber's analysis as the principal part that a fiber lying above it takes
-mu from, and a family with scaling weights analyzes only its first
-nonzero fiber.  The JSON document is byte for byte
+p_g-reuse check are per fiber.  Fibers are analyzed in value order, and a
+family with scaling weights analyzes only its first nonzero fiber.  Where
+tables are built, every graded fiber gets a graded table, and fibers of
+different mu are refused.  The JSON document is byte for byte
 json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False), written by
 _dumps without the standard library's pure-Python indented encoder.
 Every command accepts --order grevlex|lex and ignores it: the invariants
@@ -282,31 +281,15 @@ def _analyze_family(args, need_graph):
     # same support, leads and staircases, so the first one analyzed stands
     # for the rest, failures included.
     scales = scaling_weights(f, name) is not None
-    # The fiber at 0 is analyzed first; when it is graded, its profile is
-    # the principal part that the other analyses may take mu from (analyze
-    # checks that).  Its error waits for the loop to reach 0, so an earlier
-    # fiber's comes first.
-    zero = zero_error = None
-    if 0 in values:
-        fiber_poly = substitute_parameter(f, name, 0)
-        try:
-            zero = _analyze_fiber(name, 0, fiber_poly)
-        except BassinvError as exc:
-            zero_error = exc
     nonzero_profile = None
     profiles = []
     for v in values:
-        if not v:
-            if zero_error is not None:
-                raise zero_error
-            profiles.append(zero)
-            continue
         fiber_poly = substitute_parameter(f, name, v)
-        if nonzero_profile is not None:
+        if v and nonzero_profile is not None:
             profiles.append(nonzero_profile._replace(f=fiber_poly))
             continue
-        profile = _analyze_fiber(name, v, fiber_poly, zero)
-        if scales:
+        profile = _analyze_fiber(name, v, fiber_poly)
+        if v and scales:
             nonzero_profile = profile
         profiles.append(profile)
     graded_index = next(
@@ -322,18 +305,19 @@ def _analyze_family(args, need_graph):
         g, l = info["g"], info["l"]
         p_g = profiles[graded_index].p_g
         _check_p_g_reuse(name, values, profiles, graded_index)
+        _check_milnor_constant(name, values, profiles, graded_index)
         table = functools.cache(
             lambda tau, graded: build_table(tau, p_g, g, l, graded))
-        tables = deduce_family(values, [table(p.tjurina, i == graded_index)
-                                        for i, p in enumerate(profiles)],
-                               graded_index)
+        tables = deduce_family(
+            values, [table(p.tjurina, p.weights is not None)
+                     for p in profiles], graded_index)
     return f, values, profiles, graded_index, info, tables
 
 
-def _analyze_fiber(name, v, fiber, principal=None):
+def _analyze_fiber(name, v, fiber):
     """singularity.analyze on the fiber at v, its rejections naming v."""
     try:
-        return singularity.analyze(fiber, principal=principal)
+        return singularity.analyze(fiber)
     except SmoothInput:
         raise InconsistentInputsError(
             f"fiber {name} = {v} is smooth; not a family of singularities")
@@ -368,6 +352,25 @@ def _check_p_g_reuse(name, values, profiles, graded_index):
                 f"{ws.weighted_degree(low)}, not above {ws.degree} under "
                 f"the weights {ws.weights}, and the fiber is not graded with "
                 f"that p_g")
+
+
+def _check_milnor_constant(name, values, profiles, graded_index):
+    """Refuse a family whose fibers' Milnor numbers differ.
+
+    --assume-chi-invariant asserts a simultaneous good resolution smooth
+    over the base, a weak simultaneous resolution, which a family of
+    hypersurface singularities in C^3 has only when mu is constant
+    (Laufer 1983).  Fibers of different mu refute it, so the tables, which
+    transport chi^p from the graded fiber, raise InconsistentInputsError.
+    """
+    graded = profiles[graded_index]
+    for v, profile in zip(values, profiles):
+        if profile.milnor != graded.milnor:
+            raise InconsistentInputsError(
+                f"fiber {name} = {v} has mu = {profile.milnor} and the "
+                f"graded fiber {name} = {values[graded_index]} has "
+                f"mu = {graded.milnor}: a simultaneous resolution, which "
+                f"transporting chi^p assumes, needs constant mu")
 
 
 _NO_GRAPH_NOTE = ("no --graph given: reporting fiber profiles only (tables "

@@ -9,28 +9,26 @@ one whose Jacobian multipliers have positive rational eigenvalues, reaches
 tau by the Euler route: one Buchberger run on the partials, stopped at the
 first pure-power leads, proves the quotient finite, and tau and p_g come
 from closed forms (Milnor-Orlik 1970; Saito 1971), with no staircase.  Any
-other f reaches tau on the certification basis.  Both runs, and the one on
-a principal part's partials, are groebner.jacobian_basis runs, which derive
-the partials on f's packed integer terms; the partials are built as
-Polynomials only for the Lazard basis.  The Milnor number is the
-length of the origin-local factor of the Jacobian quotient, where critical
-points of f away from the surface, which the deformed fibers of the shipped
-family have, do not contribute.  It comes by one of four routes:
-  * the caller's principal part: the closed form of a graded f_0 whose
-    profile the caller passes, when every term of f - f_0 has weighted
-    degree above f_0's (Arnold 1974), as a family run passes its graded
-    fiber at t = 0 to the others;
+other f reaches tau on the certification basis.  Both runs are
+groebner.jacobian_basis runs, which derive the partials on f's packed
+integer terms; the partials are built as Polynomials only for the Lazard
+basis.  The Milnor number is the length of the origin-local factor of the
+Jacobian quotient, where critical points of f away from the surface, which
+the deformed fibers of the shipped family have, do not contribute.  It
+comes by one of three routes:
   * multipliers: tau, when linear multipliers put f in its Jacobian ideal;
-  * principal part: the closed form of f_0, when f is semi-quasi-homogeneous
-    with an isolated principal part f_0 of weights w and degree d (Arnold
-    1974), as the shipped family's nonzero fibers are;
+  * Newton: Kouchnirenko's Newton number of f's support, when f has a pure
+    power of each variable and every compact facet of its Newton polyhedron
+    holds exactly three terms, which makes f Newton non-degenerate whatever
+    its coefficients (Kouchnirenko 1976), as the shipped family's nonzero
+    fibers do;
   * Lazard: otherwise, a local standard basis computed by Lazard's
     homogenisation method (Lazard 1983; Greuel-Pfister, A Singular
     Introduction to Commutative Algebra, 1.7).
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import combinations
 from math import prod
 from operator import mul
 
@@ -39,8 +37,7 @@ from .errors import (NotIsolatedError, SingularLocusNotAtOriginError,
 from .groebner import (MonomialOrder, _staircase_cap, _standard_monomials,
                        buchberger, jacobian_basis, staircase,
                        supported_only_at_origin)
-from .polynomials import (_difference_nullspace, _trusted, find_weights,
-                          linear_jacobian_multipliers, low_difference,
+from .polynomials import (_trusted, find_weights, linear_jacobian_multipliers,
                           partial_derivative, positive_rational_eigenvalues)
 
 
@@ -115,86 +112,78 @@ def _graded_length(weights, degree, cap):
     """
     length, rest = divmod(prod(degree - w for w in weights), prod(weights))
     assert not rest  # a regular sequence's Hilbert series
+    return _capped(length, cap)
+
+
+def _capped(length, cap):
+    """length, or StaircaseLimitError past max(cap, 1), as a staircase
+    enumeration refuses."""
     if length > max(cap, 1):
         raise StaircaseLimitError.over(cap)
     return length
 
 
-def _principal_gradings(f):
-    """Positive integer weights w and a degree d under which every term of
-    f has weighted degree >= d; each grading once.
+def _newton_milnor(terms):
+    """Kouchnirenko's Newton number nu of the support `terms`, exponent
+    triples such as a term map's keys, or None when the support does not
+    certify mu = nu.
 
-    An isolated graded f_0 has, for each variable x_i, a term x_i^a or
-    x_i^a*x_j (Saito 1971).  If f_0 is the part of degree d of f, no term
-    of f has lower degree, so that term is f's smallest pure power of x_i
-    or its x_i^a*x_j with the least a.  The gradings are read off the
-    triples of such terms, one term per variable: at most 3 candidates per
-    variable, so at most 27 triples in Q[x,y,z].  A triple's grading is
-    w and d = w·e on its terms e, for the _difference_nullspace vector w.
-    The nullspace is one vector with d != 0 exactly when the terms'
-    exponents are linearly independent, that is when e·lam = 1 on them has
-    one solution, lam = w/d.  Other triples, and those whose weights are
-    not all positive, give none; so does d < 0, since w is positive at its
-    free column and -w is not.
+    mu = nu = 6*V_3 - 2*V_2 + V_1 - 1 for f convenient and Newton
+    non-degenerate (Kouchnirenko 1976): V_3 is the volume under the compact
+    boundary of the Newton polyhedron, V_2 the sum of the areas under it in
+    the coordinate planes, and V_1 = a + b + c for the least pure powers
+    x^a, y^b, z^c, whose presence is convenience.  A compact facet holding
+    exactly three support points is a triangle with independent vertices
+    (its level h is positive), so every face polynomial on it has
+    independent exponents and x_i*df_s/dx_i = 0 has no solution in the
+    torus.  Every compact face lies in a compact facet, so when every facet
+    holds three points f is non-degenerate whatever its coefficients; a
+    facet with more gives None.
+
+    A point e strictly above the plane P through the pure powers is
+    e/s + (1 - 1/s)*e with s > 1 and e/s in their triangle, so it lies
+    strictly above every compact facet: only the points on or below P are
+    searched.  A triple of them spans a compact facet when its normal
+    n = (q - p) x (r - p) is positive, after a sign, and no point lies below
+    its level h = n.p = |det(p, q, r)|, 6 times the volume of the cone over
+    it.  Its edges in a coordinate plane, each bounding no other compact
+    facet, give 2*V_2 by their 2 x 2 determinants.
     """
-    n = len(f.variables)
-    exps = f.exponents()
-    candidates = []
-    for i in range(n):
-        least = {}  # key i: the pure power of x_i; key j: x_i^a*x_j
-        for e in exps:
-            rest = [j for j in range(n) if j != i and e[j]]
-            if not e[i] or len(rest) > 1 or (rest and e[rest[0]] > 1):
-                continue
-            key = rest[0] if rest else i
-            if key not in least or e[i] < least[key][i]:
-                least[key] = e
-        candidates.append([least[key] for key in sorted(least)])
-    seen = set()
-    for triple in product(*candidates):
-        basis = _difference_nullspace(triple, n)
-        if len(basis) != 1:
+    least = [0, 0, 0]
+    for e in terms:
+        if e.count(0) == 2:  # a pure power
+            s = sum(e)
+            i = e.index(s)
+            if not least[i] or s < least[i]:
+                least[i] = s
+    a, b, c = least
+    if not (a and b and c):
+        return None
+    bc, ac, ab = b * c, a * c, a * b
+    low = [e for e in terms if bc * e[0] + ac * e[1] + ab * e[2] <= ab * c]
+    nu = a + b + c - 1
+    for p, q, r in combinations(low, 3):
+        (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = p, q, r
+        u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
+        v0, v1, v2 = r0 - p0, r1 - p1, r2 - p2
+        n = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+        if max(n) < 0:
+            n = (-n[0], -n[1], -n[2])
+        if min(n) <= 0:
             continue
-        w = basis[0]
-        d = sum(map(mul, w, triple[0]))
-        grading = tuple(w), d
-        if d <= 0 or min(w) <= 0 or grading in seen:
+        h = sum(map(mul, n, p))
+        heights = [sum(map(mul, n, e)) for e in low]
+        if min(heights) < h:
             continue
-        seen.add(grading)
-        if all(sum(map(mul, w, e)) >= d for e in exps):
-            yield w, d
-
-
-def _principal_milnor(f, order, cap):
-    """mu of f from a principal part, or None when none is found.
-
-    f is semi-quasi-homogeneous when, under some grading of
-    _principal_gradings, its part f_0 of least degree d is isolated; then
-    mu(f) = mu(f_0) = prod(d/w_i - 1) (Arnold 1974), since f - f_0 has
-    degree above d.  f_0 is isolated exactly when the Euler route's
-    Buchberger run on its partials stops at pure-power leads.
-    Each variable has a term in f_0, and differentiation is one-to-one on
-    the terms it does not kill, so the partials of f_0 are those of f cut
-    to their least weighted degree, and none of them is zero.
-    """
-    terms = f.term_map()
-    for w, d in _principal_gradings(f):
-        f_0 = _trusted({e: c for e, c in terms.items()
-                        if sum(map(mul, w, e)) == d}, f.variables)
-        if jacobian_basis(f_0, order, with_f=False,
-                          until_finite=True) is None:
-            return _graded_length(w, d, cap)
-    return None
-
-
-def _lies_above(f, principal):
-    """Whether `principal`, the profile of a graded f_0 of weights w and
-    degree d in f's ring, is a principal part of f: every term of f - f_0
-    has weighted degree above d, so f_0 is f's part of least degree.  f_0
-    is isolated, since analyze returned its profile."""
-    return (principal is not None and principal.weights is not None
-            and principal.f.variables == f.variables
-            and low_difference(f, principal.f, principal.weights) is None)
+        if heights.count(h) > 3:
+            return None
+        nu += h
+        for k in range(3):
+            edge = [e for e in (p, q, r) if not e[k]]
+            if len(edge) == 2:
+                s, t = edge
+                nu -= abs(s[k - 2] * t[k - 1] - s[k - 1] * t[k - 2])
+    return nu
 
 
 # -- geometric genus and the full profile -------------------------------------
@@ -215,15 +204,13 @@ def _lattice_genus(weights, budget):
                for i in range(budget // w + 1))
 
 
-def analyze(f, order=None, principal=None):
+def analyze(f, order=None):
     """Full numerical profile: mu, tau, and for a graded f weights and p_g.
 
     One pipeline.  The BASSINV_MAX_STAIRCASE cap is read first, so a
-    malformed one is a UsageError before any basis.  `principal` may be
-    the profile analyze returned for a graded f_0 in f's ring.  When f is
-    not graded and lies above it (every term of f - f_0 has weighted degree
-    above f_0's degree d; _lies_above checks this, so any other hint is
-    ignored), f_0 is f's principal part and no multipliers are sought:
+    malformed one is a UsageError before any basis.  For an f that is not
+    graded, the Newton number nu of its support is tried first
+    (_newton_milnor); when it certifies mu = nu, no multipliers are sought:
     an A only shortcuts tau and certifies mu = tau, and the certification
     basis gives tau exactly on every input.  Otherwise the multipliers A of
     f = sum_ij A[i][j] x_j df/dx_i are sought: diag(w)/d for a graded f
@@ -248,18 +235,11 @@ def analyze(f, order=None, principal=None):
         (f) + J.
     One rejection block follows: None is NotIsolatedError, 0 SmoothInput,
     and a certification basis whose variables are not all nilpotent
-    SingularLocusNotAtOriginError.  mu then takes one of four routes:
-      * the caller's principal part: when f lies above `principal`, mu is
-        its closed form _graded_length, which is principal.milnor (Arnold
-        1974), with the cap that tau has; the principal part route below
-        gives the same, since mu does not depend on which principal part
-        is found;
+    SingularLocusNotAtOriginError.  mu then takes one of three routes:
       * multipliers: mu is tau when there is an A, since then (f) + J = J;
         the certificate is sufficient, not necessary: (x+y^2)^2+y^3+z^5 has
         mu = tau but no A;
-      * principal part: without an A, mu is the closed form of an isolated
-        principal part when _principal_milnor finds one, with the cap that
-        tau has;
+      * Newton: mu is nu, with the cap that tau has;
       * Lazard: otherwise mu is the origin-local staircase
         (_local_staircase).
     For a graded f, p_g is the lattice count _lattice_genus, which the cap
@@ -271,13 +251,13 @@ def analyze(f, order=None, principal=None):
     # find_weights refuses f = 0, which the certification rejects as not
     # isolated
     ws = None if f.is_zero() else find_weights(f)
-    a = grading = None
-    above = ws is None and _lies_above(f, principal)
-    if ws is not None:
-        grading = ws
-    elif not above:
-        a = linear_jacobian_multipliers(f)
-        grading = None if a is None else positive_rational_eigenvalues(*a)
+    a = nu = None
+    grading = ws
+    if ws is None:
+        nu = _newton_milnor(f.term_map())
+        if nu is None:
+            a = linear_jacobian_multipliers(f)
+            grading = None if a is None else positive_rational_eigenvalues(*a)
     basis = tau = None
     if grading is None:
         basis = jacobian_basis(f, order, with_f=True)
@@ -294,12 +274,10 @@ def analyze(f, order=None, principal=None):
             "the singular locus of {f=0} is not the origin")
     if ws is not None or a is not None:
         mu = tau
-    elif above:
-        mu = _graded_length(*principal.weights, cap)
+    elif nu is not None:
+        mu = _capped(nu, cap)
     else:
-        mu = _principal_milnor(f, order, cap)
-        if mu is None:
-            mu = _local_staircase(jacobian_ideal(f)).size
+        mu = _local_staircase(jacobian_ideal(f)).size
     p_g = None if ws is None else _lattice_genus(
         ws.weights, ws.degree - sum(ws.weights))
     return SingularityProfile(f, mu, tau, ws, p_g)

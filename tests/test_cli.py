@@ -116,14 +116,14 @@ class TestAnalyze:
         (["analyze", "z^2+y^3+x^10+x^7*y"], False),
         (["bass", WAHL_FAMILY, "--values", "0,1,2", "--graph", GRAPH,
           "--assume-chi-invariant"], False),
-        (["analyze", "x^3+y^4+z^5+x*y*z"], True),
+        (["analyze", "(x+y)^2+z^4+y^3+y^2*z^2"], True),
     ], ids=["analyze", "bass", "lazard"])
     def test_lex_option_reaches_no_lex_basis(self, capsys, monkeypatch,
                                              argv, lazard):
         # --order selects nothing: every basis the engine builds is in
         # grevlex, or in the weighted order of the Lazard basis, which the
-        # Wahl fibers do not need (their mu comes from the principal part)
-        # and T_{3,4,5} does
+        # Wahl fibers do not need (their mu is their Newton number) and an
+        # input with a compact facet through four terms does
         orders = set()
 
         def recording(real):
@@ -505,9 +505,9 @@ class TestFiberTransport:
         calls = []
         real = singularity.analyze
 
-        def counting(f, order=None, **kwargs):
+        def counting(f, order=None):
             calls.append(f)
-            return real(f, order, **kwargs)
+            return real(f, order)
 
         monkeypatch.setattr(singularity, "analyze", counting)
         return calls
@@ -547,10 +547,10 @@ class TestFiberTransport:
         assert len(analyze_calls) == 2
 
     def test_wahl_bass_buchberger_calls(self, capsys, monkeypatch):
-        # t = 0 is analyzed first; it is graded, and its only basis is a
-        # run on its 3 partials that stops at pure-power leads.  The one
-        # analyzed nonzero fiber lies above it, so it takes mu from t = 0
-        # and runs only its certification basis of (f) + J, 4 generators.
+        # fibers run in value order: t = -2 stands for every nonzero fiber,
+        # whose mu is its Newton number, so it runs only its certification
+        # basis of (f) + J, 4 generators; t = 0 is graded, and its only
+        # basis is a run on its 3 partials that stops at pure-power leads.
         # A jacobian_basis run counts as one on f, when it is included, and
         # the partials.
         calls = []
@@ -571,7 +571,7 @@ class TestFiberTransport:
         run_ok(capsys, "bass", WAHL_FAMILY,
                "--values", "-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
                "--assume-chi-invariant")
-        assert calls == [(3, True), (4, False)]
+        assert calls == [(4, False), (3, True)]
 
     def test_uncertified_family_analyzes_every_fiber(self, capsys,
                                                      analyze_calls):
@@ -591,8 +591,7 @@ class TestFiberTransport:
         assert "fiber t = 0: " in err
 
     def test_earlier_fiber_error_precedes_zero_fiber_error(self, capsys):
-        # t = 0 is analyzed first and fails too, but values are reported
-        # in order
+        # t = 0 fails too, but values are reported in order
         code, err = run_err(capsys, "family", "x^2+t*y^2", "--values=-1,0",
                             "--assume-chi-invariant")
         assert code == 2 and "fiber t = -1: " in err
@@ -716,6 +715,41 @@ class TestGradedGenusReuse:
                        "--assume-chi-invariant")
         assert all(f["profile"]["p_g"] == f["table"]["inputs"]["p_g"] == 1
                    for f in doc["fibers"])
+
+
+class TestFamilyTables:
+    """Where tables are built, every graded fiber gets its graded table,
+    and fibers of different mu are refused."""
+
+    def test_every_graded_fiber_gets_a_graded_table(self, capsys):
+        # t = 1 is graded of weights (3, 2, 1) and degree 6, as t = 0 is,
+        # so both read alpha = 0 and "not a counterexample"
+        doc = run_json(capsys, "bass", "x^2+y^3+z^6+t*x*z^3",
+                       "--values", "0,1", "--graph", GRAPH,
+                       "--assume-chi-invariant")
+        assert [(f["profile"]["weights"], f["table"]["inputs"]["graded"],
+                 f["table"]["alpha"], f["verdict"]["answer_to_bass"])
+                for f in doc["fibers"]] == [
+            ([3, 2, 1], True, {"kind": "exact", "value": 0},
+             "not_a_counterexample")] * 2
+
+    @pytest.mark.parametrize("command", ["bass", "family"])
+    def test_fibers_of_different_mu_refused(self, capsys, command):
+        # both fibers are graded with p_g = 1, but x^2+y^3+z^7 has mu 12
+        # and x^2+y^3+z^6 mu 10: no NEGATIVE verdict from transport
+        code, err = run_err(capsys, command, "x^2+y^3+z^7+t*z^6-t*z^7",
+                            "--values", "0,1", "--graph", GRAPH,
+                            "--assume-chi-invariant")
+        assert code == 5
+        assert err.startswith(
+            "error [InconsistentInputsError]: fiber t = 1 has mu = 10 and "
+            "the graded fiber t = 0 has mu = 12")
+
+    def test_different_mu_without_graph_reported(self, capsys):
+        # without a graph nothing is transported
+        doc = run_json(capsys, "family", "x^2+y^3+z^7+t*z^6-t*z^7",
+                       "--values", "0,1", "--assume-chi-invariant")
+        assert [f["profile"]["milnor"] for f in doc["fibers"]] == [12, 10]
 
 
 class TestGraphCommand:

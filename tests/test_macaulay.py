@@ -3,20 +3,19 @@
 The oracle (tests/macaulay.py) shares no code with the engine.  The inputs
 cover the routes of analyze: graded (Euler), a linear change with positive
 rational eigenvalues (Euler), linear multipliers that fail the eigenvalue
-step (certification, mu = tau), and neither (certification, then mu from a
-principal part, or else from the Lazard basis).
+step (certification, mu = tau), and neither (certification, then mu from
+the Newton polyhedron, or else from the Lazard basis).
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bassinv.errors import SingularLocusNotAtOriginError
-from bassinv.groebner import DEFAULT_STAIRCASE_CAP, MonomialOrder
 from bassinv.polynomials import Polynomial
-from bassinv.singularity import _principal_milnor, analyze, jacobian_ideal
+from bassinv.singularity import _newton_milnor, analyze, jacobian_ideal
 
 from conftest import VARS, poly, tjurina_generators
 from macaulay import local_length, maximal_power_in_span
@@ -44,12 +43,13 @@ ORACLE_INPUTS = (
     # the first equations fix all 9 multipliers and a later one refutes
     # them: certification, then the Lazard basis
     "(x+y+z)^4+(x-y+z)^5+(x+y-z)^6+z^9",
-    # principal parts: one without a pure power of x, and one that a
-    # singular triple of candidate terms precedes
+    # supports that certify no Newton number: one without a pure power of
+    # x, and one with a compact facet through x^2, x*y, y^2 and z^4; both
+    # take the Lazard basis
     "x^2*y+y^4+z^3+x^3*y^2+x*z^4-y^3*z^2",
-    "x*y+z^2+x^3+y^3",
-    # a grading whose principal part is not isolated: the Lazard basis
     "(x+y)^2+z^4+y^3+y^2*z^2",
+    # a convenient support: its Newton number
+    "x*y+z^2+x^3+y^3",
 )
 
 
@@ -92,19 +92,50 @@ def random_set_draw(i):
     return Polynomial(terms, VARS)
 
 
-# the draws without a principal part; 13, 21 and 27 have one, though their
-# certification or Lazard basis takes seconds
-NO_PRINCIPAL_PART = {2, 9, 11, 14}
+# the draw whose support certifies no Newton number: a compact facet holds
+# 4 of its terms.  13, 21 and 27 pass, though their certification or Lazard
+# basis takes seconds
+NOT_CERTIFIED = {35}
 
 
 @pytest.mark.parametrize("i", range(40))
 def test_principal_part_mu_on_the_random_set(i):
+    # mu from the Newton principal part: Kouchnirenko's number of the
+    # support, whatever the coefficients
     f = random_set_draw(i)
-    mu = _principal_milnor(f, MonomialOrder.grevlex(), DEFAULT_STAIRCASE_CAP)
-    if i in NO_PRINCIPAL_PART:
-        assert mu is None
+    nu = _newton_milnor(f.exponents())
+    if i in NOT_CERTIFIED:
+        assert nu is None
     else:
-        assert mu == local_length(jacobian_ideal(f))
+        assert nu == local_length(jacobian_ideal(f))
+
+
+def _nonzero(bound, denominator):
+    return st.fractions(min_value=-bound, max_value=bound,
+                        max_denominator=denominator).filter(bool)
+
+
+_EXTRA_EXPONENT = st.tuples(*[st.integers(0, 4)] * 3).filter(
+    lambda e: sum(e) >= 2)
+
+
+@given(st.tuples(*[st.integers(2, 7)] * 3),
+       st.lists(st.tuples(_EXTRA_EXPONENT, _nonzero(20, 9)), min_size=1,
+                max_size=3))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_newton_number_on_random_convenient_supports(powers, extra):
+    # the random set's shape: x^a+y^b+z^c and 1 to 3 terms added; wherever
+    # the support certifies nu, it is the local length of the Jacobian
+    # quotient, whatever the coefficients
+    terms = {}
+    for i, a in enumerate(powers):
+        terms[tuple(a if j == i else 0 for j in range(3))] = Fraction(1)
+    for e, q in extra:
+        terms[e] = terms.get(e, 0) + q
+    f = Polynomial(terms, VARS)
+    nu = _newton_milnor(f.exponents())
+    assume(nu is not None)
+    assert nu == local_length(jacobian_ideal(f))
 
 
 # (N, D) found by searching D upward and N within it: m^N lies in the span
@@ -143,11 +174,6 @@ def _value(terms, point):
             c *= x ** k
         total += c
     return total
-
-
-def _nonzero(bound, denominator):
-    return st.fractions(min_value=-bound, max_value=bound,
-                        max_denominator=denominator).filter(bool)
 
 
 # f = x^(a+1)*(x-r)^b + y^c + z^d, b >= 2, and maybe a term q*x^i*y^j with

@@ -18,10 +18,19 @@ from bassinv.polynomials import (Polynomial, WeightSystem,
                                  positive_rational_eigenvalues,
                                  substitute_parameter)
 from bassinv.singularity import (_graded_length, _local_staircase,
-                                 _principal_gradings, analyze, jacobian_ideal)
+                                 _newton_milnor, analyze, jacobian_ideal)
 
 from conftest import (CORPUS_TEXTS, NONSCALING, VARS, WAHL_FAMILY, counting,
                       local_monomials, poly, rational, standard_monomials)
+
+
+def outcome(f, order):
+    """analyze's profile of f, or its rejection as (type, message)."""
+    try:
+        return analyze(f, order)
+    except (NotIsolatedError, SingularLocusNotAtOriginError,
+            SmoothInput) as exc:
+        return type(exc), str(exc)
 
 
 def certified_tau(f, order=MonomialOrder.grevlex()):
@@ -79,9 +88,9 @@ def brieskorn_pham_after_change(shape, entries):
     return new[0] ** a + new[1] ** b + new[2] ** c
 
 
-# x^a+y^b+z^c + q*x^i*y^j*z^k with i/a+j/b+k/c > 1: mu is the principal
-# part's (a-1)(b-1)(c-1), but the Jacobian quotient has points away from the
-# origin, so analyze takes the local-length path
+# x^a+y^b+z^c + q*x^i*y^j*z^k with i/a+j/b+k/c > 1: mu is the Newton
+# number (a-1)(b-1)(c-1), but the Jacobian quotient has points away from the
+# origin, so tau comes from the certification basis
 NONQH_LADDER = (
     ("x^6+y^5+z^3+3/7*x^4*y^2", (6, 5, 3)),
     ("x^4+y^5+z^6-5*x^2*y^2*z", (4, 5, 6)),
@@ -109,12 +118,11 @@ DENSE_CHANGES = (
     "(x+y+z)^5+(-x-y+z)^5+(-x+y+z)^5",
 )
 
-# no linear Jacobian multipliers, but a principal part, so mu is its closed
-# form.  The last two have mu = tau even so, and the last is
-# quasi-homogeneous after a change of coordinates that is not linear: the
-# multiplier certificate is sufficient, not necessary.  The principal part
-# of x^2*y+y^4+z^3 has no pure power of x, and x*y+z^2+x^3+y^3 has one
-# triple of candidate terms, x*y, x*y, z^2, whose system is singular
+# no linear Jacobian multipliers, but a principal part.  The last two have
+# mu = tau even so, and the last is quasi-homogeneous after a change of
+# coordinates that is not linear: the multiplier certificate is sufficient,
+# not necessary.  The principal part of x^2*y+y^4+z^3 has no pure power of
+# x, so that input certifies no Newton number
 PRINCIPAL_PART_INPUTS = tuple(
     (text, (a - 1) * (b - 1) * (c - 1)) for text, (a, b, c) in NONQH_LADDER
 ) + (
@@ -125,10 +133,10 @@ PRINCIPAL_PART_INPUTS = tuple(
     ("(x+y^2)^2+y^3+z^5", 8),
 )
 
-# neither multipliers nor a principal part, so mu comes from the Lazard
-# basis: T_{3,4,5}, and the supports of random-set draws 2, 9, 11 and 14
-# with unit coefficients (draws 2 and 11 less one term, which keeps their
-# certification to milliseconds)
+# neither multipliers nor a principal part: T_{3,4,5}, and the supports of
+# random-set draws 2, 9, 11 and 14 with unit coefficients (draws 2 and 11
+# less one term, which keeps their certification to milliseconds), which
+# certify their Newton numbers
 LAZARD_INPUTS = (
     ("x^3+y^4+z^5+x*y*z", 11),
     ("x^2*y^4*z+z^7+x^3+y^3-x^2*z^2", 22),
@@ -136,9 +144,13 @@ LAZARD_INPUTS = (
     ("x^3*y^4*z^3+x^7-x^3*y^2+y^4+z^3", 32),
     ("x^6+x*y^2*z^2+y^4+z^4+x*y*z", 13),
     # a grading, weights (2, 2, 1) and degree 4, whose f_0 = (x+y)^2+z^4
-    # is not isolated
+    # is not isolated; x^2, x*y, y^2 and z^4 lie on one compact facet
     ("(x+y)^2+z^4+y^3+y^2*z^2", 6),
 )
+
+# the inputs above whose support certifies no Newton number
+NOT_CERTIFIED = ("(x+y)^2+z^4+y^3+y^2*z^2",
+                 "x^2*y+y^4+z^3+x^3*y^2+x*z^4-y^3*z^2")
 
 
 class TestJacobianIdeal:
@@ -232,7 +244,7 @@ class TestMilnor:
                                          ("x^3+y^4+z^5+x*y*z", 11)])
     def test_kouchnirenko_newton_number(self, text, mu):
         f = poly(text)
-        assert linear_jacobian_multipliers(f) is None  # the Lazard path
+        assert linear_jacobian_multipliers(f) is None  # the Newton route
         assert analyze(f).milnor == mu
 
     def test_local_staircase_honours_cap(self, monkeypatch):
@@ -427,16 +439,16 @@ class TestAnalyze:
     # and a linear change of one whose Jacobian multipliers have positive
     # rational eigenvalues, take one Buchberger run on the partials, stopped
     # as soon as its leads hold a pure power of every variable, and no
-    # staircase; the deformed fiber takes the certification basis and its
-    # staircase, and for mu the early-stopped run on its principal part's
-    # partials.  A faster kernel must do the same operations, only cheaper.
+    # staircase; the deformed fiber, whose mu is its Newton number, takes
+    # the certification basis, its staircase and support test only.  A
+    # faster kernel must do the same operations, only cheaper.
     ENGINE_CALLS = {
         ("x^2+y^2+z^2", "grevlex"): (1, 3, 0, 0),
         ("x^2+y^2+z^2", "lex"): (1, 3, 0, 0),
         ("z^2+y^3+x^10", "grevlex"): (1, 3, 0, 0),
         ("z^2+y^3+x^10", "lex"): (1, 3, 0, 0),
-        ("z^2+y^3+x^10+x^7*y", "grevlex"): (2, 23, 8, 1),
-        ("z^2+y^3+x^10+x^7*y", "lex"): (2, 23, 8, 1),
+        ("z^2+y^3+x^10+x^7*y", "grevlex"): (1, 20, 8, 1),
+        ("z^2+y^3+x^10+x^7*y", "lex"): (1, 20, 8, 1),
         ("z^2+y^3+x^7", "grevlex"): (1, 3, 0, 0),
         ("z^2+y^3+x^7", "lex"): (1, 3, 0, 0),
         ("x^3+y^4+z^5", "grevlex"): (1, 3, 0, 0),
@@ -482,17 +494,16 @@ class TestAnalyze:
                              LAZARD_INPUTS + PRINCIPAL_PART_INPUTS)
     def test_no_multipliers_takes_lazard_path(self, text, mu, monkeypatch,
                                               engine_calls):
-        # without multipliers, the Lazard basis runs exactly when no
-        # principal part is found: on LAZARD_INPUTS as they are, and on
-        # the others once the search is made to find nothing, where it
-        # gives the closed form's mu
+        # without multipliers, the Lazard basis runs exactly when the
+        # support certifies no Newton number, and once the Newton route is
+        # made to certify nothing it gives the Newton number on every input
         f = poly(text)
         assert find_weights(f) is None
         assert linear_jacobian_multipliers(f) is None
-        lazard = (text, mu) in LAZARD_INPUTS
+        lazard = text in NOT_CERTIFIED
         assert analyze(f).milnor == mu
         assert engine_calls["_lazard_basis"] == lazard
-        monkeypatch.setattr(singularity, "_principal_milnor",
+        monkeypatch.setattr(singularity, "_newton_milnor",
                             lambda *args: None)
         assert analyze(f).milnor == mu
         assert engine_calls["_lazard_basis"] == 1 + lazard
@@ -510,7 +521,7 @@ class TestAnalyze:
         "z^2+y^3+x^10",                # graded
         "(x+y)^2+z^3+y^5",             # the eigenvalues of A
         "(2*x)^2+(2*x-y)^2+(-y-z)^4",  # an A, but no Euler route
-        "z^2+y^3+x^10+x^7*y",          # a principal part
+        "z^2+y^3+x^10+x^7*y",          # the Newton number
     ])
     def test_builds_no_fraction(self, text, monkeypatch):
         # every route of these inputs runs on integers from the parsed f to
@@ -528,108 +539,6 @@ class TestAnalyze:
         analyze(f)
         assert counts == Counter()
 
-
-def outcome(f, order, principal=None):
-    """analyze's profile of f, or its rejection as (type, message)."""
-    try:
-        return analyze(f, order, principal=principal)
-    except (NotIsolatedError, SingularLocusNotAtOriginError,
-            SmoothInput) as exc:
-        return type(exc), str(exc)
-
-
-def fiber(family, v):
-    return substitute_parameter(parse(family, VARS + ("t",)), "t", v)
-
-
-class TestPrincipalHint:
-    """analyze(f, principal=analyze(f_0)) for a graded f_0: mu from f_0
-    when every term of f - f_0 lies above its degree, else the unhinted
-    path; the profile is the same either way."""
-
-    # every nonzero fiber lies above the one at t = 0
-    ABOVE = (WAHL_FAMILY, NONSCALING, "x^2+y^3+t*z^7+z^5")
-    # t = 1 has a term of degree <= d: z^11 (mu 20, not 24), x^7, or a
-    # changed coefficient of z^2
-    REFUSED = ("x^2+y^3+z^13+t*z^11", "z^2+y^3+x^10+t*x^7",
-               "z^2+y^3+x^10+t*x^7*y+t*z^2")
-
-    @pytest.mark.parametrize("family", ABOVE + REFUSED)
-    @given(st.fractions().filter(bool),
-           st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
-    @example(Fraction(-8), MonomialOrder.lex())  # NONSCALING: off-origin
-    @settings(max_examples=15, deadline=None, derandomize=True)
-    def test_hint_changes_no_profile(self, family, v, order):
-        principal = analyze(fiber(family, 0), order)
-        assert principal.weights is not None
-        f = fiber(family, v)
-        assert outcome(f, order, principal) == outcome(f, order)
-
-    @pytest.fixture
-    def unhinted_calls(self, monkeypatch):
-        calls = Counter()
-        for name in ("linear_jacobian_multipliers", "_principal_gradings"):
-            monkeypatch.setattr(singularity, name, counting(
-                calls, name, getattr(singularity, name)))
-        return calls
-
-    @pytest.mark.parametrize("family", ABOVE)
-    def test_fiber_above_skips_multipliers_and_gradings(self, family,
-                                                        unhinted_calls):
-        principal = analyze(fiber(family, 0))
-        f = fiber(family, 1)
-        assert find_weights(f) is None
-        analyze(f, principal=principal)
-        assert unhinted_calls == Counter()
-
-    @pytest.mark.parametrize("family", REFUSED)
-    def test_low_term_refuses_hint(self, family, unhinted_calls):
-        principal = analyze(fiber(family, 0))
-        f = fiber(family, 1)
-        assert find_weights(f) is None
-        p = analyze(f, principal=principal)
-        assert unhinted_calls["linear_jacobian_multipliers"] == 1
-        assert p == analyze(f)
-        if family == self.REFUSED[0]:
-            assert (principal.milnor, p.milnor) == (24, 20)
-
-    @pytest.mark.parametrize("hint", [
-        "x^2+y^3+z^5",                   # not f's part of least degree
-        "(x+y)^2+z^3+y^5",               # not graded
-        None])
-    def test_other_hints_refused(self, hint, unhinted_calls):
-        f = poly("z^2+y^3+x^10+x^7*y")
-        principal = None if hint is None else analyze(poly(hint))
-        unhinted_calls.clear()
-        assert analyze(f, principal=principal) == analyze(f)
-        assert unhinted_calls["linear_jacobian_multipliers"] == 2
-
-    def test_hint_in_another_ring_refused(self, unhinted_calls):
-        principal = analyze(parse("x^2+y^3+w^5", ("x", "y", "w")))
-        f = poly("x^2+y^3+z^5+z^7")
-        assert analyze(f, principal=principal).milnor == 8
-        assert unhinted_calls["linear_jacobian_multipliers"] == 1
-
-    @pytest.mark.parametrize("order", ["grevlex", "lex"])
-    def test_call_counts(self, order, engine_calls):
-        # the hinted Wahl fiber runs its certification basis, its staircase
-        # and support test only: the unhinted (2, 23, 8, 1) without the
-        # early-stopped run on the principal part's partials
-        principal = analyze(poly("z^2+y^3+x^10"))
-        engine_calls.clear()
-        analyze(poly("z^2+y^3+x^10+x^7*y"), getattr(MonomialOrder, order)(),
-                principal=principal)
-        assert tuple(engine_calls[name] for name in (
-            "buchberger", "reduce_full", "spoly", "enumerate_staircase")) \
-            == (1, 20, 8, 1)
-
-    def test_cap_applies_to_hinted_mu(self, monkeypatch):
-        # tau 16 fits under the cap and mu 18 does not, as unhinted
-        principal = analyze(poly("z^2+y^3+x^10"))
-        monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
-        with pytest.raises(StaircaseLimitError,
-                           match=r"enumeration cap \(17\)"):
-            analyze(poly("z^2+y^3+x^10+x^7*y"), principal=principal)
 
 @pytest.fixture
 def engine_calls(monkeypatch, kernel_calls):
@@ -927,94 +836,80 @@ def cramer_degree_one(exps):
                  for j in range(n))
 
 
-def reference_gradings(f):
-    """_principal_gradings as it was written on cramer_degree_one: per
-    variable x_i, f's least pure power x_i^a and least x_i^a*x_j for each
-    j; per triple of them the unique positive lam, as (lam * lcm, lcm)."""
-    n = len(f.variables)
-    exps = f.exponents()
-
-    def shape(e, i, j):  # e is x_i^a*x_j, or a pure power of x_i if j == i
-        return e[i] > 0 and all(e[k] == (k == j != i)
-                                for k in range(n) if k != i)
-
-    candidates = []
-    for i in range(n):
-        least = [min((e for e in exps if shape(e, i, j)), key=lambda e: e[i],
-                     default=None) for j in range(n)]
-        candidates.append([e for e in least if e is not None])
-    seen, out = set(), []
-    for triple in itertools.product(*candidates):
-        lam = cramer_degree_one(triple)
-        if lam is None or lam in seen or min(lam) <= 0:
-            continue
-        seen.add(lam)
-        d = math.lcm(*(x.denominator for x in lam))
-        w = [x.numerator * (d // x.denominator) for x in lam]
-        if all(sum(map(operator.mul, w, e)) >= d for e in exps):
-            out.append((w, d))
-    return out
-
-
-@st.composite
-def principal_supports(draw):
-    """A polynomial in 1 to 4 variables whose terms are mostly pure powers
-    and x_i^a*x_j, the shapes of the gradings' candidates, exponents to 6."""
-    n = draw(st.integers(1, 4))
-
-    def term(kind, i, j, a, rest):
-        e = [0] * n
-        if kind == "rest":
-            return tuple(rest)
-        e[i] = a
-        if kind == "mixed" and j != i:
-            e[j] = 1
-        return tuple(e)
-
-    index = st.integers(0, n - 1)
-    terms = st.builds(term, st.sampled_from(["pure", "mixed", "rest"]),
-                      index, index, st.integers(1, 6),
-                      st.lists(st.integers(0, 6), min_size=n, max_size=n))
-    exps = draw(st.lists(terms, min_size=1, max_size=9, unique=True))
-    return Polynomial({e: Fraction(1) for e in exps},
-                      tuple(f"v{k}" for k in range(n)))
-
-
 class TestPrincipalPart:
-    """mu = prod(1/lam_i - 1) for a semi-quasi-homogeneous f without
-    multipliers, from the principal part's weights lam."""
+    """mu from the Newton principal part: Kouchnirenko's number of a
+    convenient support whose compact facets each hold three terms."""
 
-    def test_triple_cases(self):
-        # the Wahl triple x^10, y^3, z^2
-        assert list(_principal_gradings(poly("z^2+y^3+x^10"))) == \
-            [([3, 10, 15], 30)]
-        assert cramer_degree_one([(10, 0, 0), (0, 3, 0), (0, 0, 2)]) == \
-            (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2))
-        # x^10, x^7*y, z^2: lam = (1/10, 3/10, 1/2) = w/d
-        assert _difference_nullspace([(10, 0, 0), (7, 1, 0), (0, 0, 2)],
-                                     3) == [[1, 3, 5]]
-        assert cramer_degree_one([(10, 0, 0), (7, 1, 0), (0, 0, 2)]) == \
-            (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2))
-        # x*y twice: singular and consistent, two nullspace vectors
-        assert list(_principal_gradings(poly("x*y+z^2"))) == []
-        assert cramer_degree_one([(1, 1, 0), (1, 1, 0), (0, 0, 2)]) is None
-        assert len(_difference_nullspace([(1, 1, 0), (1, 1, 0), (0, 0, 2)],
-                                         3)) == 2
-        # x*y and x^2*y^2: inconsistent, one nullspace vector of degree 0.
-        # x^2*y^2 is no candidate, so no polynomial's candidates form this
-        # triple: in x*y+x^2*y^2+z^2, x*y is both x's and y's candidate
-        inconsistent = [(1, 1, 0), (2, 2, 0), (0, 0, 2)]
-        assert cramer_degree_one(inconsistent) is None
-        [w] = _difference_nullspace(inconsistent, 3)
-        assert sum(map(operator.mul, w, inconsistent[0])) == 0
-        assert list(_principal_gradings(poly("x*y+x^2*y^2+z^2"))) == []
+    @pytest.mark.parametrize("text,nu", [
+        ("z^2+y^3+x^10+x^7*y", 18),       # x^7*y lies above the one facet
+        ("x^3+y^4+z^5+x*y*z", 11),        # three facets through x*y*z
+        ("x^20+y^21+z^3+x^5*y^5", 330),
+        ("x^30+y^31+z^2+x^3*y^3*z", 306),
+        ("x^300+y^301+z^2+x^200*y^150", 89700),
+        ("x*y+z^2+x^3+y^3", 1),
+    ] + [(text, (a - 1) * (b - 1) * (c - 1))
+         for text, (a, b, c) in NONQH_LADDER])
+    def test_hand_checked_values(self, text, nu):
+        assert _newton_milnor(poly(text).exponents()) == nu
+
+    def test_brieskorn_pham(self):
+        for a, b, c in itertools.product(range(1, 10), repeat=3):
+            f = poly(f"x^{a}+y^{b}+z^{c}")
+            assert _newton_milnor(f.exponents()) == (a - 1) * (b - 1) * (c - 1)
+
+    @pytest.mark.parametrize("text", [
+        "x^2*y+y^4+z^3+x^3*y^2",          # no pure power of x
+        "x^2+y^2",                        # none of z
+        "x^3+y^3+z^3+x*y*z+x^4",          # a facet through 4 terms
+        "(x+y)^2+z^4+y^3+y^2*z^2",        # x^2, x*y, y^2, z^4
+        "y^6+x^3*y*z^2+x^5+x^3*z^2+z^5",  # random-set draw 35's support
+    ])
+    def test_uncertified_supports(self, text):
+        assert _newton_milnor(poly(text).exponents()) is None
+
+    @pytest.mark.parametrize("family, certified", [
+        (WAHL_FAMILY, True), (NONSCALING, True),
+        ("x^2+y^3+t*z^7+z^5", True),
+        # x^2, x*y, y^2 and z^4 on one facet
+        ("(x+y)^2+z^4+t*y^3+y^2*z^2", False)])
+    def test_certified_fiber_seeks_no_multipliers(self, family, certified,
+                                                  monkeypatch):
+        # an A would only shortcut tau, which the certification basis gives
+        calls = Counter()
+        monkeypatch.setattr(singularity, "linear_jacobian_multipliers",
+                            counting(calls, "multipliers",
+                                     linear_jacobian_multipliers))
+        f = substitute_parameter(parse(family, VARS + ("t",)), "t", 1)
+        assert find_weights(f) is None
+        analyze(f)
+        assert calls["multipliers"] == (not certified)
+
+    @pytest.mark.parametrize("family", [
+        WAHL_FAMILY, NONSCALING, "x^2+y^3+t*z^7+z^5",
+        # t = 1 has a term at or below t = 0's degree: z^11 (mu 20, not
+        # 24), x^7, or a changed coefficient of z^2
+        "x^2+y^3+z^13+t*z^11", "z^2+y^3+x^10+t*x^7",
+        "z^2+y^3+x^10+t*x^7*y+t*z^2"])
+    @given(st.fractions(),
+           st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
+    @example(Fraction(-8), MonomialOrder.lex())  # NONSCALING: off-origin
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_fibers_agree_with_the_other_routes(self, family, v, order):
+        # the profile, or the rejection, of a family's fiber is the same
+        # when the Newton route certifies nothing (multipliers or Lazard)
+        f = substitute_parameter(parse(family, VARS + ("t",)), "t", v)
+        newton = outcome(f, order)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(singularity, "_newton_milnor", lambda exps: None)
+            assert outcome(f, order) == newton
 
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(
         st.tuples(*[st.integers(0, 6)] * n), min_size=n, max_size=n)))
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_nullspace_solves_degree_one(self, triple):
-        # one vector w with d = w·e != 0 exactly when e·lam = 1 has one
-        # solution, and then lam = w/d
+        # the plane e·lam = 1 through exponents, by find_weights' integer
+        # solver: one vector w with d = w·e != 0 exactly when e·lam = 1 has
+        # one solution, and then lam = w/d
         lam = cramer_degree_one(triple)
         basis = _difference_nullspace(triple, len(triple))
         d = sum(map(operator.mul, basis[0], triple[0])) if basis else 0
@@ -1022,24 +917,6 @@ class TestPrincipalPart:
             assert lam is None
         else:
             assert lam == tuple(Fraction(x, d) for x in basis[0])
-
-    @given(principal_supports())
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_gradings_equal_the_cramer_reference(self, f):
-        assert list(_principal_gradings(f)) == reference_gradings(f)
-
-    @pytest.mark.parametrize("text,gradings", [
-        # x^7*y, y^3, z^2 gives weights 2/21, 1/3, 1/2, under which x^10
-        # has degree 20/21 < 1
-        ("z^2+y^3+x^10+x^7*y", [([3, 10, 15], 30)]),
-        # x^3, y^3, z^2 gives weights under which x*y has degree 2/3
-        ("x*y+z^2+x^3+y^3", [([2, 4, 3], 6), ([4, 2, 3], 6)]),
-        # x^2*y, y^4, z^3: no pure power of x
-        ("x^2*y+y^4+z^3+x^3*y^2", [([9, 6, 8], 24)]),
-        ("x^3+y^4+z^5+x*y*z", []),
-    ])
-    def test_gradings(self, text, gradings):
-        assert list(_principal_gradings(poly(text))) == gradings
 
     def test_cap_applies_to_the_closed_form(self, monkeypatch):
         # tau = 16 passes a cap of 17, mu = 18 does not
