@@ -884,8 +884,13 @@ class TestPrincipalPart:
         analyze(f)
         assert calls["multipliers"] == (not certified)
 
-    @pytest.mark.parametrize("family", [
-        WAHL_FAMILY, NONSCALING, "x^2+y^3+t*z^7+z^5",
+    # the nonzero fibers of these families lie above the fiber at t = 0,
+    # with the engine calls of analyze on each under both orders
+    CERTIFIED_FAMILIES = {WAHL_FAMILY: (1, 20, 8, 1),
+                          NONSCALING: (1, 22, 10, 1),
+                          "x^2+y^3+t*z^7+z^5": (1, 11, 2, 1)}
+
+    @pytest.mark.parametrize("family", list(CERTIFIED_FAMILIES) + [
         # t = 1 has a term at or below t = 0's degree: z^11 (mu 20, not
         # 24), x^7, or a changed coefficient of z^2
         "x^2+y^3+z^13+t*z^11", "z^2+y^3+x^10+t*x^7",
@@ -894,7 +899,7 @@ class TestPrincipalPart:
            st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
     @example(Fraction(-8), MonomialOrder.lex())  # NONSCALING: off-origin
     @settings(max_examples=15, deadline=None, derandomize=True)
-    def test_fibers_agree_with_the_other_routes(self, family, v, order):
+    def test_fiber_routes_agree(self, family, v, order):
         # the profile, or the rejection, of a family's fiber is the same
         # when the Newton route certifies nothing (multipliers or Lazard)
         f = substitute_parameter(parse(family, VARS + ("t",)), "t", v)
@@ -902,6 +907,36 @@ class TestPrincipalPart:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(singularity, "_newton_milnor", lambda exps: None)
             assert outcome(f, order) == newton
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_call_counts(self, order, engine_calls):
+        # a certified fiber runs its certification basis and its staircase
+        # only: no early-stopped run, no multipliers, no Lazard basis
+        for family, calls in self.CERTIFIED_FAMILIES.items():
+            for v in (1, 2, -3):
+                f = substitute_parameter(parse(family, VARS + ("t",)), "t",
+                                         Fraction(v))
+                engine_calls.clear()
+                analyze(f, getattr(MonomialOrder, order)())
+                assert tuple(engine_calls[name] for name in (
+                    "buchberger", "reduce_full", "spoly",
+                    "enumerate_staircase")) == calls
+                assert engine_calls["_lazard_basis"] == 0
+
+    @pytest.mark.parametrize("family", [WAHL_FAMILY, NONSCALING])
+    def test_cap_applies_to_fibers(self, family, monkeypatch):
+        # tau = 16 passes a cap of 17 on every nonzero fiber, mu = 18 does
+        # not
+        for v in (1, 2, -3):
+            f = substitute_parameter(parse(family, VARS + ("t",)), "t",
+                                     Fraction(v))
+            monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "17")
+            with pytest.raises(StaircaseLimitError,
+                               match=r"enumeration cap \(17\)"):
+                analyze(f)
+            monkeypatch.setenv("BASSINV_MAX_STAIRCASE", "18")
+            p = analyze(f)
+            assert (p.milnor, p.tjurina) == (18, 16)
 
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(
         st.tuples(*[st.integers(0, 6)] * n), min_size=n, max_size=n)))
