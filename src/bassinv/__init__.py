@@ -12,7 +12,7 @@ from .errors import (BassinvError, GraphFormatError, InconsistentDeductionError,
                      SingularLocusNotAtOriginError, SmoothInput,
                      StaircaseLimitError, UnknownVariableError, UsageError)
 from .groebner import (GroebnerBasis, MonomialOrder, Staircase, buchberger,
-                       normal_form, staircase, supported_only_at_origin)
+                       staircase, supported_only_at_origin)
 from .invariants import (BassVerdict, Bound, DuBoisTable, bass_verdict,
                          build_table, deduce_family)
 from .polynomials import (Polynomial, WeightSystem, find_weights, parse,

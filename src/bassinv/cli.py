@@ -15,11 +15,12 @@ substituting the rationals given in --values, like 1/2 or -3.
 Each command computes its results once, and a run renders only the view
 it prints: the text lines, or with --json the JSON document.  A family
 builds, tightens, judges and renders each distinct table once, for all
-the fibers that share it; only the substitution, the profile and the
-p_g-reuse check are per fiber.  Fibers are analyzed in value order, and a
-family with scaling weights analyzes only its first nonzero fiber.  Where
-tables are built, every graded fiber gets a graded table, and fibers of
-different mu are refused.  The JSON document is byte for byte
+the fibers that share it, and runs its p_g-reuse and mu checks once per
+analysis; only the substitution and the profile are per fiber.  Fibers are
+analyzed in value order, and a family with scaling weights analyzes only
+its first nonzero fiber.  Where tables are built, every graded fiber gets
+a graded table and is marked graded, and fibers of different mu are
+refused.  The JSON document is byte for byte
 json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False), written by
 _dumps without the standard library's pure-Python indented encoder.
 Every command accepts --order grevlex|lex and ignores it: the invariants
@@ -279,10 +280,11 @@ def _analyze_family(args, need_graph):
     # With weights on the parameter, all fibers at nonzero values are
     # diagonal rescalings of each other (see polynomials.scaling_weights):
     # same support, leads and staircases, so the first one analyzed stands
-    # for the rest, failures included.
+    # for the rest, failures and the family checks below included.
     scales = scaling_weights(f, name) is not None
     nonzero_profile = None
     profiles = []
+    analyzed = []  # (value, profile) of each fiber analyzed
     for v in values:
         fiber_poly = substitute_parameter(f, name, v)
         if v and nonzero_profile is not None:
@@ -292,6 +294,7 @@ def _analyze_family(args, need_graph):
         if v and scales:
             nonzero_profile = profile
         profiles.append(profile)
+        analyzed.append((v, profile))
     graded_index = next(
         (i for i, p in enumerate(profiles) if p.weights is not None), None)
     if graded_index is None:
@@ -303,9 +306,10 @@ def _analyze_family(args, need_graph):
         if need_graph:
             _verdict_graph(info)
         g, l = info["g"], info["l"]
-        p_g = profiles[graded_index].p_g
-        _check_p_g_reuse(name, values, profiles, graded_index)
-        _check_milnor_constant(name, values, profiles, graded_index)
+        graded = profiles[graded_index]
+        _check_p_g_reuse(name, analyzed, values[graded_index], graded)
+        _check_milnor_constant(name, analyzed, values[graded_index], graded)
+        p_g = graded.p_g
         table = functools.cache(
             lambda tau, graded: build_table(tau, p_g, g, l, graded))
         tables = deduce_family(
@@ -326,7 +330,7 @@ def _analyze_fiber(name, v, fiber):
         raise type(exc)(f"fiber {name} = {v}: {exc}") from exc
 
 
-def _check_p_g_reuse(name, values, profiles, graded_index):
+def _check_p_g_reuse(name, fibers, graded_value, graded):
     """Refuse a fiber whose table would reuse p_g without justification.
 
     Every fiber's table is built with the p_g of the graded fiber F_0, of
@@ -334,11 +338,12 @@ def _check_p_g_reuse(name, values, profiles, graded_index):
     itself with the same p_g, or when it is semi-quasi-homogeneous over
     F_0: every term of F_v - F_0 has weighted degree above d, so F_0 is its
     principal part (Arnold 1974; Saito 1981).  Any other fiber raises
-    InconsistentInputsError.
+    InconsistentInputsError.  `fibers` are the (value, profile) pairs of
+    the analyzed fibers: under scaling weights every nonzero fiber differs
+    from F_0 on the same exponents, so the one analyzed answers for all.
     """
-    graded = profiles[graded_index]
     ws = graded.weights
-    for v, profile in zip(values, profiles):
+    for v, profile in fibers:
         if profile.weights is not None and profile.p_g == graded.p_g:
             continue
         low = low_difference(profile.f, graded.f, ws)
@@ -348,13 +353,13 @@ def _check_p_g_reuse(name, values, profiles, graded_index):
                 f"fiber {name} = {v}: reusing the graded fiber's "
                 f"p_g = {graded.p_g} in its table is not justified: the term "
                 f"{term} of its difference from the graded fiber "
-                f"{name} = {values[graded_index]} has weighted degree "
+                f"{name} = {graded_value} has weighted degree "
                 f"{ws.weighted_degree(low)}, not above {ws.degree} under "
                 f"the weights {ws.weights}, and the fiber is not graded with "
                 f"that p_g")
 
 
-def _check_milnor_constant(name, values, profiles, graded_index):
+def _check_milnor_constant(name, fibers, graded_value, graded):
     """Refuse a family whose fibers' Milnor numbers differ.
 
     --assume-chi-invariant asserts a simultaneous good resolution smooth
@@ -363,12 +368,11 @@ def _check_milnor_constant(name, values, profiles, graded_index):
     (Laufer 1983).  Fibers of different mu refute it, so the tables, which
     transport chi^p from the graded fiber, raise InconsistentInputsError.
     """
-    graded = profiles[graded_index]
-    for v, profile in zip(values, profiles):
+    for v, profile in fibers:
         if profile.milnor != graded.milnor:
             raise InconsistentInputsError(
                 f"fiber {name} = {v} has mu = {profile.milnor} and the "
-                f"graded fiber {name} = {values[graded_index]} has "
+                f"graded fiber {name} = {graded_value} has "
                 f"mu = {graded.milnor}: a simultaneous resolution, which "
                 f"transporting chi^p assumes, needs constant mu")
 
@@ -395,7 +399,7 @@ def _family_text(name, f, values, profiles, graded_index, info, tables,
         if verdict is not None:
             rendered[table] += _verdict_text(verdict)
     for i, (v, profile) in enumerate(zip(values, profiles)):
-        tag = " [graded]" if i == graded_index else ""
+        tag = " [graded]" if profile.weights is not None else ""
         text.append("")
         text.append(f"fiber {name} = {v}:{tag}")
         text.extend("  " + line for line in _profile_text(profile))
@@ -424,7 +428,7 @@ def _family_json(name, f, values, profiles, graded_index, info, tables,
         if verdict is not None:
             rendered[table]["verdict"] = _verdict_json(verdict)
     for i, (v, profile) in enumerate(zip(values, profiles)):
-        fiber_doc = {"value": str(v), "graded": i == graded_index,
+        fiber_doc = {"value": str(v), "graded": profile.weights is not None,
                      "profile": _profile_json(profile)}
         if tables is not None:
             fiber_doc.update(rendered[tables[i]])

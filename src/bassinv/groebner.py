@@ -1,17 +1,17 @@
-"""Buchberger engine over Q: reduced bases, normal forms, staircases, lengths.
+"""Buchberger engine over Q: reduced bases, staircases, the support test.
 
 The pair queue uses Gebauer-Moller elimination with normal (minimal lcm
 degree) selection.  Arithmetic is fraction-free on primitive integer term
 lists and is done by `bassinv.kernel`; results are certificates, not
-probabilistic.  The four functions that call reduce_full, spoly or
+probabilistic.  The three functions that call reduce_full, spoly or
 enumerate_staircase reach them through the kernel's `active()` hook, which
 the benchmark's tracer replaces to count them; the rest of the kernel is
-called directly.  Each computation (a Buchberger run, a normal form, a
-support test) packs its monomials once into ints by a kernel `Packing`
-sized from its inputs, reruns at twice the width when an exponent outgrows
-it, and unpacks only what it returns; a GroebnerBasis holds exponent
-tuples.  jacobian_basis packs f alone and derives its partials on that
-packing, so a Jacobian run forms no Polynomial or Fraction for them.
+called directly.  Each computation (a Buchberger run or a support test)
+packs its monomials once into ints by a kernel `Packing` sized from its
+inputs, reruns at twice the width when an exponent outgrows it, and
+unpacks only what it returns; a GroebnerBasis holds exponent tuples.
+jacobian_basis packs f alone and derives its partials on that packing, so
+a Jacobian run forms no Polynomial or Fraction for them.
 Outputs are deterministic for a fixed input and order: term iteration and
 the pair queue are fully sorted.  The queue holds each pair's packed lcm,
 which the criteria read and spoly takes, so no lcm is built twice.
@@ -28,7 +28,7 @@ from math import lcm
 from . import kernel
 from .errors import UsageError
 from .kernel import MonomialOrder
-from .polynomials import Polynomial, _trusted
+from .polynomials import _trusted
 
 DEFAULT_STAIRCASE_CAP = 100000
 
@@ -87,19 +87,15 @@ Staircase = namedtuple("Staircase", "size")
 
 
 def _to_raw(terms, packing):
-    """Nonzero {exponent: Fraction} -> (primitive packed term list, content,
-    den), integers with den > 0.
-
-    The polynomial equals content/den * term_list exactly.
-    """
+    """Nonzero {exponent: Fraction} -> the primitive packed term list of its
+    integer multiples: coprime coefficients, a positive lead."""
     coeffs = terms.values()
     dens = [c.denominator for c in coeffs]
     den = lcm(*dens)
     # a Polynomial's exponents are distinct and its coefficients nonzero
     nums = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
     items = sorted(zip(map(packing.pack, terms), nums), reverse=True)
-    items, content = kernel.make_primitive(items)
-    return items, content, den
+    return kernel.make_primitive(items)[0]
 
 
 def _monic_from_raw(raw, variables):
@@ -119,18 +115,12 @@ def _packed(run, order, nvars, exps):
             width *= 2
 
 
-def buchberger(generators, order=None, until_finite=False):
+def buchberger(generators, order=None):
     """Reduced Groebner basis of the ideal the generators span.
 
     Deterministic for a fixed generator list and order.  The ring is the
     first generator's; an empty list raises ValueError, and an all-zero one
     yields the zero ideal (no generators).
-
-    With `until_finite`, the run stops as soon as the leads found so far
-    hold a pure power of every variable (the constant 1 is one of each) and
-    returns None: those leads already prove the quotient finite-dimensional.
-    A run that ends without them returns the reduced basis as usual, whose
-    staircase is then infinite.
     """
     order = order or MonomialOrder.grevlex()
     generators = list(generators)
@@ -148,11 +138,11 @@ def buchberger(generators, order=None, until_finite=False):
         return GroebnerBasis(order, variables, [])
 
     def run(packing):
-        return _buchberger([_to_raw(terms, packing)[0] for terms in maps],
-                           packing, until_finite)
+        return _buchberger([_to_raw(terms, packing) for terms in maps],
+                           packing, False)
 
     final = _packed(run, order, len(variables), chain.from_iterable(maps))
-    return None if final is None else GroebnerBasis(order, variables, final)
+    return GroebnerBasis(order, variables, final)
 
 
 def jacobian_basis(f, order, *, with_f, until_finite=False):
@@ -160,6 +150,12 @@ def jacobian_basis(f, order, *, with_f, until_finite=False):
     `with_f`: the same result, with the partials derived on f's packing
     (kernel.partials), so no Polynomial or Fraction is formed for them.  No
     exponent of a partial exceeds f's, so f's exponents size the fields.
+
+    With `until_finite`, the run stops as soon as the leads found so far
+    hold a pure power of every variable (the constant 1 is one of each) and
+    returns None: those leads already prove the quotient finite-dimensional.
+    A run that ends without them returns the reduced basis as usual, whose
+    staircase is then infinite.
     """
     variables = f.variables
     terms = f.term_map()
@@ -167,7 +163,7 @@ def jacobian_basis(f, order, *, with_f, until_finite=False):
         return GroebnerBasis(order, variables, [])
 
     def run(packing):
-        raw = _to_raw(terms, packing)[0]
+        raw = _to_raw(terms, packing)
         raws = kernel.partials(raw, packing)
         if with_f:
             raws.append(raw)
@@ -179,7 +175,7 @@ def jacobian_basis(f, order, *, with_f, until_finite=False):
 
 def _buchberger(raws, packing, until_finite):
     """The reduced basis of the nonzero primitive term lists `raws`, packed
-    by `packing`, as unpacked term lists, or None (see buchberger)."""
+    by `packing`, as unpacked term lists, or None (see jacobian_basis)."""
     impl = kernel.active()
     # canonical input order: the reduced basis is unique, and a repeat reduces
     # to 0 against its first copy, but the pair schedule becomes reproducible
@@ -265,27 +261,6 @@ def _buchberger(raws, packing, until_finite):
         final.append(g)
     final.sort()  # by lead: the leads are distinct
     return [packing.unpack_terms(g) for g in final]
-
-
-def normal_form(p, basis):
-    """Complete reduction of p modulo the basis: exact, unique remainder."""
-    if tuple(p.variables) != basis.variables:
-        raise ValueError("polynomial and basis live in different rings")
-    terms = p.term_map()
-    if not terms:
-        return Polynomial.zero(basis.variables)
-    impl = kernel.active()
-
-    def run(packing):
-        raw, content, den = _to_raw(terms, packing)
-        reduced, num, rden = impl.reduce_full(
-            raw, [packing.pack_terms(g) for g in basis._raw], packing)
-        factor = Fraction(content * num, den * rden)
-        return {packing.unpack(e): factor * c for e, c in reduced}
-
-    exps = chain(terms, (e for g in basis._raw for e, _ in g))
-    return _trusted(_packed(run, basis.order, len(basis.variables), exps),
-                    basis.variables)
 
 
 def staircase(basis):

@@ -8,7 +8,7 @@ import pytest
 
 from bassinv import kernel
 from bassinv.groebner import MonomialOrder, buchberger
-from bassinv.polynomials import parse, partial_derivative
+from bassinv.polynomials import Polynomial, parse, partial_derivative
 from bassinv.singularity import _lazard_basis
 
 VARS = ("x", "y", "z")
@@ -121,17 +121,65 @@ def local_monomials(generators):
     return brute_force_staircase(leads, len(generators[0].variables))
 
 
+# -- a reduction oracle that shares no code with the engine ------------------
+#
+# Division over Fractions, written from its definition; it reads a basis'
+# `_raw` term lists (exponent tuples and integer coefficients, lead first),
+# `order` and `variables`, and calls nothing in bassinv.kernel or
+# bassinv.groebner.
+
+def reference_remainder(terms, basis, kind, weights):
+    """Division algorithm over Q: take the largest remaining term, subtract
+    the multiple of the first basis element whose lead divides it, or move
+    it to the remainder.  `terms` are (exponent, coefficient) pairs, zero
+    ones skipped, and each basis element a term list led by its largest
+    term."""
+    p = {e: Fraction(c) for e, c in terms if c}
+    remainder = {}
+    while p:
+        e = max(p, key=lambda e: reference_key(e, kind, weights))
+        c = p[e]
+        hit = [b for b in basis if divides(b[0][0], e)]
+        if not hit:
+            remainder[e] = p.pop(e)
+            continue
+        b = hit[0]
+        factor = c / b[0][1]
+        u = [x - y for x, y in zip(e, b[0][0])]
+        for be, bc in b:
+            ne = tuple(x + y for x, y in zip(be, u))
+            v = p.get(ne, 0) - factor * bc
+            if v:
+                p[ne] = v
+            else:
+                p.pop(ne, None)
+    return remainder
+
+
+def remainder(p, basis):
+    """The remainder of the Polynomial p on division by a Groebner basis,
+    which is its unique normal form."""
+    return Polynomial(reference_remainder(p.term_map().items(), basis._raw,
+                                          basis.order.kind,
+                                          basis.order.weights),
+                      basis.variables)
+
+
 def spairs_reduce_to_zero(basis):
-    """Whether the kernel's reduce_full takes the kernel's S-polynomial of
-    every pair of the basis' generators to 0 against them."""
-    packing = kernel.Packing(basis.order, len(basis.variables), 16)
-    raws = [packing.pack_terms(raw) for raw in basis._raw]
-    pairs = itertools.combinations(zip(raws, basis.leading_exponents()), 2)
-    return not any(
-        kernel.reduce_full(
-            kernel.spoly(f, g, packing.pack(tuple(map(max, a, b)))),
-            raws, packing)[0]
-        for (f, a), (g, b) in pairs)
+    """Whether the S-polynomial of every pair of the basis' generators has
+    remainder 0 on division by them (Buchberger's criterion)."""
+    kind, weights = basis.order.kind, basis.order.weights
+    for f, g in itertools.combinations(basis._raw, 2):
+        lcm = tuple(map(max, f[0][0], g[0][0]))
+        s = Counter()
+        for terms, sign in ((f, 1), (g, -1)):
+            u = [x - y for x, y in zip(lcm, terms[0][0])]
+            for e, c in terms:
+                s[tuple(x + y for x, y in zip(e, u))] += Fraction(
+                    sign * c, terms[0][1])
+        if reference_remainder(s.items(), basis._raw, kind, weights):
+            return False
+    return True
 
 
 def counting(counts, name, fn):

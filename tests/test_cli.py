@@ -557,7 +557,7 @@ class TestFiberTransport:
         real, real_jacobian = groebner.buchberger, groebner.jacobian_basis
 
         def counting(*args, **kwargs):
-            calls.append((len(args[0]), kwargs.get("until_finite", False)))
+            calls.append((len(args[0]), False))
             return real(*args, **kwargs)
 
         def counting_jacobian(f, *args, with_f, **kwargs):
@@ -692,6 +692,31 @@ class TestGradedGenusReuse:
                 f"t = 0 has weighted degree {degree}, not above {bound}"
                 in err)
 
+    def test_checks_run_once_per_analysis(self, capsys, monkeypatch):
+        # of the 8 Wahl fibers, t = 0 is graded and t = -2 stands for the
+        # 7 others, so only t = -2 is tested for low terms
+        calls = []
+        real = cli.low_difference
+
+        def counting(f, f_0, ws):
+            calls.append(f)
+            return real(f, f_0, ws)
+
+        monkeypatch.setattr(cli, "low_difference", counting)
+        run_ok(capsys, "bass", WAHL_FAMILY,
+               "--values", "-2,-1/3,0,1/2,1,2,3,7/5", "--graph", GRAPH,
+               "--assume-chi-invariant")
+        assert calls == [substitute_parameter(
+            parse(WAHL_FAMILY, VARS + ("t",)), "t", Fraction(-2))]
+
+    def test_refusal_names_the_first_nonzero_fiber(self, capsys):
+        code, err = run_err(capsys, "bass", WAHL_PRINCIPAL + "+t*x^5",
+                            "--values=-1,0,1,2", "--graph", GRAPH,
+                            "--assume-chi-invariant")
+        assert code == 5
+        assert err.startswith("error [InconsistentInputsError]: fiber "
+                              "t = -1: reusing the graded fiber's p_g")
+
     def test_low_term_without_graph_builds_no_table(self, capsys):
         # without a graph no table reuses p_g, so the profiles are reported
         doc = run_json(capsys, "family", "x^2+y^3+z^13+t*z^11",
@@ -732,6 +757,18 @@ class TestFamilyTables:
                 for f in doc["fibers"]] == [
             ([3, 2, 1], True, {"kind": "exact", "value": 0},
              "not_a_counterexample")] * 2
+
+    def test_every_graded_fiber_is_marked_graded(self, capsys):
+        # the graded fiber line names the fiber the transport starts from
+        argv = ("bass", "x^2+y^3+z^6+t*x*z^3", "--values", "0,1", "--graph",
+                GRAPH, "--assume-chi-invariant")
+        doc = run_json(capsys, *argv)
+        assert doc["graded_fiber"] == "0"
+        assert [f["graded"] for f in doc["fibers"]] == [True, True]
+        out = run_ok(capsys, *argv)
+        assert "graded fiber: t = 0\n" in out
+        assert re.findall(r"^fiber t = .*$", out, re.M) == [
+            "fiber t = 0: [graded]", "fiber t = 1: [graded]"]
 
     @pytest.mark.parametrize("command", ["bass", "family"])
     def test_fibers_of_different_mu_refused(self, capsys, command):

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from bassinv import kernel
 from bassinv.errors import StaircaseLimitError
 from bassinv.groebner import (MonomialOrder, _packed, _to_raw, buchberger,
-                              jacobian_basis, normal_form, staircase,
+                              jacobian_basis, staircase,
                               supported_only_at_origin)
 from bassinv.polynomials import (Polynomial, WeightSystem, parse,
                                  partial_derivative)
 
-from conftest import (CORPUS_TEXTS, VARS, divides, jacobian, poly,
+from conftest import (CORPUS_TEXTS, VARS, divides, jacobian, poly, remainder,
                       spairs_reduce_to_zero, standard_monomials,
                       tjurina_generators)
 
@@ -88,7 +88,7 @@ class TestBuchberger:
         assert len(gb) == 0
         assert staircase(gb).size is None
         p = poly("x^2+y")
-        assert normal_form(p, gb) == p
+        assert remainder(p, gb) == p
 
     def test_unit_ideal(self):
         gb = buchberger([poly("x"), poly("x+1")])
@@ -117,30 +117,39 @@ class TestBuchberger:
 
 
 class TestUntilFinite:
+    """jacobian_basis with until_finite on the partials of f; the oracle is
+    the full basis: None exactly when its staircase is finite, and
+    otherwise that basis."""
+
     @pytest.mark.parametrize("order", [MonomialOrder.grevlex(),
                                        MonomialOrder.lex()],
                              ids=["grevlex", "lex"])
     @pytest.mark.parametrize("text", CORPUS_TEXTS)
     def test_stops_exactly_on_finite_quotients(self, text, order):
-        gens = jacobian(poly(text))
-        full = buchberger(gens, order)
-        stopped = buchberger(gens, order, until_finite=True)
+        f = poly(text)
+        full = buchberger(jacobian(f), order)
+        stopped = jacobian_basis(f, order, with_f=False, until_finite=True)
         assert (stopped is None) == (staircase(full).size is not None)
 
     def test_stops_before_the_pairs(self, kernel_calls):
-        # pure powers among the generators: one reduction each, no pair
-        assert buchberger([poly("20x^19"), poly("21y^20"), poly("5z^4")],
-                          until_finite=True) is None
+        # the partials 20x^19, 21y^20, 5z^4 are pure powers: one reduction
+        # each, no pair
+        assert jacobian_basis(poly("x^20+y^21+z^5"), GREVLEX, with_f=False,
+                              until_finite=True) is None
         assert kernel_calls["reduce_full"] == 3
 
-    @pytest.mark.parametrize("gens", [["x*y", "x^2"], ["x^2-y^2", "x*z"],
-                                      ["0"]])
-    def test_infinite_quotient_gives_the_reduced_basis(self, gens):
-        gens = [poly(g) for g in gens]
-        assert buchberger(gens, until_finite=True) == buchberger(gens)
+    # partials 2xy, x^2, 0 and 3x^2-3y^2, -6xy, 0, and the zero ideal
+    @pytest.mark.parametrize("f", ["x^2*y", "x^3-3*x*y^2", "0"])
+    def test_infinite_quotient_gives_the_reduced_basis(self, f):
+        f = poly(f)
+        full = buchberger(jacobian(f))
+        assert staircase(full).size is None
+        assert jacobian_basis(f, GREVLEX, with_f=False,
+                              until_finite=True) == full
 
     def test_unit_ideal_stops(self):
-        assert buchberger([poly("x"), poly("x+1")], until_finite=True) is None
+        assert jacobian_basis(poly("x"), GREVLEX, with_f=False,
+                              until_finite=True) is None
 
 
 @st.composite
@@ -169,9 +178,9 @@ class TestJacobianBasis:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_packed_partials_are_the_partials(self, f, order):
         def run(packing):
-            raw = _to_raw(f.term_map(), packing)[0]
+            raw = _to_raw(f.term_map(), packing)
             return kernel.partials(raw, packing), [
-                _to_raw(p.term_map(), packing)[0]
+                _to_raw(p.term_map(), packing)
                 for p in (partial_derivative(f, i) for i in range(3))
                 if not p.is_zero()]
 
@@ -185,9 +194,11 @@ class TestJacobianBasis:
         partials = jacobian(f)
         assert jacobian_basis(f, order, with_f=True) == \
             buchberger([f] + partials, order)
+        full = buchberger(partials, order)
+        stops = until_finite and staircase(full).size is not None
         assert jacobian_basis(f, order, with_f=False,
                               until_finite=until_finite) == \
-            buchberger(partials, order, until_finite)
+            (None if stops else full)
 
     def test_zero_and_constant(self):
         for text in ("0", "5"):
@@ -198,29 +209,32 @@ class TestJacobianBasis:
 
 
 class TestNormalForm:
+    """The engine's bases under the remainder oracle of conftest.py: the
+    remainder on division by a Groebner basis is the unique normal form."""
+
     def test_membership(self, corpus_bases):
         for basis in corpus_bases:
             for g in basis.generators:
-                assert normal_form(g, basis).is_zero()
+                assert remainder(g, basis).is_zero()
 
     def test_one_survives_proper_ideal(self):
         gb = buchberger([poly("z"), poly("y^2"), poly("x^9")])
-        assert normal_form(poly("1"), gb) == poly("1")
+        assert remainder(poly("1"), gb) == poly("1")
 
     def test_single_division_step(self):
         gb = buchberger([poly("z"), poly("y^2"), poly("x^9")])
-        assert normal_form(poly("x^9+x"), gb) == poly("x")
+        assert remainder(poly("x^9+x"), gb) == poly("x")
 
     def test_exact_rational_scaling(self):
         gb = buchberger([poly("2x - 3y")])
-        # NF is linear and exact: reduce 5x and compare against 15/2 y
-        assert normal_form(poly("5x"), gb) == poly("15/2*y")
+        # the basis is monic: x - 3/2 y, so 5x reduces to 15/2 y
+        assert remainder(poly("5x"), gb) == poly("15/2*y")
 
     def test_idempotent(self, corpus_bases):
         probe = poly("x^5*y^2 + 1/3*x*y*z^3 - 7*z^8 + x - 2")
         for basis in corpus_bases:
-            once = normal_form(probe, basis)
-            assert normal_form(once, basis) == once
+            once = remainder(probe, basis)
+            assert remainder(once, basis) == once
 
     def test_random_combinations_reduce_to_zero(self, corpus_bases):
         rng = random.Random(20260810)
@@ -231,7 +245,7 @@ class TestNormalForm:
                 for g in basis.generators:
                     c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                     combo = combo + g * rng.choice(monos) * c
-                assert normal_form(combo, basis).is_zero()
+                assert remainder(combo, basis).is_zero()
 
 
 class TestStaircase:
@@ -332,7 +346,7 @@ class TestSupportAtOrigin:
         dim = staircase(gb).size
         powers = [Polynomial({tuple(dim if j == i else 0 for j in range(3)):
                               1}, VARS) for i in range(3)]
-        expected = all(normal_form(p, gb).is_zero() for p in powers)
+        expected = all(remainder(p, gb).is_zero() for p in powers)
         assert supported_only_at_origin(gb, dim) == expected
 
     def test_reduction_count_diagonal(self, kernel_calls):

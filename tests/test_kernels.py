@@ -10,11 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 from bassinv import kernel
 from bassinv.errors import StaircaseLimitError
 from bassinv.groebner import (GroebnerBasis, MonomialOrder, _packed,
-                              buchberger, normal_form, staircase)
+                              buchberger, staircase,
+                              supported_only_at_origin)
 from bassinv.singularity import _lazard_basis, _local_staircase
 
 from conftest import (VARS, brute_force_staircase, divides, jacobian, poly,
-                      reference_key, standard_monomials, tjurina_generators)
+                      reference_key, reference_remainder, standard_monomials,
+                      tjurina_generators)
 
 # sha256 digests of (basis generators, staircase) recorded from the
 # pure-Python kernel: (f, order, digest), where "lazard" is the 4-variable
@@ -60,8 +62,9 @@ def test_recorded_digests(case):
 # Written from the definitions of the orders and of the division algorithm,
 # with exact rationals and plain loops; nothing here calls the engine except
 # the function under test.  An order is a kind ("grevlex", "lex",
-# "weighted") and, for "weighted", its weights.  reference_key, divides and
-# the staircase oracle brute_force_staircase live in conftest.py.
+# "weighted") and, for "weighted", its weights.  reference_key, divides, the
+# staircase oracle brute_force_staircase and the division oracle
+# reference_remainder live in conftest.py.
 
 def reference_greater(a, b, kind, weights):
     """a > b straight from the definition of each order."""
@@ -132,35 +135,6 @@ def term_lists(draw, n, kind, weights, min_terms=0, positive_lead=False):
     if positive_lead and coeffs:
         coeffs[0] = abs(coeffs[0])
     return list(zip(exps, coeffs))
-
-
-def reference_remainder(terms, basis, kind, weights):
-    """Division algorithm over Q: take the largest remaining term, subtract
-    the multiple of the first basis element whose lead divides it, or move
-    it to the remainder."""
-    p = {e: Fraction(c) for e, c in terms}
-    remainder = {}
-    while p:
-        e = next(iter(p))
-        for f in p:
-            if reference_greater(f, e, kind, weights):
-                e = f
-        c = p[e]
-        hit = [b for b in basis if divides(b[0][0], e)]
-        if not hit:
-            remainder[e] = p.pop(e)
-            continue
-        b = hit[0]
-        factor = c / b[0][1]
-        u = [x - y for x, y in zip(e, b[0][0])]
-        for be, bc in b:
-            ne = tuple(x + y for x, y in zip(be, u))
-            v = p.get(ne, 0) - factor * bc
-            if v:
-                p[ne] = v
-            else:
-                p.pop(ne, None)
-    return remainder
 
 
 def primitive_with_positive_lead(terms, kind, weights):
@@ -438,13 +412,14 @@ def test_buchberger_widens_and_reruns(widths):
 
 def test_reduction_widens_and_reruns(widths):
     # in lex, x^7 -> x^6*y^2 -> ... -> y^14 -> ... -> z^28, past the top 15
-    # of the 4-bit fields that x^7 asks for
+    # of the 4-bit fields that the support test's x^7 asks for; z^28 is not
+    # 0, so x is not nilpotent of index 7
     basis = [[((1, 0, 0), 1), ((0, 2, 0), -1)],
              [((0, 1, 0), 1), ((0, 0, 2), -1)]]
     lex = GroebnerBasis(MonomialOrder.lex(), VARS, basis)
-    assert (normal_form(poly("x^7"), lex).term_map()
-            == reference_remainder([((7, 0, 0), 1)], basis, "lex", None)
+    assert (reference_remainder([((7, 0, 0), 1)], basis, "lex", None)
             == {(0, 0, 28): 1})
+    assert not supported_only_at_origin(lex, 7)
     assert widths == [("lex", 4), ("lex", 8)]
 
 
