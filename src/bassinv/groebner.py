@@ -251,15 +251,18 @@ def _buchberger(raws, packing, until_finite):
     for i in sorted(range(len(G)), key=lambda i: G[i][0][0]):
         if not any(divides(G[k][0][0], G[i][0][0]) for k in kept_idx):
             kept_idx.append(i)
-    minimal = [G[i] for i in kept_idx]
-    # inter-reduce tails; leads survive because they are pairwise indivisible
+    # inter-reduce tails in ascending lead order: a lead that divides a
+    # term of g's tail is at most that term, so below g's own lead, and
+    # belongs to an element already in final.  Reducing by those alone
+    # leaves g's lead (the leads are pairwise indivisible) and a tail of
+    # standard monomials, which is the reduced basis' unique element with
+    # that lead; final stays sorted by lead
     final = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if others:
-            g, _, _ = impl.reduce_full(g, others, packing)
+    for i in kept_idx:
+        g = G[i]
+        if final:
+            g, _, _ = impl.reduce_full(g, final, packing)
         final.append(g)
-    final.sort()  # by lead: the leads are distinct
     return [packing.unpack_terms(g) for g in final]
 
 

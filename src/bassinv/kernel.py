@@ -37,10 +37,11 @@ unpacks once on the way out.
 Coefficients are plain Python ints (exact, arbitrary precision); scaling by
 rationals is tracked separately so reductions stay fraction-free.  Only
 reduce_full orders terms: an S-polynomial is an unsorted dict that
-reduce_full takes as it is.  Staircases are counted on exponent tuples by
-adding whole runs along the last variable, with no monomial built; a
-staircase without a pure power of some variable among its leads is
-infinite and is not walked (see enumerate_staircase).
+reduce_full takes as it is.  Staircases are counted on exponent tuples,
+with no monomial built: the columns along the last variable are swept in
+blocks of equal height, each added at once; a staircase without a pure
+power of some variable among its leads is infinite and is not walked (see
+enumerate_staircase).
 """
 
 import sys
@@ -298,10 +299,11 @@ def enumerate_staircase(lead_exps, nvars, cap):
     0, ..., r-1, where r is the smallest k-th exponent among the leads
     whose first k exponents divide p and whose exponents after the k-th are
     all 0.  Leads are filtered as the prefix grows, each kept only while
-    its first k exponents divide p; at the last variable a run is the whole
-    column of r standard monomials above p, and is added to the count as a
-    whole.  Those pure powers make every r finite, so the walk ends.  It
-    costs O(prefixes x leads), not O(monomials x n x leads).
+    its first k exponents divide p.  Those pure powers make every r finite,
+    so the walk ends.  At the second-to-last variable it does not recurse
+    into the last one but sweeps its r columns, adding each block of equal
+    columns at once (see sweep).  It costs one sort of the leads per prefix
+    of the first n-2 exponents, not O(monomials x n x leads).
 
     Raises StaircaseLimitError when more than `cap` monomials appear (the
     origin, 1, is never counted against the cap).
@@ -319,12 +321,40 @@ def enumerate_staircase(lead_exps, nvars, cap):
         return None  # some variable has no pure power: infinite
     limit = max(cap, 1)
 
+    def sweep(k, r, leads, count):
+        """count plus the columns j < r of the second-to-last exponent k.
+        Column j is as high as the smallest last exponent among the leads
+        ending in the last variable with k-th exponent at most j, which
+        changes only at such a k-th exponent.  The count only grows, so a
+        cap check per block of equal columns refuses what one per column
+        would."""
+        pairs = sorted((lead[k], lead[last])
+                       for lead, top in leads if top == last)
+        # the pure power of the last variable comes first, with e_k = 0
+        run = pairs[0][1]
+        j = 0
+        for e_k, e_last in pairs:
+            if e_k >= r:
+                break
+            if e_k > j:
+                count += run * (e_k - j)
+                if count > limit:
+                    raise StaircaseLimitError.over(cap)
+                j = e_k
+            run = min(run, e_last)
+        count += run * (r - j)
+        if count > limit:
+            raise StaircaseLimitError.over(cap)
+        return count
+
     def walk(k, leads, count):
         r = min(lead[k] for lead, top in leads if top == k)
-        if k == last:
+        if k == last:  # one variable: a single column
             if count + r > limit:
                 raise StaircaseLimitError.over(cap)
             return count + r
+        if k == last - 1:
+            return sweep(k, r, leads, count)
         for j in range(r):
             count = walk(k + 1, [t for t in leads if t[0][k] <= j], count)
         return count

@@ -13,8 +13,10 @@ from bassinv.groebner import (MonomialOrder, _packed, _to_raw, buchberger,
                               supported_only_at_origin)
 from bassinv.polynomials import (Polynomial, WeightSystem, parse,
                                  partial_derivative)
+from bassinv.singularity import _lazard_basis
 
-from conftest import (CORPUS_TEXTS, VARS, divides, jacobian, poly, remainder,
+from conftest import (CORPUS_TEXTS, VARS, divides, jacobian, poly,
+                      reference_key, reference_remainder, remainder,
                       spairs_reduce_to_zero, standard_monomials,
                       tjurina_generators)
 
@@ -455,18 +457,29 @@ class TestBuchbergerPostconditions:
         for basis in corpus_bases:
             assert spairs_reduce_to_zero(basis)
 
+    # the two inputs whose support certifies no Newton number: their mu
+    # comes from the Lazard basis, in _lazard_basis's weighted order
+    LAZARD_TEXTS = ("(x+y)^2+z^4+y^3+y^2*z^2",
+                    "x^2*y+y^4+z^3+x^3*y^2+x*z^4-y^3*z^2")
+
     def test_reduced_basis_shape(self, corpus_bases):
-        for basis in corpus_bases:
+        lazard = [_lazard_basis(jacobian(poly(t))) for t in self.LAZARD_TEXTS]
+        for basis in corpus_bases + lazard:
+            kind, weights = basis.order.kind, basis.order.weights
             leads = basis.leading_exponents()
             # no lead divides another
             for i, a in enumerate(leads):
                 for j, b in enumerate(leads):
                     if i != j:
                         assert not divides(a, b)
-            # monic (in the basis' own order) and fully inter-reduced
+            # monic in the basis' own order, and fully inter-reduced: on
+            # division by the other generators each is its own remainder
             for k, g in enumerate(basis.generators):
+                terms = g.term_map()
                 lead_exp = basis._raw[k][0][0]
-                assert g.term_map()[lead_exp] == 1
-                others = [r for i, r in enumerate(basis._raw) if i != k]
-                for exp in g.term_map():
-                    assert not any(divides(r[0][0], exp) for r in others)
+                assert lead_exp == max(
+                    terms, key=lambda e: reference_key(e, kind, weights))
+                assert terms[lead_exp] == 1
+                others = basis._raw[:k] + basis._raw[k + 1:]
+                assert reference_remainder(terms.items(), others, kind,
+                                           weights) == terms

@@ -110,6 +110,56 @@ def finite_staircases(draw):
 
 
 @st.composite
+def swept_staircases(draw):
+    """A number of variables 2-3 and leads with a pure power of each, up to
+    16, among them leads ending in the last variable that share their
+    second-to-last exponent: the columns that enumerate_staircase sweeps,
+    with blocks of equal height and ties inside a block."""
+    n = draw(st.integers(2, 3))
+    leads = [tuple(draw(st.integers(1, 16)) if j == i else 0
+                   for j in range(n)) for i in range(n)]
+    columns = draw(st.lists(st.integers(0, 16), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 6))):
+        first = (draw(st.integers(0, 4)),) if n == 3 else ()
+        leads.append(first + (draw(st.sampled_from(columns)),
+                              draw(st.integers(1, 16))))
+    leads += draw(st.lists(exponents(n, 16).filter(any), max_size=3))
+    return n, draw(st.permutations(leads))
+
+
+# grevlex leads of the bases of (f) + Jacobian ideal of the five
+# benchmark ladder inputs x^a+y^b+z^c+q*x^i*y^j*z^k, named by (a, b, c)
+# (the leads are the same for every draw of q), and of the Wahl family's
+# fiber at t = 1, with their tau
+LADDER_AND_WAHL_LEADS = {
+    "ladder-6-5-3": ([(0, 0, 2), (0, 5, 0), (4, 1, 0), (5, 0, 0), (2, 4, 0),
+                      (3, 3, 0)], 36),
+    "ladder-4-5-6": ([(1, 2, 1), (0, 4, 0), (4, 0, 0), (0, 0, 5), (3, 1, 2),
+                      (3, 3, 0), (3, 0, 4)], 51),
+    "ladder-7-8-3": ([(0, 0, 2), (4, 3, 0), (5, 2, 0), (7, 0, 0), (0, 8, 0),
+                      (2, 7, 0)], 74),
+    "ladder-9-10-3": ([(0, 0, 2), (5, 4, 0), (6, 3, 0), (9, 0, 0),
+                       (0, 10, 0), (3, 9, 0)], 122),
+    "ladder-12-13-3": ([(0, 0, 2), (8, 4, 0), (9, 3, 0), (12, 0, 0),
+                        (0, 13, 0), (3, 12, 0)], 224),
+    "wahl-t=1": ([(0, 0, 1), (0, 3, 0), (3, 2, 0), (6, 1, 0), (7, 0, 0)], 16),
+}
+
+
+def assert_staircase_under_cap(leads, n, cap, size):
+    """enumerate_staircase gives size under a cap it fits, and refuses
+    past max(cap, 1) with the cap's message."""
+    if size <= max(cap, 1):
+        assert kernel.enumerate_staircase(leads, n, cap) == size
+        return
+    with pytest.raises(StaircaseLimitError) as err:
+        kernel.enumerate_staircase(leads, n, cap)
+    assert str(err.value) == (
+        f"staircase exceeds the enumeration cap ({cap}); "
+        f"raise BASSINV_MAX_STAIRCASE to allow larger quotients")
+
+
+@st.composite
 def any_staircases(draw):
     """A number of variables 1-4 and leads that may lack a pure power of
     some variable, or hold the unit ideal's lead 0."""
@@ -268,13 +318,23 @@ class TestPythonKernelOracles:
         n, leads = case
         size = len(brute_force_staircase(leads, n))
         assume(size >= 2)
-        assert kernel.enumerate_staircase(leads, n, size) == size
-        cap = size - 1
-        message = (f"staircase exceeds the enumeration cap ({cap}); "
-                   f"raise BASSINV_MAX_STAIRCASE to allow larger quotients")
-        with pytest.raises(StaircaseLimitError) as err:
-            kernel.enumerate_staircase(leads, n, cap)
-        assert str(err.value) == message
+        for cap in (size - 1, size):
+            assert_staircase_under_cap(leads, n, cap, size)
+
+    @given(swept_staircases(), st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_swept_columns_are_the_brute_force_scan(self, case, fits):
+        # the count passes a cap of size - 1 only in its last block
+        n, leads = case
+        size = len(brute_force_staircase(leads, n))
+        assert_staircase_under_cap(leads, n, size - (not fits), size)
+
+    @pytest.mark.parametrize("case", LADDER_AND_WAHL_LEADS)
+    def test_ladder_and_wahl_staircases(self, case):
+        leads, tau = LADDER_AND_WAHL_LEADS[case]
+        assert len(brute_force_staircase(leads, 3)) == tau
+        for cap in (tau - 1, tau):
+            assert_staircase_under_cap(leads, 3, cap, tau)
 
     def test_origin_is_not_counted_against_the_cap(self):
         # the staircase {1} survives a cap of 0
